@@ -1,0 +1,97 @@
+"""Golden digests: the artifact bytes of default marriage runs, pinned.
+
+Each analysis runs on the built-in marriage data with the default config
+over seeds 0-2 (macro-classes cut at k=5), and the sha256 of every result,
+model, macro and deviations JSON must match the committed digest.  A change
+that moves a digest on purpose re-issues the table and says why in
+CHANGES.md.  To print the current digests as a table:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from somcat.cli import main
+
+ALGORITHMS = ("kmca", "kmca-ind", "kdisj")
+SEEDS = 3
+KINDS = ("result", "model", "macro", "deviations")
+
+GOLDEN = {
+    "marriages.kmca.0.result.json": "0d50dee0e056f96ae3d8ef93aae9940bb33c1dd8e6655c46e4fb6af7193fd47d",
+    "marriages.kmca.0.model.json": "45d23eb2fae72e02d8229b30ff9615b91db8c3e8d5118f1abfe0c738d908c6f9",
+    "marriages.kmca.0.macro.json": "f684fd56edaeff22630231a5d6c7a1582bb7b7b12f3726fb4d5fbd631c5aa912",
+    "marriages.kmca.1.result.json": "a5d5db6171794c5e317dc11302aa05fa8b2228302fcbe6f0a2fc448666b6cabf",
+    "marriages.kmca.1.model.json": "5497e17e9cb186e445a3e536fab6da8c478f01ba463528a6deb73d3506f739f9",
+    "marriages.kmca.1.macro.json": "59797c11e9e2ae22165ffef7358d7068f9b31baa67617f5359c0ad0bc677d928",
+    "marriages.kmca.2.result.json": "ee901c041bcb6fc6cf841808a03b6558d61f5c1cbb26154a392b3daf67a8da78",
+    "marriages.kmca.2.model.json": "c7abe2cfdc09be489726895465ebf64752a8571c83387f73bd3f22fbfaf3d4d2",
+    "marriages.kmca.2.macro.json": "c61fa91bd585c99fafb6574fcaf1ceb68fb0c8b9545b390c5f42d29115c5a123",
+    "marriages.kmca-ind.0.result.json": "965c20f1ceb41b3c2e80a7d8cad3fd556a080a439cc7c5efe0734f5153d1bc6a",
+    "marriages.kmca-ind.0.model.json": "5a09c0999146e80549363eec6e077df2a330efd61c7f73b8941e5646342c2460",
+    "marriages.kmca-ind.0.macro.json": "59cba41751181539ead05000c4a31d657d1ef9fb743cef68b42f8244c88c1081",
+    "marriages.kmca-ind.0.deviations.json": "8caf570e727525bfbf8b78b560bb4202487254bbb29af492f658fd091d643a5e",
+    "marriages.kmca-ind.1.result.json": "2201b6b47b453e9dd3c346f3f394b331f11a982cce4991a54a7176c694db0f4d",
+    "marriages.kmca-ind.1.model.json": "39498a32b3e54b52fbe2f699f04ffc271c3c313b081d297bece44cf170eef0cd",
+    "marriages.kmca-ind.1.macro.json": "94758100fdd99e4467e83d0ed7e71790c83b7f1bcb79f1bef4ea810b4e38c660",
+    "marriages.kmca-ind.1.deviations.json": "4978b6437e5b96faf5d51ac531ce9a6b373183db19787e24e2468290196bd384",
+    "marriages.kmca-ind.2.result.json": "780b7a79af599e1139a21906c9fc1727714adfc4724ff54574eea503b123ae23",
+    "marriages.kmca-ind.2.model.json": "f31e12f12cdfa0e20482870c0ec8359ad327a030e5654fa00d8e9f0e4bb50556",
+    "marriages.kmca-ind.2.macro.json": "339c39b382a6163972698584d23a91d807a002f683bece0770d9deaf94086f0a",
+    "marriages.kmca-ind.2.deviations.json": "adfb73ccf12ee8cada45541de64501db0f1f979e24cb0cb7198ee26badfc3c03",
+    "marriages.kdisj.0.result.json": "c218f81d926fd352de9737335fbea7f0c3328e289f9a5a4f157afb787b1dc659",
+    "marriages.kdisj.0.model.json": "baa3b00fff2ef5eaea754378e3bf45cdcedb2e4e0c67669761fffd1de8fae809",
+    "marriages.kdisj.0.macro.json": "35d384107dd2cac0ef175a1ddd445207d2ef787394a2ae6af0dcf621f9105087",
+    "marriages.kdisj.0.deviations.json": "89ef02346cb1b72ddd3f785289d4f43291a9ceaa11892b3e6fcf121266287fa2",
+    "marriages.kdisj.1.result.json": "a9499a1e2ba77f3db802e912a38346de8c9fd739d44b1738696fc8fca9c5b89c",
+    "marriages.kdisj.1.model.json": "01f615d48c2d9a50b90f9a9ef477107bd4b899d68b117ea64b207bc89095cfea",
+    "marriages.kdisj.1.macro.json": "00599b0ba1a9cda2f48d899ce46c7a5f7bb7a68b50a619238875745725743fff",
+    "marriages.kdisj.1.deviations.json": "30962128b5ef7e7c0f389548d95bfd2ed56ae51b5a90786e9ec8b4ddd7d8fd33",
+    "marriages.kdisj.2.result.json": "af8042eb416c9965e6bbbe5928f9a8461e424df6f249bda89272a94755f960d9",
+    "marriages.kdisj.2.model.json": "7b33c1c37db48ebf94e5285524922ce90bcbfa9f41f7711dfe0d1fa94acd62c1",
+    "marriages.kdisj.2.macro.json": "413a1bba6b14d3db52488b149dd62711ea20e7630331fbed68401706b69929fc",
+    "marriages.kdisj.2.deviations.json": "acbc2273b16b624a3802e8a460985aff758c8eed4c600d77d7d5461f6295ec1b",
+}
+
+
+def digests(algorithm: str, outdir: Path) -> dict[str, str]:
+    """Run one analysis over the golden seeds; sha256 of each pinned file."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([
+            algorithm, "--data", "builtin:marriages", "--seeds", str(SEEDS),
+            "--workers", "1", "--macro", "5", "--render", "none",
+            "--out", str(outdir),
+        ])
+    if code != 0:
+        raise RuntimeError(f"{algorithm} run exited with {code}")
+    out = {}
+    for seed in range(SEEDS):
+        for kind in KINDS:
+            path = outdir / f"marriages.{algorithm}.{seed}.{kind}.json"
+            if path.exists():
+                out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_artifact_bytes_match_golden_digests(algorithm, tmp_path):
+    got = digests(algorithm, tmp_path)
+    want = {k: v for k, v in GOLDEN.items() if f".{algorithm}." in k}
+    assert got == want
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {}
+        for algorithm in ALGORITHMS:
+            table.update(digests(algorithm, Path(tmp) / algorithm))
+    print("GOLDEN = {")
+    for name, digest in table.items():
+        print(f'    "{name}": "{digest}",')
+    print("}")
