@@ -379,14 +379,40 @@ def _masked_rows(model: SomModel, rows, mask: DistanceMask) -> np.ndarray:
     raise DimensionError("rows match neither full dim nor mask width")
 
 
+# Elements (rows x units x width) of one distance block: 2**16 float64 is
+# 512 KiB, about the size of an L2 cache.
+DISTANCE_BLOCK = 1 << 16
+
+
+def _blocks(size: int, step: int):
+    """Slices of at most ``step`` (>= 2) items covering range(size).  The
+    last one starts early when it would hold a lone item of several."""
+    for start in range(0, size, step):
+        yield slice(min(start, max(size - 2, 0)), start + step)
+
+
 def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
-    # Same difference-based arithmetic as bmu(), so assignment and training
-    # agree bit-for-bit on distances; chunked to bound the temporary.
-    out = np.empty((rows.shape[0], code.shape[0]))
-    for start in range(0, rows.shape[0], 1024):
-        chunk = rows[start:start + 1024]
-        diff = chunk[:, np.newaxis, :] - code[np.newaxis, :, :]
-        out[start:start + 1024] = np.einsum("nuw,nuw->nu", diff, diff)
+    """Squared distance from every row to every code vector, n x U.
+
+    The difference and its einsum reduction run one block at a time: as
+    many rows as fit DISTANCE_BLOCK elements with all units, and when two rows
+    do not fit, two rows and as many units as fit.  So no temporary grows
+    with the product of rows, units and width.  A block never holds a lone
+    row or unit of several: einsum reduces one wide row against one unit
+    through another loop, whose last bits differ.  Blocks of two or more
+    give the bits of one block over everything, so the blocking never shows
+    in the result.  bmu() reduces a single input with another einsum, and
+    on wide rows its distances can differ from these in the last bits.
+    """
+    n, width = rows.shape
+    u = code.shape[0]
+    row_step = max(2, DISTANCE_BLOCK // (u * width))
+    unit_step = max(2, DISTANCE_BLOCK // (row_step * width))
+    out = np.empty((n, u))
+    for r in _blocks(n, row_step):
+        for c in _blocks(u, unit_step):
+            diff = rows[r, np.newaxis, :] - code[np.newaxis, c, :]
+            out[r, c] = np.einsum("nuw,nuw->nu", diff, diff)
     return out
 
 

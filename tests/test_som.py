@@ -1,10 +1,12 @@
 """Topology, schedules, training mechanics and persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from somcat import som
 from somcat.errors import ConfigError, DimensionError
 from somcat.jsonio import dumps
 from somcat.som import (
@@ -331,6 +333,42 @@ def test_assign_respects_mask_and_labels():
     assert a.members_by_unit()[0] == ["up"]
     with pytest.raises(DimensionError):
         a.unit_of("sideways")
+
+
+@pytest.mark.parametrize("n, units, width", [(61, 16, 60), (9, 16, 2048)])
+@pytest.mark.parametrize("block", [1, 4000, 3 * 2 * 2048, 1 << 16, 1 << 40])
+def test_distance_blocks_give_the_bits_of_one_block(
+    n, units, width, block, monkeypatch
+):
+    rng = np.random.default_rng(21)
+    rows = rng.random((n, width))
+    code = rng.random((units, width + 3))[:, 3:]  # a strided mask view
+    diff = rows[:, np.newaxis, :] - code[np.newaxis, :, :]
+    whole = np.einsum("nuw,nuw->nu", diff, diff)
+    monkeypatch.setattr(som, "DISTANCE_BLOCK", block)
+    assert np.array_equal(som._squared_distances(rows, code), whole)
+
+
+def test_distance_blocks_hold_no_lone_item():
+    for size, step in ((1, 2), (2, 2), (5, 2), (16, 3), (61, 4)):
+        spans = [range(size)[s] for s in som._blocks(size, step)]
+        assert all(min(2, size) <= len(r) <= step for r in spans)
+        assert sorted(set().union(*spans)) == list(range(size))
+
+
+def test_wide_assign_keeps_its_temporaries_small():
+    rng = np.random.default_rng(22)
+    rows = rng.random((40, 4000))  # a whole-input temporary: 82 MB
+    model = init_model(Topology.grid(8, 8), 4000, TrainConfig(t_max=10, seed=0),
+                       data=rows[:2])
+    tracemalloc.start()
+    try:
+        a = assign(model, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert np.array_equal(a.units, [bmu(model, row) for row in rows])
 
 
 def test_bmu_and_assign_search_only_marked_units():
