@@ -403,12 +403,13 @@ def deviations(result: AnalysisResult, ds: CategoricalDataset) -> DeviationTable
     if tuple(result.modalities.labels) != tuple(disj.names):
         raise DataError("result modalities do not match the dataset")
     u = result.individuals.n_units
-    onehot = np.zeros((disj.n_individuals, u), dtype=np.int64)
-    onehot[np.arange(disj.n_individuals), result.individuals.units] = 1
-    observed = disj.entries.T @ onehot
+    ind, mod = np.nonzero(disj.entries)
+    observed = np.bincount(
+        mod * u + result.individuals.units[ind], minlength=disj.n_modalities * u
+    ).reshape(disj.n_modalities, u)
     if not np.array_equal(observed.sum(axis=1), disj.counts):
         raise DimensionError("observed counts lost individuals")
-    unit_counts = onehot.sum(axis=0)
+    unit_counts = result.individuals.counts
     expected = np.outer(
         disj.counts.astype(np.float64), unit_counts.astype(np.float64)
     ) / disj.n_individuals

@@ -328,7 +328,7 @@ def bmu(
     diff = model.code_vectors[:, mask.lo:mask.hi] - xm[np.newaxis, :]
     d2 = np.einsum("ij,ij->i", diff, diff)
     if units is None:
-        return int(np.argmin(d2))
+        return int(d2.argmin())
     return int(_best_among(d2, units, model.topology.n_units))
 
 
