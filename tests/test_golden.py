@@ -2,7 +2,9 @@
 
 Each analysis runs on the built-in marriage data with the default config
 over seeds 0-2 (macro-classes cut at k=5), and the sha256 of every result,
-model, macro and deviations JSON must match the committed digest.  A change
+model, macro and deviations JSON, and of the sweep's stability JSON, must
+match the committed digest.  One small ``report`` run (two seeds on a 3x3
+map) pins the bytes of ``report.json`` and ``report.csv``.  A change
 that moves a digest on purpose re-issues the table and says why in
 CHANGES.md.  To print the current digests as a table:
 
@@ -22,6 +24,11 @@ from somcat.cli import main
 ALGORITHMS = ("kmca", "kmca-ind", "kdisj")
 SEEDS = 3
 KINDS = ("result", "model", "macro", "deviations")
+REPORT_ARGV = [
+    "report", "--data", "builtin:marriages", "--seeds", "2", "--workers", "1",
+    "--grid", "3x3", "--iters", "250", "--render", "both",
+]
+REPORT_FILES = ("marriages.report.json", "marriages.report.csv")
 
 GOLDEN = {
     "marriages.kmca.0.result.json": "0d50dee0e056f96ae3d8ef93aae9940bb33c1dd8e6655c46e4fb6af7193fd47d",
@@ -33,6 +40,7 @@ GOLDEN = {
     "marriages.kmca.2.result.json": "ee901c041bcb6fc6cf841808a03b6558d61f5c1cbb26154a392b3daf67a8da78",
     "marriages.kmca.2.model.json": "c7abe2cfdc09be489726895465ebf64752a8571c83387f73bd3f22fbfaf3d4d2",
     "marriages.kmca.2.macro.json": "c61fa91bd585c99fafb6574fcaf1ceb68fb0c8b9545b390c5f42d29115c5a123",
+    "marriages.kmca.stability.json": "edbf37c195554ebc762db02a1b266df033e8acd0a06ec6f7ca6e4f0eb37a2005",
     "marriages.kmca-ind.0.result.json": "965c20f1ceb41b3c2e80a7d8cad3fd556a080a439cc7c5efe0734f5153d1bc6a",
     "marriages.kmca-ind.0.model.json": "5a09c0999146e80549363eec6e077df2a330efd61c7f73b8941e5646342c2460",
     "marriages.kmca-ind.0.macro.json": "59cba41751181539ead05000c4a31d657d1ef9fb743cef68b42f8244c88c1081",
@@ -45,6 +53,7 @@ GOLDEN = {
     "marriages.kmca-ind.2.model.json": "f31e12f12cdfa0e20482870c0ec8359ad327a030e5654fa00d8e9f0e4bb50556",
     "marriages.kmca-ind.2.macro.json": "339c39b382a6163972698584d23a91d807a002f683bece0770d9deaf94086f0a",
     "marriages.kmca-ind.2.deviations.json": "adfb73ccf12ee8cada45541de64501db0f1f979e24cb0cb7198ee26badfc3c03",
+    "marriages.kmca-ind.stability.json": "b4dc271d0eb2d36280b08bfc4c39bf7758aaf5c99443fb63287010544919f503",
     "marriages.kdisj.0.result.json": "c218f81d926fd352de9737335fbea7f0c3328e289f9a5a4f157afb787b1dc659",
     "marriages.kdisj.0.model.json": "baa3b00fff2ef5eaea754378e3bf45cdcedb2e4e0c67669761fffd1de8fae809",
     "marriages.kdisj.0.macro.json": "35d384107dd2cac0ef175a1ddd445207d2ef787394a2ae6af0dcf621f9105087",
@@ -57,26 +66,46 @@ GOLDEN = {
     "marriages.kdisj.2.model.json": "7b33c1c37db48ebf94e5285524922ce90bcbfa9f41f7711dfe0d1fa94acd62c1",
     "marriages.kdisj.2.macro.json": "413a1bba6b14d3db52488b149dd62711ea20e7630331fbed68401706b69929fc",
     "marriages.kdisj.2.deviations.json": "acbc2273b16b624a3802e8a460985aff758c8eed4c600d77d7d5461f6295ec1b",
+    "marriages.kdisj.stability.json": "13ad88223157a3e12147c7abccdc663294d60f77bcb415258b16f44aef0c17b5",
+    "marriages.report.json": "3ee79f69e4fc69616dc4b0ec3c733044651f48dc2299639f7c381aedc3dd9078",
+    "marriages.report.csv": "013a4bcaa7ab5f2bee4bcaf68ac9b2152efe479b657272e09a1cf4f288ec1445",
 }
+
+
+def _run(argv: list[str], outdir: Path) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--out", str(outdir)])
+    if code != 0:
+        raise RuntimeError(f"{argv[0]} run exited with {code}")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def digests(algorithm: str, outdir: Path) -> dict[str, str]:
     """Run one analysis over the golden seeds; sha256 of each pinned file."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main([
-            algorithm, "--data", "builtin:marriages", "--seeds", str(SEEDS),
-            "--workers", "1", "--macro", "5", "--render", "none",
-            "--out", str(outdir),
-        ])
-    if code != 0:
-        raise RuntimeError(f"{algorithm} run exited with {code}")
-    out = {}
-    for seed in range(SEEDS):
-        for kind in KINDS:
-            path = outdir / f"marriages.{algorithm}.{seed}.{kind}.json"
-            if path.exists():
-                out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return out
+    _run([
+        algorithm, "--data", "builtin:marriages", "--seeds", str(SEEDS),
+        "--workers", "1", "--macro", "5", "--render", "none",
+    ], outdir)
+    names = [
+        f"marriages.{algorithm}.{seed}.{kind}.json"
+        for seed in range(SEEDS)
+        for kind in KINDS
+    ]
+    names.append(f"marriages.{algorithm}.stability.json")
+    return {
+        name: _sha256(outdir / name)
+        for name in names
+        if (outdir / name).exists()
+    }
+
+
+def report_digests(outdir: Path) -> dict[str, str]:
+    """Run the small report; sha256 of its JSON and CSV."""
+    _run(REPORT_ARGV, outdir)
+    return {name: _sha256(outdir / name) for name in REPORT_FILES}
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -86,11 +115,18 @@ def test_artifact_bytes_match_golden_digests(algorithm, tmp_path):
     assert got == want
 
 
+def test_report_bytes_match_golden_digests(tmp_path):
+    got = report_digests(tmp_path)
+    want = {k: v for k, v in GOLDEN.items() if k in REPORT_FILES}
+    assert got == want
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {}
         for algorithm in ALGORITHMS:
             table.update(digests(algorithm, Path(tmp) / algorithm))
+        table.update(report_digests(Path(tmp) / "report"))
     print("GOLDEN = {")
     for name, digest in table.items():
         print(f'    "{name}": "{digest}",')
