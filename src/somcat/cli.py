@@ -115,21 +115,9 @@ def _load_dataset(args) -> tuple[str, CategoricalDataset]:
     return name, ds
 
 
-def _load_result(
-    result_path: str, model_path: str | None = None
-) -> AnalysisResult:
-    data = jsonio.load(result_path)
-    model = None
-    candidate = model_path or data.get("model_file")
-    if candidate:
-        p = Path(candidate)
-        if not p.is_absolute():
-            p = Path(result_path).parent / p
-        if p.exists():
-            model = SomModel.load(p)
-        elif model_path:
-            raise ConfigError(f"model file {model_path} not found")
-    return AnalysisResult.from_json(data, model=model)
+def _load_result(result_path: str) -> AnalysisResult:
+    """The stored result alone; only ``macro`` needs the model file."""
+    return AnalysisResult.from_json(jsonio.load(result_path))
 
 
 def _result_base(result_path: str) -> str:
@@ -150,24 +138,29 @@ def _write(outdir: Path, filename: str, text: str, files: list[str]) -> None:
     files.append(filename)
 
 
-def _render_spec(args) -> MapRenderSpec:
-    return MapRenderSpec(
-        cell_size=int(getattr(args, "cell_size", 120)),
-        label_source=getattr(args, "labels", "auto"),
-    )
+def _write_maps(
+    outdir: Path,
+    base: str,
+    result: AnalysisResult,
+    macro: MacroClassing | None,
+    args,
+    files: list[str],
+) -> None:
+    """Write the map(s) ``--render`` asks for: svg, text, both or none."""
+    if args.render in ("svg", "both"):
+        spec = MapRenderSpec(cell_size=int(args.cell_size), label_source=args.labels)
+        _write(outdir, f"{base}.svg", render_map(result, macro, spec), files)
+    if args.render in ("text", "both"):
+        _write(outdir, f"{base}.txt", render_text(result, macro), files)
 
 
 # ---------------------------------------------------------------- training
 
 
-def _train_job(payload) -> AnalysisResult:
-    algorithm, ds_json, topo_json, cfg_json = payload
-    return run_analysis(
-        algorithm,
-        CategoricalDataset.from_json(ds_json),
-        Topology.from_json(topo_json),
-        TrainConfig.from_json(cfg_json),
-    )
+def _seeds(args) -> list[int]:
+    if int(args.seeds) < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    return [int(args.seed) + i for i in range(int(args.seeds))]
 
 
 def _run_seeds(
@@ -177,25 +170,23 @@ def _run_seeds(
     args,
     seeds: list[int],
 ) -> list[AnalysisResult]:
-    payloads = [
-        (
-            algorithm,
-            ds.to_json(),
-            topology.to_json(),
-            TrainConfig(
-                epsilon0=float(args.eps0),
-                c0=float(args.c0),
-                t_max=None if args.iters is None else int(args.iters),
-                seed=seed,
-            ).to_json(),
+    configs = [
+        TrainConfig(
+            epsilon0=float(args.eps0),
+            c0=float(args.c0),
+            t_max=None if args.iters is None else int(args.iters),
+            seed=seed,
         )
         for seed in seeds
     ]
-    workers = args.workers or min(len(seeds), os.cpu_count() or 1, 4)
-    if int(workers) > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            return list(pool.map(_train_job, payloads))
-    return [_train_job(p) for p in payloads]
+    n = len(configs)
+    workers = int(args.workers or min(n, os.cpu_count() or 1, 4))
+    if workers > 1 and n > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(
+                run_analysis, [algorithm] * n, [ds] * n, [topology] * n, configs
+            ))
+    return [run_analysis(algorithm, ds, topology, c) for c in configs]
 
 
 def _write_run(
@@ -205,8 +196,8 @@ def _write_run(
     ds: CategoricalDataset,
     args,
     macro_k,
-):
-    """Persist one run's artifacts; returns (base, files, macro, deviations)."""
+) -> tuple[dict, MacroClassing | None]:
+    """Persist one run's artifacts; returns its summary and macro-classing."""
     seed = result.provenance["config"]["seed"]
     base = f"{name}.{result.algorithm}.{seed}"
     files: list[str] = []
@@ -233,26 +224,17 @@ def _write_run(
         _write(
             outdir, f"{base}.deviations.json", jsonio.dumps(dev.to_json()), files
         )
+    _write_maps(outdir, base, result, macro, args, files)
 
-    spec = _render_spec(args)
-    mode = args.render
-    if mode in ("svg", "both"):
-        _write(outdir, f"{base}.svg", render_map(result, macro, spec), files)
-    if mode in ("text", "both"):
-        _write(outdir, f"{base}.txt", render_text(result, macro), files)
-    return base, files, macro, dev
-
-
-def _run_summary(base, result, files, macro, dev) -> dict:
     counts = (
         result.individuals.counts
         if result.individuals is not None
         else result.modalities.counts
     )
-    out = {
+    summary = {
         "base": base,
         "algorithm": result.algorithm,
-        "seed": result.provenance["config"]["seed"],
+        "seed": seed,
         "t_max": result.provenance["config"]["t_max"],
         "qe_initial": result.qe_log[0][1],
         "qe_final": result.qe_log[-1][1],
@@ -260,13 +242,45 @@ def _run_summary(base, result, files, macro, dev) -> dict:
         "files": files,
     }
     if macro is not None:
-        out["macro"] = {"k": macro.k, "all_connected": all(macro.connected)}
+        summary["macro"] = {"k": macro.k, "all_connected": all(macro.connected)}
     if dev is not None:
-        out["deviations"] = {
+        summary["deviations"] = {
             "own_positive": int(np.sum(dev.own_deviation > 0)),
             "modalities": len(dev.modalities),
         }
-    return out
+    return summary, macro
+
+
+def _train_algorithm(
+    outdir: Path,
+    name: str,
+    algorithm: str,
+    ds: CategoricalDataset,
+    topology: Topology,
+    args,
+    seeds: list[int],
+    macro_k,
+) -> tuple[list[dict], list[str], dict | None]:
+    """Train one algorithm over the seeds and write every run's artifacts.
+
+    Returns the run summaries, the files written and, for two or more
+    seeds, the stability report.
+    """
+    results = _run_seeds(algorithm, ds, topology, args, seeds)
+    summaries, macros, files = [], [], []
+    for result in results:
+        summary, macro = _write_run(outdir, name, result, ds, args, macro_k)
+        summaries.append(summary)
+        macros.append(macro)
+        files.extend(summary["files"])
+    stability = None
+    if len(results) > 1:
+        stability = stability_report(
+            results,
+            macros if all(m is not None for m in macros) else None,
+            ds=ds,
+        )
+    return summaries, files, stability
 
 
 def stability_report(
@@ -315,24 +329,17 @@ def stability_report(
         out["co_class_frequency"] = (co_class / n).tolist()
 
     if ds is not None and results[0].individuals is not None:
-        disj = to_disjunctive(ds)
         for r in results:
-            if tuple(r.individuals.labels) != tuple(disj.individuals):
+            if tuple(r.individuals.labels) != tuple(ds.individuals):
                 raise ConfigError("stability dataset does not match the runs")
-        order: list[str] = []
-        first_row: list[int] = []
-        seen: dict[str, int] = {}
-        sizes: dict[str, int] = {}
-        for i in range(disj.n_individuals):
-            sig = "+".join(
-                disj.names[j] for j in np.flatnonzero(disj.entries[i])
-            )
-            if sig not in seen:
-                seen[sig] = len(order)
-                order.append(sig)
-                first_row.append(i)
-            sizes[sig] = sizes.get(sig, 0) + 1
-        rep = np.asarray(first_row)
+        _, first, counts = np.unique(
+            ds.cells, axis=0, return_index=True, return_counts=True
+        )
+        by_first = np.argsort(first)
+        rep, sizes = first[by_first], counts[by_first]
+        names = np.asarray(ds.global_modality_names)
+        offsets = np.asarray(ds.block_offsets)
+        order = ["+".join(names[offsets + ds.cells[i]]) for i in rep]
         g = len(order)
         co = np.zeros((g, g))
         for r in results:
@@ -344,7 +351,9 @@ def stability_report(
             for b in range(a + 1, g):
                 if co[a, b] > 0:
                     pairs[f"{order[a]}|{order[b]}"] = float(co[a, b])
-        out["individual_groups"] = {sig: sizes[sig] for sig in order}
+        out["individual_groups"] = {
+            sig: int(size) for sig, size in zip(order, sizes)
+        }
         out["individual_pair_co_unit"] = pairs
     return out
 
@@ -405,39 +414,30 @@ def cmd_tables(args) -> int:
 
 
 def cmd_train(args, algorithm: str) -> int:
+    seeds = _seeds(args)
     name, ds = _load_dataset(args)
     outdir = _outdir(args)
-    topology = _topology(args)
-    seeds = [int(args.seed) + i for i in range(int(args.seeds))]
-    results = _run_seeds(algorithm, ds, topology, args, seeds)
-    summaries, macros, files_all = [], [], []
-    for result in results:
-        base, files, macro, dev = _write_run(
-            outdir, name, result, ds, args, args.macro
-        )
-        summaries.append(_run_summary(base, result, files, macro, dev))
-        macros.append(macro)
-        files_all.extend(files)
-    stability = None
-    if len(results) > 1:
-        stability = stability_report(
-            results,
-            macros if all(m is not None for m in macros) else None,
-            ds=ds,
-        )
-        fname = f"{name}.{algorithm}.stability.json"
-        _write(outdir, fname, jsonio.dumps(stability), files_all)
+    summaries, files, stability = _train_algorithm(
+        outdir, name, algorithm, ds, _topology(args), args, seeds, args.macro
+    )
     summary = {"dataset": name, "runs": summaries}
     if stability is not None:
-        summary["stability_file"] = f"{name}.{algorithm}.stability.json"
-    _emit(args, summary, [f"wrote {outdir / f}" for f in files_all])
+        fname = f"{name}.{algorithm}.stability.json"
+        _write(outdir, fname, jsonio.dumps(stability), files)
+        summary["stability_file"] = fname
+    _emit(args, summary, [f"wrote {outdir / f}" for f in files])
     return 0
 
 
 def cmd_macro(args) -> int:
-    result = _load_result(args.result, args.model)
-    if result.model is None:
+    data = jsonio.load(args.result)
+    model_file = args.model or data.get("model_file")
+    model_path = Path(args.result).parent / model_file if model_file else None
+    if model_path is None or not model_path.exists():
+        if args.model:
+            raise ConfigError(f"model file {args.model} not found")
         raise ConfigError("macro clustering needs the trained model file")
+    result = AnalysisResult.from_json(data, model=SomModel.load(model_path))
     outdir = _outdir(args, fallback=str(Path(args.result).parent))
     base = _result_base(args.result)
     weights = unit_weights(result, uniform=bool(args.uniform_weights))
@@ -446,11 +446,7 @@ def cmd_macro(args) -> int:
     files: list[str] = []
     _write(outdir, f"{base}.macro.json", jsonio.dumps(macro.to_json()), files)
     _write(outdir, f"{base}.dendrogram.json", jsonio.dumps(dendro.to_json()), files)
-    spec = _render_spec(args)
-    if args.render in ("svg", "both"):
-        _write(outdir, f"{base}.svg", render_map(result, macro, spec), files)
-    if args.render in ("text", "both"):
-        _write(outdir, f"{base}.txt", render_text(result, macro), files)
+    _write_maps(outdir, base, result, macro, args, files)
     summary = {
         "base": base,
         "k": macro.k,
@@ -505,12 +501,8 @@ def cmd_render(args) -> int:
     macro = None
     if args.macro_file:
         macro = MacroClassing.from_json(jsonio.load(args.macro_file))
-    spec = _render_spec(args)
     files: list[str] = []
-    if args.render in ("svg", "both"):
-        _write(outdir, f"{base}.svg", render_map(result, macro, spec), files)
-    if args.render in ("text", "both"):
-        _write(outdir, f"{base}.txt", render_text(result, macro), files)
+    _write_maps(outdir, base, result, macro, args, files)
     _emit(
         args,
         {"base": base, "files": files},
@@ -520,53 +512,40 @@ def cmd_render(args) -> int:
 
 
 def cmd_report(args) -> int:
-    name, ds = _load_dataset(args)
-    outdir = _outdir(args)
-    topology = _topology(args)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        raise ConfigError("--algorithms names no algorithm")
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
-    seeds = [int(args.seed) + i for i in range(int(args.seeds))]
+    seeds = _seeds(args)
+    name, ds = _load_dataset(args)
+    outdir = _outdir(args)
+    topology = _topology(args)
     macro_k = "auto" if args.macro is None else int(args.macro)
 
+    run_fields = (
+        "algorithm", "seed", "t_max", "qe_initial", "qe_final", "occupied_units"
+    )
     per_algo: dict[str, dict] = {}
     rows: list[dict] = []
     files_all: list[str] = []
     for algo in algorithms:
-        results = _run_seeds(algo, ds, topology, args, seeds)
-        summaries, macros = [], []
-        for result in results:
-            base, files, macro, dev = _write_run(
-                outdir, name, result, ds, args, macro_k
-            )
-            s = _run_summary(base, result, files, macro, dev)
-            summaries.append(s)
-            macros.append(macro)
-            files_all.extend(files)
+        summaries, files, stability = _train_algorithm(
+            outdir, name, algo, ds, topology, args, seeds, macro_k
+        )
+        per_algo[algo] = {"runs": summaries, "stability": stability}
+        files_all.extend(files)
+        for run in summaries:
+            macro, dev = run.get("macro", {}), run.get("deviations", {})
             rows.append(
                 {
-                    "algorithm": algo,
-                    "seed": s["seed"],
-                    "t_max": s["t_max"],
-                    "qe_initial": s["qe_initial"],
-                    "qe_final": s["qe_final"],
-                    "occupied_units": s["occupied_units"],
-                    "macro_k": macro.k if macro else "",
-                    "macro_all_connected": all(macro.connected) if macro else "",
-                    "own_positive_deviations": (
-                        s["deviations"]["own_positive"] if dev is not None else ""
-                    ),
+                    **{k: run[k] for k in run_fields},
+                    "macro_k": macro.get("k", ""),
+                    "macro_all_connected": macro.get("all_connected", ""),
+                    "own_positive_deviations": dev.get("own_positive", ""),
                 }
             )
-        stability = None
-        if len(results) > 1:
-            stability = stability_report(
-                results,
-                macros if all(m is not None for m in macros) else None,
-                ds=ds,
-            )
-        per_algo[algo] = {"runs": summaries, "stability": stability}
 
     report = {
         "dataset": name,

@@ -289,6 +289,16 @@ def test_render_command_reads_result_without_model(trained, capsys):
     assert (outdir / f"{base}.txt").exists()
 
 
+def test_pies_and_render_read_only_the_result(trained, capsys):
+    outdir, result = trained
+    (outdir / "marriages.kdisj.0.model.json").write_text("{not json", encoding="utf-8")
+    run_json(capsys, "pies", "--result", str(result), *MARRIAGE, "--variable", "wife")
+    run_json(capsys, "render", "--result", str(result), "--render", "both")
+    code, _, err = run(capsys, "macro", "--result", str(result), "--macro", "3")
+    assert code == 1
+    assert err.startswith("error:io:")
+
+
 def test_render_with_macro_file(trained, capsys):
     outdir, result = trained
     macro_summary = run_json(
@@ -323,6 +333,31 @@ def test_report_runs_all_algorithms(tmp_path, capsys):
     lines = [l for l in csv_text.strip().splitlines() if l]
     assert lines[0].startswith("algorithm,seed,")
     assert len(lines) == 1 + 6  # header + 3 algorithms x 2 seeds
+
+
+def test_report_without_algorithms_is_a_config_error(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "report", *MARRIAGE, "--algorithms", ",", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert err.startswith("error:config:")
+
+
+def test_report_with_zero_seeds_is_a_config_error(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "report", *MARRIAGE, "--seeds", "0", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert err.startswith("error:config:")
+
+
+def test_train_with_zero_seeds_is_a_config_error(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "kmca", *MARRIAGE, "--seeds", "0", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert err.startswith("error:config:")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------- determinism
