@@ -397,27 +397,26 @@ def deviations(result: AnalysisResult, ds: CategoricalDataset) -> DeviationTable
     """Attraction diagnostic for a result that mapped the individuals."""
     if result.individuals is None:
         raise ConfigError("deviation table needs an individuals assignment")
-    disj = to_disjunctive(ds)
-    if tuple(result.individuals.labels) != tuple(disj.individuals):
+    names = ds.global_modality_names
+    if tuple(result.individuals.labels) != tuple(ds.individuals):
         raise DataError("result individuals do not match the dataset")
-    if tuple(result.modalities.labels) != tuple(disj.names):
+    if tuple(result.modalities.labels) != names:
         raise DataError("result modalities do not match the dataset")
-    u = result.individuals.n_units
-    ind, mod = np.nonzero(disj.entries)
-    observed = np.bincount(
-        mod * u + result.individuals.units[ind], minlength=disj.n_modalities * u
-    ).reshape(disj.n_modalities, u)
-    if not np.array_equal(observed.sum(axis=1), disj.counts):
+    m, u = ds.n_modalities, result.individuals.n_units
+    mod = ds.cells + np.asarray(ds.block_offsets)    # N x K modality columns
+    cell = mod * u + result.individuals.units[:, np.newaxis]
+    observed = np.bincount(cell.ravel(), minlength=m * u).reshape(m, u)
+    counts = np.bincount(mod.ravel(), minlength=m)
+    if not np.array_equal(observed.sum(axis=1), counts):
         raise DimensionError("observed counts lost individuals")
     unit_counts = result.individuals.counts
     expected = np.outer(
-        disj.counts.astype(np.float64), unit_counts.astype(np.float64)
-    ) / disj.n_individuals
+        counts.astype(np.float64), unit_counts.astype(np.float64)
+    ) / ds.n_individuals
     own_unit = result.modalities.units.copy()
-    m_idx = np.arange(disj.n_modalities)
-    own_dev = (observed - expected)[m_idx, own_unit]
+    own_dev = (observed - expected)[np.arange(m), own_unit]
     return DeviationTable(
-        modalities=disj.names,
+        modalities=names,
         observed=observed,
         expected=expected,
         unit_counts=unit_counts,

@@ -341,20 +341,22 @@ def stability_report(
         offsets = np.asarray(ds.block_offsets)
         order = ["+".join(names[offsets + ds.cells[i]]) for i in rep]
         g = len(order)
-        co = np.zeros((g, g))
+        keys = []    # a * g + b for groups a < b sharing a unit, once per run
         for r in results:
             u = r.individuals.units[rep]
-            co += u[:, np.newaxis] == u[np.newaxis, :]
-        co /= n
-        pairs = {}
-        for a in range(g):
-            for b in range(a + 1, g):
-                if co[a, b] > 0:
-                    pairs[f"{order[a]}|{order[b]}"] = float(co[a, b])
+            by_unit = np.argsort(u, kind="stable")
+            for members in np.split(by_unit, np.flatnonzero(np.diff(u[by_unit])) + 1):
+                a, b = np.triu_indices(len(members), 1)
+                keys.append(members[a] * g + members[b])
+        shared, runs = np.unique(np.concatenate(keys), return_counts=True)
+        first, second = np.divmod(shared, g)
         out["individual_groups"] = {
             sig: int(size) for sig, size in zip(order, sizes)
         }
-        out["individual_pair_co_unit"] = pairs
+        out["individual_pair_co_unit"] = {
+            f"{order[a]}|{order[b]}": c / n
+            for a, b, c in zip(first.tolist(), second.tolist(), runs.tolist())
+        }
     return out
 
 

@@ -12,6 +12,15 @@ the increase in weighted within-cluster sum of squares; the pair of minimal
 cost merges first, and equal costs resolve to the lexicographically smallest
 node pair.  Grid adjacency is never enforced, only reported, so a cut shows
 whether macro-classes happen to form connected map regions.
+
+The costs live in one node-indexed matrix in which only entry [a, b] with
+a < b of two active nodes is finite; every other entry is inf.  argmin
+scans it row-major and returns the first minimum, which is the
+lexicographically smallest cheapest pair, so the tie rule needs no code of
+its own.  Squared distances, for the initial costs and for attaching empty
+units at a cut, come from som._squared_distances, the kernel assignment
+uses; it calls no BLAS routine, so the merge costs do not depend on how many
+threads a BLAS library runs.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .som import DistanceMask, SomModel, Topology
+from .som import SomModel, Topology, _squared_distances
 
 
 def ward_linkage(
@@ -44,39 +53,33 @@ def ward_linkage(
     if n < 2:
         raise ConfigError("clustering needs at least 2 points")
 
-    cluster_w = {i: float(w[i]) for i in range(n)}
-    dist: dict[tuple[int, int], float] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            diff = x[a] - x[b]
-            wa, wb = cluster_w[a], cluster_w[b]
-            dist[(a, b)] = wa * wb / (wa + wb) * float(diff @ diff)
+    size = 2 * n - 1
+    node_w = np.concatenate([w, np.zeros(n - 1)])
+    cost = np.full((size, size), np.inf)
+    upper = np.triu_indices(n, 1)
+    cost[upper] = (
+        np.outer(w, w) / np.add.outer(w, w) * _squared_distances(x, x)
+    )[upper]
+    active = np.arange(size) < n
 
     merges: list[tuple[int, int, float]] = []
-    active = list(range(n))
-    next_id = n
-    while len(active) > 1:
-        best_pair, best_cost = None, np.inf
-        for i, a in enumerate(active):
-            for b in active[i + 1:]:
-                d = dist[(a, b)]
-                if d < best_cost:
-                    best_pair, best_cost = (a, b), d
-        a, b = best_pair
-        wa, wb, wab = cluster_w[a], cluster_w[b], cluster_w[a] + cluster_w[b]
-        for c in active:
-            if c in (a, b):
-                continue
-            wc = cluster_w[c]
-            dac = dist[tuple(sorted((a, c)))]
-            dbc = dist[tuple(sorted((b, c)))]
-            dist[(c, next_id)] = (
-                (wa + wc) * dac + (wb + wc) * dbc - wc * best_cost
-            ) / (wab + wc)
-        merges.append((a, b, best_cost))
-        active = [c for c in active if c not in (a, b)] + [next_id]
-        cluster_w[next_id] = wab
-        next_id += 1
+    for new in range(n, size):
+        a, b = divmod(int(cost.argmin()), size)
+        best = cost[a, b]
+        wa, wb = node_w[a], node_w[b]
+        active[a] = active[b] = False
+        c = np.flatnonzero(active)
+        wc = node_w[c]
+        # One of cost[a, c] and cost[c, a] is the pair's cost, the other inf.
+        dac = np.minimum(cost[a, c], cost[c, a])
+        dbc = np.minimum(cost[b, c], cost[c, b])
+        cost[c, new] = (
+            (wa + wc) * dac + (wb + wc) * dbc - wc * best
+        ) / (wa + wb + wc)
+        cost[[a, b]] = cost[:, [a, b]] = np.inf
+        node_w[new] = wa + wb
+        active[new] = True
+        merges.append((a, b, float(best)))
     return merges
 
 
@@ -118,15 +121,9 @@ class Dendrogram:
         )
 
 
-def ward_cluster(
-    model: SomModel,
-    weights: np.ndarray | None = None,
-    mask: DistanceMask | None = None,
-) -> Dendrogram:
+def ward_cluster(model: SomModel, weights: np.ndarray | None = None) -> Dendrogram:
     """Cluster a trained map's code vectors; zero-weight units sit out."""
-    if mask is None:
-        mask = DistanceMask.full(model.dim)
-    code = model.code_vectors[:, mask.lo:mask.hi]
+    code = model.code_vectors
     u = model.topology.n_units
     if weights is None:
         weights = np.ones(u)
@@ -231,10 +228,8 @@ def cut(dendrogram: Dendrogram, k: int) -> MacroClassing:
             )
         code = dendrogram.unit_vectors
         clustered = np.asarray(dendrogram.leaves)
-        for unit in orphan:
-            diff = code[clustered] - code[unit][np.newaxis, :]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            labels[unit] = labels[clustered[int(np.argmin(d2))]]
+        nearest = _squared_distances(code[orphan], code[clustered]).argmin(axis=1)
+        labels[orphan] = labels[clustered[nearest]]
 
     tags = sorted(
         set(labels.tolist()),

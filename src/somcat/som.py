@@ -572,24 +572,19 @@ class NeighborStats:
     mean_non_adjacent: float
 
 
-def neighbor_distance_stats(
-    model: SomModel, mask: DistanceMask | None = None
-) -> NeighborStats:
+def neighbor_distance_stats(model: SomModel) -> NeighborStats:
     """Mean code-vector distance over grid-adjacent vs all other unit pairs.
 
     On a well-ordered map the adjacent mean is the smaller one.
     """
-    if mask is None:
-        mask = DistanceMask.full(model.dim)
-    code = model.code_vectors[:, mask.lo:mask.hi]
+    code = model.code_vectors
     u = model.topology.n_units
-    adjacent = set(model.topology.adjacent_pairs())
-    adj, non = [], []
-    for a in range(u):
-        for b in range(a + 1, u):
-            d = float(np.linalg.norm(code[a] - code[b]))
-            (adj if (a, b) in adjacent else non).append(d)
-    if not adj or not non:
+    upper = np.triu_indices(u, 1)
+    dist = np.sqrt(_squared_distances(code, code)[upper])
+    r, c = np.divmod(np.arange(u), model.topology.cols)
+    adjacent = (np.abs(r[:, np.newaxis] - r) + np.abs(c[:, np.newaxis] - c) == 1)[upper]
+    adj, non = dist[adjacent], dist[~adjacent]
+    if not adj.size or not non.size:
         raise ConfigError("topology too small to split adjacent/non-adjacent pairs")
     return NeighborStats(
         mean_adjacent=float(np.mean(adj)), mean_non_adjacent=float(np.mean(non))

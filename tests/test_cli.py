@@ -2,12 +2,16 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from somcat.cli import main
+from conftest import random_dataset
+from somcat.analyses import AnalysisResult
+from somcat.cli import main, stability_report
 from somcat.jsonio import load
+from somcat.som import MapAssignment, Topology
 
 MARRIAGE = ["--data", "builtin:marriages"]
 
@@ -151,6 +155,63 @@ def test_seed_sweep_writes_stability(tmp_path, capsys):
     # identical-pattern individuals collapse to the 12 observed couple types
     assert len(stability["individual_groups"]) == 12
     assert sum(stability["individual_groups"].values()) == 270
+
+
+def random_runs(rng, ds, n_runs, n_units):
+    """Individual-mapping results that place every item on a random unit."""
+    names = ds.global_modality_names
+    return [
+        AnalysisResult(
+            algorithm="kmca-ind",
+            topology=Topology.grid(1, n_units),
+            model=None,
+            modalities=MapAssignment(
+                names, rng.integers(0, n_units, len(names)), n_units
+            ),
+            individuals=MapAssignment(
+                tuple(ds.individuals), rng.integers(0, n_units, ds.n_individuals),
+                n_units,
+            ),
+            provenance={"dataset_sha256": "x", "config": {}},
+            qe_log=[],
+        )
+        for _ in range(n_runs)
+    ]
+
+
+def test_stability_pairs_match_dense_co_assignment():
+    rng = np.random.default_rng(41)
+    ds = random_dataset(rng, n=300, sizes=(3, 4, 2, 5))
+    runs = random_runs(rng, ds, n_runs=3, n_units=12)
+    report = stability_report(runs, ds=ds)
+    groups = list(report["individual_groups"])
+    _, rep = np.unique(ds.cells, axis=0, return_index=True)
+    rep = np.sort(rep)
+    co = sum(
+        r.individuals.units[rep][:, np.newaxis] == r.individuals.units[rep]
+        for r in runs
+    )
+    want = [
+        (f"{groups[a]}|{groups[b]}", co[a, b] / 3)
+        for a, b in zip(*np.nonzero(np.triu(co, 1)))
+    ]
+    assert len(groups) == len(rep) > 100
+    assert list(report["individual_pair_co_unit"].items()) == want
+
+
+def test_stability_of_many_patterns_needs_no_group_matrix():
+    # about 3,000 answer patterns: a dense pattern x pattern matrix takes 72 MB
+    rng = np.random.default_rng(42)
+    ds = random_dataset(rng, n=3000, sizes=(8,) * 6)
+    runs = random_runs(rng, ds, n_runs=2, n_units=400)
+    tracemalloc.start()
+    try:
+        report = stability_report(runs, ds=ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report["individual_groups"]) > 2900
+    assert peak < 20e6
 
 
 def test_parallel_workers_match_serial(tmp_path, capsys):

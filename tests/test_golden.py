@@ -4,9 +4,10 @@ Each analysis runs on the built-in marriage data with the default config
 over seeds 0-2 (macro-classes cut at k=5), and the sha256 of every result,
 model, macro and deviations JSON, and of the sweep's stability JSON, must
 match the committed digest.  One small ``report`` run (two seeds on a 3x3
-map) pins the bytes of ``report.json`` and ``report.csv``.  A change
-that moves a digest on purpose re-issues the table and says why in
-CHANGES.md.  To print the current digests as a table:
+map) pins the bytes of ``report.json`` and ``report.csv``, and ``macro``
+on seed 0 of each analysis (k=4) pins the bytes of ``dendrogram.json``.
+A change that moves a digest on purpose re-issues the table and says why
+in CHANGES.md.  To print the current digests as tables:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -29,6 +30,7 @@ REPORT_ARGV = [
     "--grid", "3x3", "--iters", "250", "--render", "both",
 ]
 REPORT_FILES = ("marriages.report.json", "marriages.report.csv")
+DENDROGRAM_K = 4
 
 GOLDEN = {
     "marriages.kmca.0.result.json": "0d50dee0e056f96ae3d8ef93aae9940bb33c1dd8e6655c46e4fb6af7193fd47d",
@@ -71,6 +73,12 @@ GOLDEN = {
     "marriages.report.csv": "013a4bcaa7ab5f2bee4bcaf68ac9b2152efe479b657272e09a1cf4f288ec1445",
 }
 
+DENDROGRAM_GOLDEN = {
+    "marriages.kmca.0.dendrogram.json": "9e98c5e4abe9a79c18f2744a4a07e0a5039639a2ac4ddcb97e2c9f211cebe689",
+    "marriages.kmca-ind.0.dendrogram.json": "e7ce2e3436bcb325e954ba1a094e2079487e4cc3ba57de6fd627204a8ac2cbee",
+    "marriages.kdisj.0.dendrogram.json": "8361ce3a8bef3940808c8f56ed85de93f5c44a9ad9ed78130ad6366a6280befe",
+}
+
 
 def _run(argv: list[str], outdir: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -108,6 +116,19 @@ def report_digests(outdir: Path) -> dict[str, str]:
     return {name: _sha256(outdir / name) for name in REPORT_FILES}
 
 
+def dendrogram_digests(outdir: Path) -> dict[str, str]:
+    """Train seed 0 of each analysis, run ``macro`` on its stored result;
+    sha256 of each dendrogram."""
+    out = {}
+    for algorithm in ALGORITHMS:
+        base = f"marriages.{algorithm}.0"
+        _run([algorithm, "--data", "builtin:marriages", "--render", "none"], outdir)
+        _run(["macro", "--result", str(outdir / f"{base}.result.json"),
+              "--macro", str(DENDROGRAM_K), "--render", "none"], outdir)
+        out[f"{base}.dendrogram.json"] = _sha256(outdir / f"{base}.dendrogram.json")
+    return out
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_artifact_bytes_match_golden_digests(algorithm, tmp_path):
     got = digests(algorithm, tmp_path)
@@ -121,13 +142,19 @@ def test_report_bytes_match_golden_digests(tmp_path):
     assert got == want
 
 
+def test_dendrogram_bytes_match_golden_digests(tmp_path):
+    assert dendrogram_digests(tmp_path) == DENDROGRAM_GOLDEN
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {}
         for algorithm in ALGORITHMS:
             table.update(digests(algorithm, Path(tmp) / algorithm))
         table.update(report_digests(Path(tmp) / "report"))
-    print("GOLDEN = {")
-    for name, digest in table.items():
-        print(f'    "{name}": "{digest}",')
-    print("}")
+        dendrograms = dendrogram_digests(Path(tmp) / "dendrogram")
+    for title, digests_by_name in (("GOLDEN", table), ("DENDROGRAM_GOLDEN", dendrograms)):
+        print(f"{title} = {{")
+        for name, digest in digests_by_name.items():
+            print(f'    "{name}": "{digest}",')
+        print("}")

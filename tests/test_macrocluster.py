@@ -1,5 +1,10 @@
 """Ward linkage, dendrogram cuts and unit weighting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -103,6 +108,27 @@ def test_ward_costs_monotone_nondecreasing():
     merges = ward_linkage(vectors, np.ones(8))
     costs = [c for _, _, c in merges]
     assert all(b >= a - 1e-12 for a, b in zip(costs, costs[1:]))
+
+
+def test_ward_merges_do_not_depend_on_blas_threads():
+    # OpenBLAS splits dot products of rows wider than about 10^4 over its
+    # threads, which reorders the sum; Ward's costs must not go through it.
+    script = (
+        "import numpy as np\n"
+        "from somcat.macrocluster import ward_linkage\n"
+        "x = np.random.default_rng(33).normal(size=(64, 12000))\n"
+        "print(ward_linkage(x, np.ones(64)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_ward_input_validation():
