@@ -3,8 +3,11 @@
 A map is a small grid (or string) of units, each carrying a code vector in
 data space.  Training repeatedly draws an input vector, finds the best
 matching unit by masked Euclidean distance, and pulls the code vectors of
-the winner's grid neighborhood toward the input.  Both the learning rate
-and the neighborhood radius shrink over time:
+the winner's grid neighborhood toward the input.  The neighborhood of
+radius rho is every unit within Chebyshev distance rho of the winner: on the
+row-major grid, the square of side 2 rho + 1 around it clipped to the map,
+which the step updates in place.  Both the learning rate and the
+neighborhood radius shrink over time:
 
     epsilon(t) = epsilon0 / (1 + c0 * t / U)          U = number of units
     radius(t)  = floor((n/2) / (1 + t * (2n - 4) / t_max))   n = longer side
@@ -183,10 +186,6 @@ class DistanceMask:
         if self.lo < 0 or self.hi <= self.lo:
             raise DimensionError(f"bad mask [{self.lo}, {self.hi})")
 
-    @classmethod
-    def full(cls, dim: int) -> "DistanceMask":
-        return cls(0, dim)
-
     @property
     def width(self) -> int:
         return self.hi - self.lo
@@ -285,16 +284,20 @@ def init_model(
     return model
 
 
-def _masked_input(x: np.ndarray, mask: DistanceMask, dim: int) -> np.ndarray:
+def _masked_code(model: SomModel, mask: DistanceMask | None) -> np.ndarray:
+    """The code vectors' masked components; a None mask is the whole vector."""
+    code = model.code_vectors
+    return code if mask is None else code[:, mask.lo:mask.hi]
+
+
+def _masked_input(x: np.ndarray, mask: DistanceMask | None, dim: int) -> np.ndarray:
     """Accept a full-dim vector or one already cut to the mask width."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape == (dim,):
-        return x[mask.lo:mask.hi]
-    if x.shape == (mask.width,):
+        return x if mask is None else x[mask.lo:mask.hi]
+    if mask is not None and x.shape == (mask.width,):
         return x
-    raise DimensionError(
-        f"input width {x.shape} matches neither dim {dim} nor mask {mask.width}"
-    )
+    raise DimensionError(f"input shape {x.shape} fits neither dim {dim} nor the mask")
 
 
 def _best_among(d2: np.ndarray, units, n_units: int) -> np.ndarray:
@@ -320,12 +323,10 @@ def bmu(
     ``units`` (one boolean per unit) limits the search to the units marked
     True.  Ties resolve to the lowest unit index.
     """
-    if mask is None:
-        mask = DistanceMask.full(model.dim)
     xm = _masked_input(x, mask, model.dim)
-    if not np.all(np.isfinite(xm)):
+    if not np.isfinite(xm).all():
         raise DimensionError("input vector contains non-finite values")
-    diff = model.code_vectors[:, mask.lo:mask.hi] - xm[np.newaxis, :]
+    diff = _masked_code(model, mask) - xm
     d2 = np.einsum("ij,ij->i", diff, diff)
     if units is None:
         return int(d2.argmin())
@@ -346,35 +347,34 @@ def train_step(
     ``units`` limits the winner search as in ``bmu``; the neighborhood
     update is not limited.
     """
-    cfg = model.config
+    cfg, topo = model.config, model.topology
     if cfg.t_max is None or not 0 <= t < cfg.t_max:
         raise ConfigError(f"step time {t} outside schedule [0, {cfg.t_max})")
-    if search_mask is None:
-        search_mask = DistanceMask.full(model.dim)
-    if update_mask is None:
-        update_mask = DistanceMask.full(model.dim)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.dim,):
         raise DimensionError("train_step needs a full-dimension input vector")
 
     winner = bmu(model, x, search_mask, units)
-    rho = cfg.radius(t, model.topology.side)
-    eps = cfg.epsilon(t, model.topology.n_units)
-    hood = model.topology.distances[winner] <= rho
-    lo, hi = update_mask.lo, update_mask.hi
-    block = model.code_vectors[hood, lo:hi]
-    model.code_vectors[hood, lo:hi] = block + eps * (x[lo:hi] - block)
+    rho = cfg.radius(t, topo.side)
+    eps = cfg.epsilon(t, topo.n_units)
+    r, c = divmod(winner, topo.cols)
+    lo, hi = (0, model.dim) if update_mask is None else (update_mask.lo, update_mask.hi)
+    # Splitting the unit axis is a view for any strides, so the update lands
+    # in the model's own array.
+    grid = model.code_vectors.reshape(topo.rows, topo.cols, model.dim)
+    block = grid[max(r - rho, 0):r + rho + 1, max(c - rho, 0):c + rho + 1, lo:hi]
+    block += eps * (x[lo:hi] - block)
     model.trained_steps += 1
     return winner
 
 
-def _masked_rows(model: SomModel, rows, mask: DistanceMask) -> np.ndarray:
+def _masked_rows(model: SomModel, rows, mask: DistanceMask | None) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise DimensionError("expected a 2-d array of row vectors")
     if rows.shape[1] == model.dim:
-        return rows[:, mask.lo:mask.hi]
-    if rows.shape[1] == mask.width:
+        return rows if mask is None else rows[:, mask.lo:mask.hi]
+    if mask is not None and rows.shape[1] == mask.width:
         return rows
     raise DimensionError("rows match neither full dim nor mask width")
 
@@ -427,11 +427,8 @@ def quantization_error(
     ``bmus``, an integer array with one slot per row, receives each row's
     best matching unit from the same distances.
     """
-    if mask is None:
-        mask = DistanceMask.full(model.dim)
     rows = _masked_rows(model, rows, mask)
-    code = model.code_vectors[:, mask.lo:mask.hi]
-    d2 = _squared_distances(rows, code)
+    d2 = _squared_distances(rows, _masked_code(model, mask))
     if bmus is not None:
         bmus[:] = np.argmin(d2, axis=1)
     return float(np.mean(np.maximum(d2.min(axis=1), 0.0)))
@@ -550,11 +547,8 @@ def assign(
 
     ``units`` limits every row's search as in ``bmu``.
     """
-    if mask is None:
-        mask = DistanceMask.full(model.dim)
     rows = _masked_rows(model, rows, mask)
-    code = model.code_vectors[:, mask.lo:mask.hi]
-    d2 = _squared_distances(rows, code)
+    d2 = _squared_distances(rows, _masked_code(model, mask))
     if units is None:
         best = np.argmin(d2, axis=1)
     else:

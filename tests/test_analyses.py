@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import somcat
+from somcat import som
 from somcat.analyses import (
     AnalysisResult,
     KdisjSampler,
@@ -267,6 +268,21 @@ def test_pipelines_are_seed_deterministic(marriage):
     assert np.array_equal(a.model.code_vectors, b.model.code_vectors)
     assert np.array_equal(a.modalities.units, b.modalities.units)
     assert np.array_equal(a.individuals.units, b.individuals.units)
+
+
+@pytest.mark.parametrize("algorithm", ["kmca-ind", "kdisj"])
+def test_every_step_calls_train_step_then_bmu_once(monkeypatch, marriage, algorithm):
+    calls = {"train_step": 0, "bmu": 0}
+    for name in calls:
+        original = getattr(som, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(som, name, counted)
+    run_analysis(algorithm, marriage, TOPO, small_cfg(t_max=40))
+    assert calls == {"train_step": 40, "bmu": 40}
 
 
 def test_analysis_result_json_round_trip(marriage):

@@ -245,6 +245,54 @@ def test_train_step_masked_update_leaves_rest_untouched():
     assert not np.array_equal(model.code_vectors[:, 2:], before[:, 2:])
 
 
+@pytest.mark.parametrize("topo, winners", [
+    # corners, edge middles and the centre of a 3 x 5 grid
+    (Topology.grid(3, 5), (0, 4, 10, 14, 2, 5, 9, 12, 7)),
+    # both ends, a unit next to an end and the centre of a string of 7
+    (Topology.string(7), (0, 6, 1, 3)),
+], ids=["grid3x5", "string7"])
+@pytest.mark.parametrize("update_mask", [None, DistanceMask(2, 5)], ids=["full", "2:5"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_train_step_moves_exactly_the_chebyshev_ball(monkeypatch, topo, winners,
+                                                     update_mask, order):
+    rng = np.random.default_rng(17)
+    dim, t = 6, 3
+    model = init_model(topo, dim, TrainConfig(t_max=10, seed=2),
+                       data=rng.normal(size=(5, dim)))
+    model.code_vectors = np.asarray(model.code_vectors, order=order)
+    eps = model.config.epsilon(t, topo.n_units)
+    lo, hi = (0, dim) if update_mask is None else (update_mask.lo, update_mask.hi)
+    for winner in winners:
+        only = np.arange(topo.n_units) == winner
+        for rho in range(topo.side + 1):
+            monkeypatch.setattr(TrainConfig, "radius", lambda self, t, side: rho)
+            x = rng.normal(size=dim)
+            before = model.code_vectors.copy()
+            won = train_step(model, x, t, update_mask=update_mask, units=only)
+            assert won == winner
+            hood = topo.distances[winner] <= rho
+            block = before[hood, lo:hi]
+            expected = before.copy()
+            expected[hood, lo:hi] = block + eps * (x[lo:hi] - block)
+            assert model.code_vectors.tobytes() == expected.tobytes()
+            assert np.array_equal((model.code_vectors != before).any(axis=1), hood)
+
+
+def test_checks_hold_without_masks():
+    rows = np.random.default_rng(5).normal(size=(6, 3))
+    rows[:, 1] = np.nan
+    model = init_model(Topology.grid(2, 2), 3, TrainConfig(t_max=20, seed=0))
+    with pytest.raises(DimensionError):
+        train(model, UniformRowSampler(rows))
+    model = init_model(Topology.grid(2, 2), 3, TrainConfig(t_max=20, seed=0))
+    for bad in (np.zeros(2), np.zeros(4), np.zeros((1, 3))):
+        with pytest.raises(DimensionError):
+            train_step(model, bad, 0, search_mask=None)
+        with pytest.raises(DimensionError):
+            bmu(model, bad, mask=None)
+    assert model.trained_steps == 0
+
+
 def test_train_step_rejects_out_of_schedule_time():
     topo = Topology.grid(2, 2)
     model = init_model(topo, 2, TrainConfig(t_max=5, seed=0),
