@@ -4,8 +4,10 @@ Each analysis runs on the built-in marriage data with the default config
 over seeds 0-2 (macro-classes cut at k=5), and the sha256 of every result,
 model, macro and deviations JSON, and of the sweep's stability JSON, must
 match the committed digest.  One small ``report`` run (two seeds on a 3x3
-map) pins the bytes of ``report.json`` and ``report.csv``, and ``macro``
-on seed 0 of each analysis (k=4) pins the bytes of ``dendrogram.json``.
+map) pins the bytes of ``report.json`` and ``report.csv``, ``macro``
+on seed 0 of each analysis (k=4) pins the bytes of ``dendrogram.json``,
+and ``ingest``, ``tables`` and ``pies`` (the wife's category crossed with
+kmca-ind seed 0) pin the bytes of the remaining JSON writers.
 A change that moves a digest on purpose re-issues the table and says why
 in CHANGES.md.  To print the current digests as tables:
 
@@ -31,6 +33,7 @@ REPORT_ARGV = [
 ]
 REPORT_FILES = ("marriages.report.json", "marriages.report.csv")
 DENDROGRAM_K = 4
+PIES_VARIABLE = "wife"
 
 GOLDEN = {
     "marriages.kmca.0.result.json": "0d50dee0e056f96ae3d8ef93aae9940bb33c1dd8e6655c46e4fb6af7193fd47d",
@@ -77,6 +80,12 @@ DENDROGRAM_GOLDEN = {
     "marriages.kmca.0.dendrogram.json": "9e98c5e4abe9a79c18f2744a4a07e0a5039639a2ac4ddcb97e2c9f211cebe689",
     "marriages.kmca-ind.0.dendrogram.json": "e7ce2e3436bcb325e954ba1a094e2079487e4cc3ba57de6fd627204a8ac2cbee",
     "marriages.kdisj.0.dendrogram.json": "8361ce3a8bef3940808c8f56ed85de93f5c44a9ad9ed78130ad6366a6280befe",
+}
+
+DATA_GOLDEN = {
+    "marriages.dataset.json": "2b27d40a7f43416c0f28c6daba1964b06a76ec55a75e2549a5a3a1a777d9699c",
+    "marriages.tables.json": "ebe7d18142167ef4fedafccdbb8451be8a198da1d515833e7ff95d9673cc9830",
+    "marriages.kmca-ind.0.pies.wife.json": "44ab64058beb14c318876202dac9b74d63a095b6c69ab3e73b594c777319670b",
 }
 
 
@@ -129,6 +138,18 @@ def dendrogram_digests(outdir: Path) -> dict[str, str]:
     return out
 
 
+def data_digests(outdir: Path) -> dict[str, str]:
+    """Run ``ingest``, ``tables`` and ``pies`` on the marriage data; sha256
+    of each JSON they write."""
+    data = ["--data", "builtin:marriages"]
+    _run(["ingest", *data], outdir)
+    _run(["tables", *data], outdir)
+    _run(["kmca-ind", *data, "--render", "none"], outdir)
+    _run(["pies", *data, "--result", str(outdir / "marriages.kmca-ind.0.result.json"),
+          "--variable", PIES_VARIABLE, "--render", "none"], outdir)
+    return {name: _sha256(outdir / name) for name in DATA_GOLDEN}
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_artifact_bytes_match_golden_digests(algorithm, tmp_path):
     got = digests(algorithm, tmp_path)
@@ -146,6 +167,10 @@ def test_dendrogram_bytes_match_golden_digests(tmp_path):
     assert dendrogram_digests(tmp_path) == DENDROGRAM_GOLDEN
 
 
+def test_data_tables_and_pies_bytes_match_golden_digests(tmp_path):
+    assert data_digests(tmp_path) == DATA_GOLDEN
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {}
@@ -153,7 +178,10 @@ if __name__ == "__main__":
             table.update(digests(algorithm, Path(tmp) / algorithm))
         table.update(report_digests(Path(tmp) / "report"))
         dendrograms = dendrogram_digests(Path(tmp) / "dendrogram")
-    for title, digests_by_name in (("GOLDEN", table), ("DENDROGRAM_GOLDEN", dendrograms)):
+        data = data_digests(Path(tmp) / "data")
+    for title, digests_by_name in (
+        ("GOLDEN", table), ("DENDROGRAM_GOLDEN", dendrograms), ("DATA_GOLDEN", data),
+    ):
         print(f"{title} = {{")
         for name, digest in digests_by_name.items():
             print(f'    "{name}": "{digest}",')
