@@ -34,7 +34,7 @@ from .analyses import ALGORITHMS, AnalysisResult, deviations, run_analysis
 from .crossing import cross, external_from_csv, external_from_dataset
 from .dataset import CategoricalDataset, ingest_csv, load_schema, to_disjunctive
 from .errors import ConfigError, SomcatError
-from .macrocluster import MacroClassing, cut, unit_weights, ward_cluster
+from .macrocluster import MacroClassing, check_ward_size, cut, unit_weights, ward_cluster
 from .marriages import marriage_dataset
 from .render import MapRenderSpec, render_map, render_pies, render_text
 from .som import SomModel, Topology, TrainConfig
@@ -138,6 +138,11 @@ def _write(outdir: Path, filename: str, text: str, files: list[str]) -> None:
     files.append(filename)
 
 
+def _write_json(outdir: Path, filename: str, obj, files: list[str]) -> None:
+    jsonio.write_json(outdir / filename, obj)
+    files.append(filename)
+
+
 def _write_maps(
     outdir: Path,
     base: str,
@@ -202,12 +207,9 @@ def _write_run(
     base = f"{name}.{result.algorithm}.{seed}"
     files: list[str] = []
     model_file = f"{base}.model.json"
-    _write(outdir, model_file, jsonio.dumps(result.model.to_json()), files)
-    _write(
-        outdir,
-        f"{base}.result.json",
-        jsonio.dumps(result.to_json(model_file=model_file)),
-        files,
+    _write_json(outdir, model_file, result.model.to_json(), files)
+    _write_json(
+        outdir, f"{base}.result.json", result.to_json(model_file=model_file), files
     )
 
     macro = None
@@ -216,14 +218,12 @@ def _write_run(
         dendro = ward_cluster(result.model, weights=weights)
         k = min(4, dendro.n_leaves) if macro_k == "auto" else int(macro_k)
         macro = cut(dendro, k)
-        _write(outdir, f"{base}.macro.json", jsonio.dumps(macro.to_json()), files)
+        _write_json(outdir, f"{base}.macro.json", macro.to_json(), files)
 
     dev = None
     if result.individuals is not None:
         dev = deviations(result, ds)
-        _write(
-            outdir, f"{base}.deviations.json", jsonio.dumps(dev.to_json()), files
-        )
+        _write_json(outdir, f"{base}.deviations.json", dev.to_json(), files)
     _write_maps(outdir, base, result, macro, args, files)
 
     counts = (
@@ -266,6 +266,12 @@ def _train_algorithm(
     Returns the run summaries, the files written and, for two or more
     seeds, the stability report.
     """
+    if macro_k is not None:
+        # Ward's leaves are the units that hold weight: at most one per
+        # mapped item (kmca maps only the modalities) unless all count.
+        items = ds.n_modalities if algorithm == "kmca" else ds.n_individuals
+        units = topology.n_units
+        check_ward_size(units if args.uniform_weights else min(units, items))
     results = _run_seeds(algorithm, ds, topology, args, seeds)
     summaries, macros, files = [], [], []
     for result in results:
@@ -367,7 +373,7 @@ def cmd_ingest(args) -> int:
     name, ds = _load_dataset(args)
     outdir = _outdir(args)
     files: list[str] = []
-    _write(outdir, f"{name}.dataset.json", jsonio.dumps(ds.to_json()), files)
+    _write_json(outdir, f"{name}.dataset.json", ds.to_json(), files)
     summary = {
         "dataset": name,
         "individuals": ds.n_individuals,
@@ -400,7 +406,7 @@ def cmd_tables(args) -> int:
         "burt_corrected": bc.entries.tolist(),
         "disjunctive_corrected": dc.entries.tolist(),
     }
-    _write(outdir, f"{name}.tables.json", jsonio.dumps(payload), files)
+    _write_json(outdir, f"{name}.tables.json", payload, files)
     k, n = ds.n_variables, ds.n_individuals
     summary = {
         "dataset": name,
@@ -425,7 +431,7 @@ def cmd_train(args, algorithm: str) -> int:
     summary = {"dataset": name, "runs": summaries}
     if stability is not None:
         fname = f"{name}.{algorithm}.stability.json"
-        _write(outdir, fname, jsonio.dumps(stability), files)
+        _write_json(outdir, fname, stability, files)
         summary["stability_file"] = fname
     _emit(args, summary, [f"wrote {outdir / f}" for f in files])
     return 0
@@ -446,8 +452,8 @@ def cmd_macro(args) -> int:
     dendro = ward_cluster(result.model, weights=weights)
     macro = cut(dendro, int(args.macro))
     files: list[str] = []
-    _write(outdir, f"{base}.macro.json", jsonio.dumps(macro.to_json()), files)
-    _write(outdir, f"{base}.dendrogram.json", jsonio.dumps(dendro.to_json()), files)
+    _write_json(outdir, f"{base}.macro.json", macro.to_json(), files)
+    _write_json(outdir, f"{base}.dendrogram.json", dendro.to_json(), files)
     _write_maps(outdir, base, result, macro, args, files)
     summary = {
         "base": base,
@@ -479,9 +485,7 @@ def cmd_pies(args) -> int:
         external = external_from_dataset(ds, args.variable)
     pies = cross(result.individuals, external, result.topology)
     files: list[str] = []
-    _write(
-        outdir, f"{base}.pies.{external.name}.json", jsonio.dumps(pies.to_json()), files
-    )
+    _write_json(outdir, f"{base}.pies.{external.name}.json", pies.to_json(), files)
     if args.render != "none":
         _write(outdir, f"{base}.pies.{external.name}.svg", render_pies(pies), files)
     summary = {
@@ -557,7 +561,7 @@ def cmd_report(args) -> int:
         "algorithms": per_algo,
     }
     files: list[str] = []
-    _write(outdir, f"{name}.report.json", jsonio.dumps(report), files)
+    _write_json(outdir, f"{name}.report.json", report, files)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()

@@ -32,6 +32,22 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .som import SomModel, Topology, _squared_distances
 
+# Ward's (2L - 1)^2 float64 cost matrix over L leaves is the one object that
+# grows with the square of the map; this caps it (L = 5,793 at most).
+WARD_MAX_BYTES = 1 << 30
+
+
+def check_ward_size(n_leaves: int) -> None:
+    """Fail as a config error when Ward over ``n_leaves`` leaves would need
+    a cost matrix larger than ``WARD_MAX_BYTES``."""
+    need = 8 * (2 * n_leaves - 1) ** 2
+    if need > WARD_MAX_BYTES:
+        raise ConfigError(
+            f"Ward clustering of {n_leaves} units needs a {need / 2**30:.1f} GiB "
+            f"cost matrix, over the {WARD_MAX_BYTES / 2**30:g} GiB limit; "
+            "use a smaller map"
+        )
+
 
 def ward_linkage(
     vectors: np.ndarray, weights: np.ndarray
@@ -52,6 +68,7 @@ def ward_linkage(
     n = x.shape[0]
     if n < 2:
         raise ConfigError("clustering needs at least 2 points")
+    check_ward_size(n)
 
     size = 2 * n - 1
     node_w = np.concatenate([w, np.zeros(n - 1)])

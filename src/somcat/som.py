@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -72,14 +71,6 @@ class Topology:
         if not 0 <= unit < self.n_units:
             raise DimensionError(f"unit {unit} out of range")
         return divmod(unit, self.cols)
-
-    @cached_property
-    def distances(self) -> np.ndarray:
-        """U x U Chebyshev distances between unit grid positions."""
-        r, c = np.divmod(np.arange(self.n_units), self.cols)
-        dr = np.abs(r[:, np.newaxis] - r[np.newaxis, :])
-        dc = np.abs(c[:, np.newaxis] - c[np.newaxis, :])
-        return np.maximum(dr, dc)
 
     def adjacent_pairs(self) -> list[tuple[int, int]]:
         """Horizontally or vertically touching unit pairs, each once (a < b)."""
@@ -230,7 +221,7 @@ class SomModel:
         )
 
     def save(self, path) -> None:
-        jsonio.write_atomic(path, jsonio.dumps(self.to_json()))
+        jsonio.write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "SomModel":

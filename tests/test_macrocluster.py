@@ -1,5 +1,6 @@
 """Ward linkage, dendrogram cuts and unit weighting."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,8 +11,10 @@ import pytest
 
 from somcat.errors import ConfigError
 from somcat.macrocluster import (
+    WARD_MAX_BYTES,
     Dendrogram,
     MacroClassing,
+    check_ward_size,
     cut,
     unit_weights,
     ward_cluster,
@@ -136,6 +139,58 @@ def test_ward_input_validation():
         ward_linkage(np.zeros((3, 2)), np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ConfigError):
         ward_linkage(np.zeros((1, 2)), np.ones(1))
+
+
+
+def test_ward_size_limit_is_the_cost_matrix_bytes():
+    check_ward_size(5793)                 # 11,585^2 float64 fit in 1 GiB
+    assert 8 * (2 * 5793 - 1) ** 2 <= WARD_MAX_BYTES < 8 * (2 * 5794 - 1) ** 2
+    with pytest.raises(ConfigError, match="cost matrix"):
+        check_ward_size(5794)
+
+
+def test_oversized_ward_fails_as_config_error_under_an_address_space_limit(tmp_path):
+    # A 100x100 map clustered with uniform weights needs a 3.0 GiB cost
+    # matrix: under a 3 GiB address-space limit the CLI must fail as a
+    # config error before training (no artifact written), and ward_linkage
+    # before allocating.  Without uniform weights kmca's leaves are at most
+    # its 12 modalities, so the same map clusters.
+    script = (
+        "import contextlib, io, json, resource, sys\n"
+        "limit = 3 * 2**30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "import numpy as np\n"
+        "from somcat.cli import main\n"
+        "from somcat.errors import ConfigError\n"
+        "from somcat.macrocluster import ward_linkage\n"
+        "out, argv = sys.argv[1], ['kmca', '--grid', '100x100', '--iters', '10',\n"
+        "                          '--macro', '4', '--render', 'none']\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+        "    big = main([*argv, '--uniform-weights', '--out', out + '/big'])\n"
+        "    small = main([*argv, '--out', out + '/small'])\n"
+        "try:\n"
+        "    ward_linkage(np.zeros((10000, 1)), np.ones(10000))\n"
+        "    linkage = 'no error'\n"
+        "except ConfigError as exc:\n"
+        "    linkage = exc.category\n"
+        "print(json.dumps({'big': big, 'small': small, 'stderr': err.getvalue(),\n"
+        "                  'linkage': linkage}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["big"] == 1
+    assert got["stderr"].startswith("error:config: Ward clustering of 10000 units")
+    assert got["stderr"].count("\n") == 1
+    assert list((tmp_path / "big").iterdir()) == []
+    assert got["small"] == 0
+    assert (tmp_path / "small" / "marriages.kmca.0.macro.json").exists()
+    assert got["linkage"] == "config"
 
 
 # ----------------------------------------------------------------------- cuts
