@@ -25,7 +25,7 @@ from types import NoneType
 
 from .errors import IOErrorCategory
 
-INDENT = "  "
+_INDENT = "  "
 _SCALARS = (str, int, float, NoneType)
 
 
@@ -33,7 +33,7 @@ _SCALARS = (str, int, float, NoneType)
 def _leaf_encoder(depth: int):
     """C-encoder ``encode`` for a container of scalars whose items sit at
     ``depth`` levels of indentation."""
-    separators = (",\n" + INDENT * depth, ": ")
+    separators = (",\n" + _INDENT * depth, ": ")
     return json.JSONEncoder(ensure_ascii=False, separators=separators).encode
 
 
@@ -63,10 +63,10 @@ def chunks(obj, depth: int = 0) -> Iterator[str]:
     if not obj:
         yield "{}" if is_dict else "[]"
         return
-    pad = INDENT * (depth + 1)
+    pad = _INDENT * (depth + 1)
     if _all_scalars(obj.values() if is_dict else obj):
         text = _leaf_encoder(depth + 1)(obj)
-        yield text[0] + "\n" + pad + text[1:-1] + "\n" + INDENT * depth + text[-1]
+        yield text[0] + "\n" + pad + text[1:-1] + "\n" + _INDENT * depth + text[-1]
         return
     yield ("{" if is_dict else "[") + "\n" + pad
     for i, item in enumerate(obj.items() if is_dict else obj):
@@ -76,7 +76,7 @@ def chunks(obj, depth: int = 0) -> Iterator[str]:
             key, item = item
             yield _key(key) + ": "
         yield from chunks(item, depth + 1)
-    yield "\n" + INDENT * depth + ("}" if is_dict else "]")
+    yield "\n" + _INDENT * depth + ("}" if is_dict else "]")
 
 
 def dumps(obj) -> str:
@@ -102,10 +102,7 @@ def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            if isinstance(text, str):
-                fh.write(text)
-            else:
-                fh.writelines(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
