@@ -7,7 +7,12 @@ match the committed digest.  One small ``report`` run (two seeds on a 3x3
 map) pins the bytes of ``report.json`` and ``report.csv``, ``macro``
 on seed 0 of each analysis (k=4) pins the bytes of ``dendrogram.json``,
 and ``ingest``, ``tables`` and ``pies`` (the wife's category crossed with
-kmca-ind seed 0) pin the bytes of the remaining JSON writers.
+kmca-ind seed 0) pin the bytes of the remaining JSON writers.  Seed 0 of
+each analysis with ``--macro 5 --render both`` pins the SVG and text maps,
+and the wife's pies the pie SVG.  A small fixed survey CSV pins the CSV
+reader: ``ingest`` infers it, and again with a schema that bins one column
+and leaves two out; ``pies --external`` crosses one of its columns with a
+kmca-ind map trained on it.
 A change that moves a digest on purpose re-issues the table and says why
 in CHANGES.md.  To print the current digests as tables:
 
@@ -17,6 +22,7 @@ in CHANGES.md.  To print the current digests as tables:
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -34,6 +40,19 @@ REPORT_ARGV = [
 REPORT_FILES = ("marriages.report.json", "marriages.report.csv")
 DENDROGRAM_K = 4
 PIES_VARIABLE = "wife"
+# 24 answers with padded cells and a fractional age; the schema bins age,
+# relabels color in its own order and leaves size and note out.
+SURVEY_CSV = "id,age,color,size,note\n" + "".join(
+    f"p{i:02d},{18 + (i * 7) % 61}{'.5' if i % 6 == 1 else ''},"
+    f"{' ' if i % 5 == 0 else ''}{('red', 'blue', 'green')[i * 5 % 3]},"
+    f"{('small', 'large')[i * i % 3 % 2]},n{i % 4}\n"
+    for i in range(24)
+)
+SURVEY_SCHEMA = {"variables": [
+    {"name": "age", "modalities": ["young", "mid", "old"], "breaks": [30, 50]},
+    {"name": "color", "modalities": ["green", "red", "blue"]},
+]}
+EXTERNAL_COLUMN = "color"
 
 GOLDEN = {
     "marriages.kmca.0.result.json": "0d50dee0e056f96ae3d8ef93aae9940bb33c1dd8e6655c46e4fb6af7193fd47d",
@@ -86,6 +105,23 @@ DATA_GOLDEN = {
     "marriages.dataset.json": "2b27d40a7f43416c0f28c6daba1964b06a76ec55a75e2549a5a3a1a777d9699c",
     "marriages.tables.json": "ebe7d18142167ef4fedafccdbb8451be8a198da1d515833e7ff95d9673cc9830",
     "marriages.kmca-ind.0.pies.wife.json": "44ab64058beb14c318876202dac9b74d63a095b6c69ab3e73b594c777319670b",
+}
+
+RENDER_GOLDEN = {
+    "marriages.kmca.0.svg": "afcc0672c9179f64d3c6b3dc6817624589fa832ef4f837c0842bdf3435a54ce2",
+    "marriages.kmca.0.txt": "21955b3ada8cc475fefc3164c13a6fffbc570dd9935f3f401fb99b55202aecd2",
+    "marriages.kmca-ind.0.svg": "a3cdde01456359dc510758c62f165894b3b085cfedb929dd216868fcc32553ec",
+    "marriages.kmca-ind.0.txt": "a5a98a574698ba625ef38a2de20e621c21065840186df4c2cf8fddc823f10e42",
+    "marriages.kdisj.0.svg": "5c7222353055ca346e1d748f1daa470ee555020f04ec90b80081450ad2107844",
+    "marriages.kdisj.0.txt": "7a36e7fa64b1747ef4b6093e5a84f39e4827db4f137f794d61fd72257481bf10",
+    "marriages.kmca-ind.0.pies.wife.svg": "494b3fc55f50c0937008d9bd8043bc5ab22bbbaa3e80790694a1ee7a3e0afeeb",
+}
+
+CSV_GOLDEN = {
+    "survey.dataset.json": "05472d75e3120470421d39e14f06fadc9d4ffbd5b6fed46e79a9eeb54e361493",
+    "survey-schema.dataset.json": "f91ced59b650638a5b48a6ab064e1d16dd934e03674030387597d310acc8b89a",
+    "survey.kmca-ind.0.pies.color.json": "af8194a634a76f9e894999b3b6e4997580d366a7976eaf30b3786f01b5d6faea",
+    "survey.kmca-ind.0.pies.color.svg": "1a07f3238af2514c7bf84089c25ddced0b672abd208189e324b7da327592d069",
 }
 
 
@@ -150,6 +186,35 @@ def data_digests(outdir: Path) -> dict[str, str]:
     return {name: _sha256(outdir / name) for name in DATA_GOLDEN}
 
 
+def render_digests(outdir: Path) -> dict[str, str]:
+    """Seed 0 of each analysis with ``--macro 5 --render both``, then the
+    wife's pies on kmca-ind; sha256 of each map and pie drawing."""
+    data = ["--data", "builtin:marriages"]
+    for algorithm in ALGORITHMS:
+        _run([algorithm, *data, "--macro", "5", "--render", "both"], outdir)
+    _run(["pies", *data, "--result", str(outdir / "marriages.kmca-ind.0.result.json"),
+          "--variable", PIES_VARIABLE], outdir)
+    return {name: _sha256(outdir / name) for name in RENDER_GOLDEN}
+
+
+def csv_digests(outdir: Path) -> dict[str, str]:
+    """``ingest`` of the survey CSV, inferred and with the schema, and
+    ``pies --external`` on one of its columns; sha256 of each file."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    csv_path = outdir / "survey.csv"
+    csv_path.write_text(SURVEY_CSV, encoding="utf-8")
+    schema_path = outdir / "survey.schema.json"
+    schema_path.write_text(json.dumps(SURVEY_SCHEMA), encoding="utf-8")
+    data = ["--data", str(csv_path)]
+    _run(["ingest", *data], outdir)
+    _run(["ingest", *data, "--schema", str(schema_path), "--name", "survey-schema"],
+         outdir)
+    _run(["kmca-ind", *data, "--grid", "3x3", "--render", "none"], outdir)
+    _run(["pies", "--result", str(outdir / "survey.kmca-ind.0.result.json"),
+          "--external", str(csv_path), "--column", EXTERNAL_COLUMN], outdir)
+    return {name: _sha256(outdir / name) for name in CSV_GOLDEN}
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_artifact_bytes_match_golden_digests(algorithm, tmp_path):
     got = digests(algorithm, tmp_path)
@@ -171,6 +236,14 @@ def test_data_tables_and_pies_bytes_match_golden_digests(tmp_path):
     assert data_digests(tmp_path) == DATA_GOLDEN
 
 
+def test_svg_and_text_bytes_match_golden_digests(tmp_path):
+    assert render_digests(tmp_path) == RENDER_GOLDEN
+
+
+def test_csv_ingest_and_external_pies_bytes_match_golden_digests(tmp_path):
+    assert csv_digests(tmp_path) == CSV_GOLDEN
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {}
@@ -179,8 +252,11 @@ if __name__ == "__main__":
         table.update(report_digests(Path(tmp) / "report"))
         dendrograms = dendrogram_digests(Path(tmp) / "dendrogram")
         data = data_digests(Path(tmp) / "data")
+        renders = render_digests(Path(tmp) / "render")
+        csvs = csv_digests(Path(tmp) / "csv")
     for title, digests_by_name in (
         ("GOLDEN", table), ("DENDROGRAM_GOLDEN", dendrograms), ("DATA_GOLDEN", data),
+        ("RENDER_GOLDEN", renders), ("CSV_GOLDEN", csvs),
     ):
         print(f"{title} = {{")
         for name, digest in digests_by_name.items():
