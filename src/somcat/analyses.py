@@ -42,9 +42,10 @@ from .som import (
     init_model,
     train,
 )
-from .tables import burt, corrected_burt, corrected_disjunctive
+from .tables import _check_positive_counts, burt, corrected_burt, corrected_disjunctive
 
 ALGORITHMS = ("kmca", "kmca-ind", "kdisj")
+ITERATION_CAP = 100_000
 
 
 def default_iterations(
@@ -52,7 +53,6 @@ def default_iterations(
     n_individuals: int,
     n_modalities: int,
     n_variables: int,
-    cap: int = 100_000,
 ) -> int:
     """Schedule length used when the config leaves t_max unset.
 
@@ -62,33 +62,23 @@ def default_iterations(
     if algorithm == "kmca":
         return max(500, 20 * n_modalities)
     if algorithm == "kmca-ind":
-        return min(20 * n_individuals * n_variables, cap)
+        return min(20 * n_individuals * n_variables, ITERATION_CAP)
     if algorithm == "kdisj":
-        return min(20 * (n_individuals + n_modalities), cap)
+        return min(20 * (n_individuals + n_modalities), ITERATION_CAP)
     raise ConfigError(f"unknown algorithm {algorithm!r}")
-
-
-def _resolve(config: TrainConfig, steps: int) -> TrainConfig:
-    if config.t_max is not None:
-        return config
-    return dataclasses.replace(config, t_max=steps)
 
 
 def modality_mean_vectors(disj: DisjunctiveTable) -> np.ndarray:
     """Mean corrected-disjunctive row over each modality's adopters, M x M.
 
-    Computed in closed form from co-occurrence counts: entry (j, l) equals
+    Computed in closed form from the Burt table: entry (j, l) equals
     B_jl / (b_j * sqrt(K) * sqrt(b_l)), which is exactly the average of the
     corrected rows of the individuals who chose modality j.
     """
+    _check_positive_counts(disj.counts, disj.names)
     counts = disj.counts.astype(np.float64)
-    for j, c in enumerate(disj.counts):
-        if c == 0:
-            raise DataError(
-                f"modality {disj.names[j]!r} has no adopters, no mean vector"
-            )
-    b = disj.entries.T @ disj.entries
     k = float(disj.n_variables)
+    b = burt(disj).entries
     return b / counts[:, np.newaxis] / np.sqrt(counts)[np.newaxis, :] / np.sqrt(k)
 
 
@@ -240,8 +230,33 @@ class AnalysisResult:
         )
 
 
-def _provenance(ds: CategoricalDataset, cfg: TrainConfig) -> dict:
-    return {"dataset_sha256": ds.sha256(), "config": cfg.to_json()}
+def _train(algorithm: str, ds: CategoricalDataset, topology: Topology,
+           config: TrainConfig | None, sampler, dim: int, data=None, ranges=None,
+           observer=None) -> tuple[SomModel, list[tuple[int, float]]]:
+    """Initialize a map of ``dim`` components from ``data`` or ``ranges`` and
+    train it on ``sampler``; an unset t_max takes the algorithm's default
+    budget for ``ds``."""
+    config = config or TrainConfig()
+    if config.t_max is None:
+        steps = default_iterations(
+            algorithm, ds.n_individuals, ds.n_modalities, ds.n_variables
+        )
+        config = dataclasses.replace(config, t_max=steps)
+    model = init_model(topology, dim, config, data=data, ranges=ranges)
+    return train(model, sampler, observer=observer)
+
+
+def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
+            modalities: MapAssignment, individuals=None) -> AnalysisResult:
+    return AnalysisResult(
+        algorithm=algorithm,
+        topology=model.topology,
+        model=model,
+        modalities=modalities,
+        individuals=individuals,
+        provenance={"dataset_sha256": ds.sha256(), "config": model.config.to_json()},
+        qe_log=qe_log,
+    )
 
 
 def kmca(
@@ -250,27 +265,12 @@ def kmca(
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on the corrected Burt rows; map positions for modalities only."""
-    config = config or TrainConfig()
-    disj = to_disjunctive(ds)
-    bc = corrected_burt(burt(disj))
-    cfg = _resolve(
-        config,
-        default_iterations(
-            "kmca", ds.n_individuals, ds.n_modalities, ds.n_variables
-        ),
+    bc = corrected_burt(burt(to_disjunctive(ds)))
+    rows = bc.entries
+    model, qe_log = _train(
+        "kmca", ds, topology, config, UniformRowSampler(rows), rows.shape[1], data=rows
     )
-    model = init_model(topology, bc.entries.shape[1], cfg, data=bc.entries)
-    model, qe_log = train(model, UniformRowSampler(bc.entries))
-    modalities = assign(model, bc.entries, labels=bc.row_labels)
-    return AnalysisResult(
-        algorithm="kmca",
-        topology=topology,
-        model=model,
-        modalities=modalities,
-        individuals=None,
-        provenance=_provenance(ds, cfg),
-        qe_log=qe_log,
-    )
+    return _result("kmca", ds, model, qe_log, assign(model, rows, labels=bc.row_labels))
 
 
 def kmca_ind(
@@ -279,29 +279,16 @@ def kmca_ind(
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on corrected disjunctive rows; modalities placed by mean vector."""
-    config = config or TrainConfig()
     disj = to_disjunctive(ds)
     dc = corrected_disjunctive(disj)
-    cfg = _resolve(
-        config,
-        default_iterations(
-            "kmca-ind", ds.n_individuals, ds.n_modalities, ds.n_variables
-        ),
+    rows = dc.entries
+    model, qe_log = _train(
+        "kmca-ind", ds, topology, config, UniformRowSampler(rows), rows.shape[1],
+        data=rows,
     )
-    model = init_model(topology, dc.entries.shape[1], cfg, data=dc.entries)
-    model, qe_log = train(model, UniformRowSampler(dc.entries))
-    individuals = assign(model, dc.entries, labels=dc.row_labels)
-    means = modality_mean_vectors(disj)
-    modalities = assign(model, means, labels=disj.names)
-    return AnalysisResult(
-        algorithm="kmca-ind",
-        topology=topology,
-        model=model,
-        modalities=modalities,
-        individuals=individuals,
-        provenance=_provenance(ds, cfg),
-        qe_log=qe_log,
-    )
+    individuals = assign(model, rows, labels=dc.row_labels)
+    modalities = assign(model, modality_mean_vectors(disj), labels=disj.names)
+    return _result("kmca-ind", ds, model, qe_log, modalities, individuals)
 
 
 def kdisj(
@@ -311,21 +298,16 @@ def kdisj(
     observer=None,
 ) -> AnalysisResult:
     """Simultaneous analysis of individuals and modalities on one map."""
-    config = config or TrainConfig()
     disj = to_disjunctive(ds)
     dc = corrected_disjunctive(disj).entries
     n, m = dc.shape
-    cfg = _resolve(
-        config, default_iterations("kdisj", n, m, ds.n_variables)
-    )
     lo = np.concatenate([dc.min(axis=0), dc.min(axis=1)])
     hi = np.concatenate([dc.max(axis=0), dc.max(axis=1)])
-    model = init_model(topology, m + n, cfg, ranges=(lo, hi))
-    sampler = KdisjSampler(dc)
-    model, qe_log = train(model, sampler, observer=observer)
-    individuals = assign(
-        model, dc, mask=DistanceMask(0, m), labels=disj.individuals
+    model, qe_log = _train(
+        "kdisj", ds, topology, config, KdisjSampler(dc), m + n, ranges=(lo, hi),
+        observer=observer,
     )
+    individuals = assign(model, dc, mask=DistanceMask(0, m), labels=disj.individuals)
     modalities = assign(
         model,
         dc.T,
@@ -333,15 +315,7 @@ def kdisj(
         labels=disj.names,
         units=individuals.counts > 0,
     )
-    return AnalysisResult(
-        algorithm="kdisj",
-        topology=topology,
-        model=model,
-        modalities=modalities,
-        individuals=individuals,
-        provenance=_provenance(ds, cfg),
-        qe_log=qe_log,
-    )
+    return _result("kdisj", ds, model, qe_log, modalities, individuals)
 
 
 def run_analysis(
@@ -350,13 +324,10 @@ def run_analysis(
     topology: Topology,
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
-    if algorithm == "kmca":
-        return kmca(ds, topology, config)
-    if algorithm == "kmca-ind":
-        return kmca_ind(ds, topology, config)
-    if algorithm == "kdisj":
-        return kdisj(ds, topology, config)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    # Looked up at call time, so a wrapper set on the module attribute runs.
+    return globals()[algorithm.replace("-", "_")](ds, topology, config)
 
 
 @dataclass(eq=False)

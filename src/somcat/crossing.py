@@ -9,13 +9,12 @@ training.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import CategoricalDataset, VariableSpec
+from .dataset import CategoricalDataset, VariableSpec, _encode_column, _read_csv
 from .errors import DataError, DimensionError
 from .som import MapAssignment, Topology
 
@@ -53,59 +52,19 @@ def external_from_csv(
 ) -> ExternalColumn:
     """Read an external column from a CSV (header; first column = id).
 
-    Without a spec, labels become modalities in first-appearance order; with
+    The column is read by :func:`~somcat.dataset.ingest_csv`'s rules:
+    without a spec, labels become modalities in first-appearance order; with
     a binned spec, numeric values are discretized.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2:
-        raise DataError(f"{path}: need a header row and at least one value")
-    header = [h.strip() for h in rows[0]]
-    if column not in header[1:]:
-        raise DataError(f"{path}: no column {column!r}")
-    j = header.index(column)
-
-    pairs: list[tuple[str, str]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-        ident, cell = row[0].strip(), row[j].strip()
-        if not cell:
-            raise DataError(f"{path}:{lineno}: empty cell in column {column!r}")
-        pairs.append((ident, cell))
-    ids = [p[0] for p in pairs]
+    header, ids, body = _read_csv(path)
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate individual ids")
-
-    if spec is None:
-        labels: list[str] = []
-        for _, cell in pairs:
-            if cell not in labels:
-                labels.append(cell)
-        lookup = {lab: i for i, lab in enumerate(labels)}
-        values = {ident: lookup[cell] for ident, cell in pairs}
-        return ExternalColumn(name=column, modalities=tuple(labels), values=values)
-
-    if spec.is_binned:
-        values = {}
-        for ident, cell in pairs:
-            try:
-                values[ident] = spec.bin_value(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric value {cell!r} in binned column"
-                ) from None
-    else:
-        lookup = {lab: i for i, lab in enumerate(spec.modalities)}
-        values = {}
-        for ident, cell in pairs:
-            if cell not in lookup:
-                raise DataError(f"{path}: unknown modality {cell!r}")
-            values[ident] = lookup[cell]
-    return ExternalColumn(name=spec.name, modalities=spec.modalities, values=values)
+    labels, codes = _encode_column(path, header, body, column, spec)
+    return ExternalColumn(
+        name=column if spec is None else spec.name,
+        modalities=labels,
+        values=dict(zip(ids, codes)),
+    )
 
 
 @dataclass(eq=False)

@@ -268,6 +268,63 @@ def load_schema(path: str | Path) -> list[VariableSpec]:
     return [VariableSpec.from_json(v) for v in data["variables"]]
 
 
+def _read_csv(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:
+    """Stripped header, stripped ids and body rows of a CSV whose first
+    column holds the ids; blank lines are skipped, ragged rows rejected."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if len(rows) < 2:
+        raise DataError(f"{path}: need a header row and at least one individual")
+    header, body = rows[0], rows[1:]
+    if len(header) < 2:
+        raise DataError(f"{path}: need an id column plus at least one variable")
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+    return [h.strip() for h in header], [row[0].strip() for row in body], body
+
+
+def _encode_column(
+    path: str | Path, header: list[str], body: list[list[str]], name: str,
+    spec: VariableSpec | None,
+) -> tuple[tuple[str, ...], list[int]]:
+    """Labels and per-row codes of column ``name``; an empty cell is rejected.
+
+    Without a spec the labels are the distinct cells in first-appearance
+    order.  A binned spec discretizes numeric cells by its break-points; any
+    other spec looks each cell up among its labels.
+    """
+    if name not in header[1:]:
+        raise DataError(f"{path}: no column {name!r}")
+    j = header.index(name, 1)
+    lookup = {} if spec is None else {mod: i for i, mod in enumerate(spec.modalities)}
+    codes = []
+    for lineno, row in enumerate(body, start=2):
+        cell = row[j].strip()
+        if not cell:
+            raise DataError(f"{path}:{lineno}: empty cell in column {name!r}")
+        if spec is None:
+            codes.append(lookup.setdefault(cell, len(lookup)))
+        elif spec.is_binned:
+            try:
+                codes.append(spec.bin_value(float(cell)))
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: non-numeric value {cell!r} in binned "
+                    f"column {name!r}"
+                ) from None
+        elif cell in lookup:
+            codes.append(lookup[cell])
+        else:
+            raise DataError(
+                f"{path}:{lineno}: unknown modality {cell!r} in column {name!r}"
+            )
+    return (tuple(lookup) if spec is None else spec.modalities), codes
+
+
 def ingest_csv(
     path: str | Path,
     schema: list[VariableSpec] | str = "infer",
@@ -278,74 +335,16 @@ def ingest_csv(
     first-appearance order.  With an explicit schema, the listed variables
     are matched to CSV columns by name (unlisted columns are ignored),
     unknown labels are rejected, and binned variables are discretized by
-    their break-points.  Missing values are rejected.
+    their break-points.  Missing values in the columns read are rejected.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2:
-        raise DataError(f"{path}: need a header row and at least one individual")
-    header, body = rows[0], rows[1:]
-    if len(header) < 2:
-        raise DataError(f"{path}: need an id column plus at least one variable")
-    col_names = [h.strip() for h in header[1:]]
-
-    ids: list[str] = []
-    raw_cols: list[list[str]] = [[] for _ in col_names]
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-        ids.append(row[0].strip())
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if not cell:
-                raise DataError(
-                    f"{path}:{lineno}: empty cell in column {col_names[j]!r}"
-                )
-            raw_cols[j].append(cell)
-
-    if schema == "infer":
-        variables = []
-        for name, col in zip(col_names, raw_cols):
-            labels: list[str] = []
-            for cell in col:
-                if cell not in labels:
-                    labels.append(cell)
-            variables.append(VariableSpec(name=name, modalities=tuple(labels)))
-        used = list(range(len(col_names)))
-    else:
-        variables = list(schema)
-        used = []
-        for var in variables:
-            if var.name not in col_names:
-                raise DataError(f"{path}: schema variable {var.name!r} not in header")
-            used.append(col_names.index(var.name))
-
-    cells = np.zeros((len(ids), len(variables)), dtype=np.int64)
-    for k, (var, j) in enumerate(zip(variables, used)):
-        col = raw_cols[j]
-        if var.is_binned:
-            for i, cell in enumerate(col):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric value {cell!r} in binned "
-                        f"column {var.name!r}"
-                    ) from None
-                cells[i, k] = var.bin_value(value)
-        else:
-            lookup = {mod: idx for idx, mod in enumerate(var.modalities)}
-            for i, cell in enumerate(col):
-                if cell not in lookup:
-                    raise DataError(
-                        f"{path}: unknown modality {cell!r} for variable {var.name!r}"
-                    )
-                cells[i, k] = lookup[cell]
-
+    header, ids, body = _read_csv(path)
+    specs = [None] * (len(header) - 1) if schema == "infer" else list(schema)
+    names = header[1:] if schema == "infer" else [var.name for var in specs]
+    variables = []
+    cells = np.zeros((len(ids), len(specs)), dtype=np.int64)
+    for k, (name, spec) in enumerate(zip(names, specs)):
+        labels, cells[:, k] = _encode_column(path, header, body, name, spec)
+        variables.append(spec or VariableSpec(name=name, modalities=labels))
     return CategoricalDataset(individuals=ids, variables=variables, cells=cells)
 
 

@@ -95,13 +95,17 @@ def sha256_of(obj) -> str:
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
     """Write ``text`` (a str or an iterable of str) to ``path`` via a temp
-    file + rename in the same dir.  On any failure the temp file is removed
+    file + rename in the same dir.  The file gets the mode ``open`` would
+    give it (0o666 less the umask).  On any failure the temp file is removed
     and an existing ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)  # mkstemp always creates 0o600: read the umask back
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException as exc:

@@ -29,6 +29,8 @@ PALETTE = (
     "#66ccee", "#aa3377", "#bbbbbb", "#222255",
     "#225555", "#552200", "#997700", "#cc3311",
 )
+FONT_SIZE = 10
+TEXT_MAX_LINES = 6      # lines per unit box of the text map
 
 
 def grey_palette(k: int) -> tuple[str, ...]:
@@ -49,10 +51,8 @@ class MapRenderSpec:
     """Knobs for both renderers; defaults fit a 4x4 map on one screen."""
 
     cell_size: int = 120
-    palette: tuple[str, ...] | None = None
     label_source: str = "auto"      # auto | modalities | modalities+counts | none
     max_labels: int = 12
-    font_size: int = 10
 
     def __post_init__(self):
         if self.cell_size < 40:
@@ -90,16 +90,14 @@ def render_map(result, macro: MacroClassing | None = None,
     """SVG of the unit grid with macro-class shading and item labels."""
     spec = spec or MapRenderSpec()
     topo = result.topology
-    cell, fs = spec.cell_size, spec.font_size
+    cell, fs = spec.cell_size, FONT_SIZE
     line_h = fs + 2
     width, grid_h = topo.cols * cell, topo.rows * cell
     legend_h = 8 + 16 * macro.k + 4 if macro is not None else 0
     height = grid_h + legend_h
 
     if macro is not None:
-        fills = spec.palette or grey_palette(macro.k)
-        if len(fills) < macro.k:
-            raise RenderError("palette smaller than the number of macro-classes")
+        fills = grey_palette(macro.k)
 
     source = spec.label_source
     if source == "auto":
@@ -171,9 +169,8 @@ def render_pies(pies: PieGrid, spec: MapRenderSpec | None = None) -> str:
     """SVG pie per unit: the external variable's spread over the map."""
     spec = spec or MapRenderSpec()
     topo = pies.topology
-    cell, fs = spec.cell_size, spec.font_size
-    palette = spec.palette or PALETTE
-    colors = [palette[i % len(palette)] for i in range(len(pies.labels))]
+    cell, fs = spec.cell_size, FONT_SIZE
+    colors = [PALETTE[i % len(PALETTE)] for i in range(len(pies.labels))]
     width, grid_h = topo.cols * cell, topo.rows * cell
     legend_h = 8 + 16 * len(pies.labels) + 4
     height = grid_h + legend_h
@@ -239,8 +236,7 @@ def render_pies(pies: PieGrid, spec: MapRenderSpec | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_text(result, macro: MacroClassing | None = None,
-                max_lines: int = 6) -> str:
+def render_text(result, macro: MacroClassing | None = None) -> str:
     """Fixed-width character grid of the map, one box per unit."""
     topo = result.topology
     short = display_labels(result.modalities.labels)
@@ -255,7 +251,7 @@ def render_text(result, macro: MacroClassing | None = None,
         if ind_counts is not None:
             entries.append(f"{int(ind_counts[u])} ind")
         entries.extend(short[name] for name in members[u])
-        cells.append(_shown(entries, max_lines))
+        cells.append(_shown(entries, TEXT_MAX_LINES))
 
     width = max(8, min(18, max((len(e) for cell in cells for e in cell), default=8)))
     depth = max(len(cell) for cell in cells)

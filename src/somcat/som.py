@@ -428,13 +428,14 @@ def quantization_error(
 class UniformRowSampler:
     """Draws data rows uniformly; the plain sampler for single-family maps."""
 
-    def __init__(self, rows: np.ndarray, mask: DistanceMask | None = None):
+    qe_mask = None  # rows are searched and updated on every component
+
+    def __init__(self, rows: np.ndarray):
         self.rows = np.asarray(rows, dtype=np.float64)
-        self.mask = mask
 
     def draw(self, t: int, rng: np.random.Generator):
         i = int(rng.integers(0, self.rows.shape[0]))
-        return self.rows[i], self.mask, self.mask
+        return self.rows[i], None, None
 
     def candidates(self, t: int) -> None:
         return None
@@ -445,10 +446,6 @@ class UniformRowSampler:
     @property
     def qe_rows(self) -> np.ndarray:
         return self.rows
-
-    @property
-    def qe_mask(self) -> DistanceMask | None:
-        return self.mask
 
 
 def _default_checkpoints(t_max: int) -> list[int]:

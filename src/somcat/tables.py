@@ -75,23 +75,14 @@ def burt(disj: DisjunctiveTable) -> BurtTable:
 
 @dataclass(eq=False)
 class CorrectedMatrix:
-    """A count matrix rescaled so Euclidean row distance = chi-square distance.
-
-    ``kind`` records which correction produced it: "burt", "disjunctive",
-    "disjunctive-transposed" or "frequency".
-    """
+    """A count matrix rescaled so Euclidean row distance = chi-square distance."""
 
     entries: np.ndarray
-    kind: str
     row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    row_weights: np.ndarray
-    col_weights: np.ndarray
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
-        n, m = self.entries.shape
-        if len(self.row_labels) != n or len(self.col_labels) != m:
+        if len(self.row_labels) != self.entries.shape[0]:
             raise DimensionError("corrected matrix labels do not match its shape")
 
 
@@ -122,14 +113,7 @@ def corrected_burt(table, k: int | None = None, names=None) -> CorrectedMatrix:
     _check_positive_counts(counts, names)
     root = np.sqrt(counts.astype(np.float64))
     scaled = entries / (k * np.outer(root, root))
-    return CorrectedMatrix(
-        entries=scaled,
-        kind="burt",
-        row_labels=tuple(names),
-        col_labels=tuple(names),
-        row_weights=counts.astype(np.float64),
-        col_weights=counts.astype(np.float64),
-    )
+    return CorrectedMatrix(entries=scaled, row_labels=tuple(names))
 
 
 def corrected_disjunctive(disj: DisjunctiveTable) -> CorrectedMatrix:
@@ -138,17 +122,10 @@ def corrected_disjunctive(disj: DisjunctiveTable) -> CorrectedMatrix:
     k = disj.n_variables
     root = np.sqrt(disj.counts.astype(np.float64))
     scaled = disj.entries / (np.sqrt(float(k)) * root)[np.newaxis, :]
-    return CorrectedMatrix(
-        entries=scaled,
-        kind="disjunctive",
-        row_labels=tuple(disj.individuals),
-        col_labels=disj.names,
-        row_weights=np.full(disj.n_individuals, float(k)),
-        col_weights=disj.counts.astype(np.float64),
-    )
+    return CorrectedMatrix(entries=scaled, row_labels=tuple(disj.individuals))
 
 
-def corrected_frequency(table, row_labels=None, col_labels=None) -> CorrectedMatrix:
+def corrected_frequency(table, row_labels=None) -> CorrectedMatrix:
     """General contingency correction: f_ij / sqrt(f_i. * f_.j) on frequencies."""
     counts = np.asarray(table, dtype=np.float64)
     total = counts.sum()
@@ -159,15 +136,8 @@ def corrected_frequency(table, row_labels=None, col_labels=None) -> CorrectedMat
     if np.any(fr == 0) or np.any(fc == 0):
         raise DataError("corrected frequency table requires nonzero margins")
     scaled = f / np.sqrt(np.outer(fr, fc))
-    n, m = f.shape
-    return CorrectedMatrix(
-        entries=scaled,
-        kind="frequency",
-        row_labels=tuple(row_labels) if row_labels else tuple(f"r{i}" for i in range(n)),
-        col_labels=tuple(col_labels) if col_labels else tuple(f"c{j}" for j in range(m)),
-        row_weights=fr,
-        col_weights=fc,
-    )
+    labels = row_labels or [f"r{i}" for i in range(f.shape[0])]
+    return CorrectedMatrix(entries=scaled, row_labels=tuple(labels))
 
 
 @dataclass(eq=False)

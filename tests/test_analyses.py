@@ -17,8 +17,8 @@ from somcat.analyses import (
     modality_mean_vectors,
     run_analysis,
 )
-from somcat.dataset import to_disjunctive
-from somcat.errors import ConfigError, DataError
+from somcat.dataset import CategoricalDataset, VariableSpec, to_disjunctive
+from somcat.errors import ConfigError, DataError, ZeroModalityError
 from somcat.jsonio import dumps
 from somcat.som import (
     DistanceMask,
@@ -73,6 +73,16 @@ def test_mean_vectors_match_direct_averaging_random():
             adopters = np.flatnonzero(disj.entries[:, j])
             direct = dc[adopters].mean(axis=0)
             assert np.max(np.abs(means[j] - direct)) <= 1e-12
+
+
+def test_mean_vectors_reject_a_modality_without_adopters():
+    ds = CategoricalDataset(
+        individuals=["a", "b"],
+        variables=[VariableSpec(name="v", modalities=("x", "y", "z"))],
+        cells=np.array([[0], [1]]),
+    )
+    with pytest.raises(ZeroModalityError, match="'v.z'"):
+        modality_mean_vectors(to_disjunctive(ds))
 
 
 # ---------------------------------------------------------------- j(i) choice

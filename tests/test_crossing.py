@@ -11,7 +11,7 @@ from somcat.crossing import (
     external_from_csv,
     external_from_dataset,
 )
-from somcat.dataset import VariableSpec
+from somcat.dataset import VariableSpec, ingest_csv
 from somcat.errors import DataError, DimensionError
 from somcat.som import MapAssignment, Topology, TrainConfig
 
@@ -123,6 +123,62 @@ def test_external_from_csv_missing_column(tmp_path):
     p.write_text("id,region\ni1,north\n", encoding="utf-8")
     with pytest.raises(DataError, match="nope"):
         external_from_csv(p, "nope")
+
+
+def random_survey_csv(path, rng, n=60):
+    """Seeded CSV: three labelled columns (some cells padded) and a numeric
+    one; every label of a column occurs."""
+    pools = {"region": ["north", "south", "east"], "tier": ["a", "b"],
+             "pet": ["cat", "dog", "fish", "none"]}
+    while True:
+        cols = {name: rng.choice(pool, size=n) for name, pool in pools.items()}
+        if all(len(set(cols[k])) == len(v) for k, v in pools.items()):
+            break
+    ages = rng.uniform(0, 90, size=n).round(1)
+    lines = ["id,region,tier,age,pet"]
+    for i in range(n):
+        pad = " " if rng.random() < 0.3 else ""
+        lines.append(f"i{i:03d},{pad}{cols['region'][i]},{cols['tier'][i]}{pad},"
+                     f"{ages[i]},{cols['pet'][i]}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_external_from_csv_reads_columns_like_ingest(tmp_path):
+    p = random_survey_csv(tmp_path / "survey.csv", np.random.default_rng(17))
+    ds = ingest_csv(p)
+    for k, var in enumerate(ds.variables):
+        col = external_from_csv(p, var.name)
+        assert col.name == var.name
+        assert col.modalities == var.modalities
+        assert [col.values[i] for i in ds.individuals] == ds.cells[:, k].tolist()
+    specs = [
+        VariableSpec(name="age", modalities=("child", "adult", "senior"),
+                     breaks=(18.0, 65.0)),
+        VariableSpec(name="pet", modalities=("none", "fish", "dog", "cat")),
+    ]
+    ds = ingest_csv(p, schema=specs)
+    for k, spec in enumerate(specs):
+        col = external_from_csv(p, spec.name, spec=spec)
+        assert col.modalities == spec.modalities
+        assert [col.values[i] for i in ds.individuals] == ds.cells[:, k].tolist()
+
+
+def test_empty_cells_are_checked_only_in_the_columns_read(tmp_path):
+    p = tmp_path / "gaps.csv"
+    p.write_text("id,color,note\ni1,red,x\ni2,blue,\ni3,,y\n", encoding="utf-8")
+    schema = [VariableSpec(name="note", modalities=("x", "y"))]
+    with pytest.raises(DataError, match=r"gaps\.csv:3: empty cell in column 'note'"):
+        ingest_csv(p, schema=schema)
+    with pytest.raises(DataError, match=r"gaps\.csv:4: empty cell in column 'color'"):
+        ingest_csv(p)
+    with pytest.raises(DataError, match=r"gaps\.csv:4: empty cell in column 'color'"):
+        external_from_csv(p, "color")
+    # A column the schema leaves out may hold empty cells.
+    p.write_text("id,color,note\ni1,red,x\ni2,blue,\ni3,red,y\n", encoding="utf-8")
+    ds = ingest_csv(p, schema=[VariableSpec(name="color", modalities=("red", "blue"))])
+    assert ds.cells[:, 0].tolist() == [0, 1, 0]
+    assert external_from_csv(p, "color").values == {"i1": 0, "i2": 1, "i3": 0}
 
 
 def test_cross_with_synthetic_assignment():

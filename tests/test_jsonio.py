@@ -6,6 +6,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -165,3 +167,28 @@ def test_failed_write_is_an_io_error_and_leaves_no_temp_file(tmp_path):
     with pytest.raises(IOErrorCategory):
         jsonio.write_json(target, {"k": 1})
     assert [p.name for p in tmp_path.iterdir()] == ["dir-in-the-way"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_get_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as fh:
+            fh.write("x\n")
+        (tmp_path / "b.json").write_text("old\n", encoding="utf-8")
+        os.chmod(tmp_path / "b.json", 0o600)
+        jsonio.write_atomic(tmp_path / "a.txt", "one\n")
+        jsonio.write_json(tmp_path / "b.json", {"k": [1]})
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ingest", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(old)
+    modes = {
+        p.name: stat.S_IMODE(p.stat().st_mode)
+        for p in [*tmp_path.iterdir(), *(tmp_path / "out").iterdir()]
+        if p.is_file()
+    }
+    assert modes == {
+        "plain.txt": mode, "a.txt": mode, "b.json": mode,
+        "marriages.dataset.json": mode,
+    }
