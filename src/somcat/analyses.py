@@ -112,13 +112,17 @@ class KdisjSampler:
     """
 
     def __init__(self, dc: np.ndarray):
-        self.dc = np.asarray(dc, dtype=np.float64)
+        # One M x N copy: row j holds column j of dc contiguously, for the
+        # modality draws, the adopters and the modality assignment; dc's
+        # rows are its strided view.
+        self.columns = np.ascontiguousarray(np.asarray(dc, dtype=np.float64).T)
+        self.dc = self.columns.T
         self.n, self.m = self.dc.shape
         self.dim = self.m + self.n
         self._search_ind = DistanceMask(0, self.m)
         self._update_all = DistanceMask(0, self.dim)
         self._mod_mask = DistanceMask(self.m, self.dim)
-        self._adopters = [np.flatnonzero(col > 0) for col in self.dc.T]
+        self._adopters = [np.flatnonzero(col > 0) for col in self.columns]
         self._held: np.ndarray | None = None  # M x U: j has an adopter at u
         self._drawn = 0  # modality of the last odd draw
 
@@ -128,10 +132,10 @@ class KdisjSampler:
             i = int(rng.integers(0, self.n))
             j = kdisj_associate(self.dc[i], rng)
             x[: self.m] = self.dc[i]
-            x[self.m:] = self.dc[:, j]
+            x[self.m:] = self.columns[j]
             return x, self._search_ind, self._update_all
         j = int(rng.integers(0, self.m))
-        x[self.m:] = self.dc[:, j]
+        x[self.m:] = self.columns[j]
         self._drawn = j
         return x, self._mod_mask, self._mod_mask
 
@@ -178,14 +182,7 @@ class AnalysisResult:
     def _pack(a: MapAssignment | None) -> dict | None:
         if a is None:
             return None
-        members = {
-            str(u): mem for u, mem in sorted(a.members_by_unit().items()) if mem
-        }
-        return {
-            "items": list(a.labels),
-            "units": a.units.tolist(),
-            "members": members,
-        }
+        return {"items": list(a.labels), "units": a.units.tolist()}
 
     def to_json(self, model_file: str | None = None) -> dict:
         return {
@@ -299,18 +296,19 @@ def kdisj(
 ) -> AnalysisResult:
     """Simultaneous analysis of individuals and modalities on one map."""
     disj = to_disjunctive(ds)
-    dc = corrected_disjunctive(disj).entries
+    sampler = KdisjSampler(corrected_disjunctive(disj).entries)
+    dc = sampler.dc
     n, m = dc.shape
     lo = np.concatenate([dc.min(axis=0), dc.min(axis=1)])
     hi = np.concatenate([dc.max(axis=0), dc.max(axis=1)])
     model, qe_log = _train(
-        "kdisj", ds, topology, config, KdisjSampler(dc), m + n, ranges=(lo, hi),
+        "kdisj", ds, topology, config, sampler, m + n, ranges=(lo, hi),
         observer=observer,
     )
     individuals = assign(model, dc, mask=DistanceMask(0, m), labels=disj.individuals)
     modalities = assign(
         model,
-        dc.T,
+        sampler.columns,
         mask=DistanceMask(m, m + n),
         labels=disj.names,
         units=individuals.counts > 0,

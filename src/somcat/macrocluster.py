@@ -18,9 +18,9 @@ a < b of two active nodes is finite; every other entry is inf.  argmin
 scans it row-major and returns the first minimum, which is the
 lexicographically smallest cheapest pair, so the tie rule needs no code of
 its own.  Squared distances, for the initial costs and for attaching empty
-units at a cut, come from som._squared_distances, the kernel assignment
-uses; it calls no BLAS routine, so the merge costs do not depend on how many
-threads a BLAS library runs.
+units at a cut, come from som._squared_distances, the difference-form
+code-vs-code kernel; it calls no BLAS routine, so the merge costs do not
+depend on how many threads a BLAS library runs.
 """
 
 from __future__ import annotations

@@ -312,7 +312,10 @@ def bmu(
     """Best matching unit: least squared distance on the masked components.
 
     ``units`` (one boolean per unit) limits the search to the units marked
-    True.  Ties resolve to the lowest unit index.
+    True.  Ties resolve to the lowest unit index.  This is every training
+    step's search, in the difference form sum((x - w)**2): one input against
+    the units, where gathering nonzeros would save little.  Batch passes over
+    many rows use _row_distances.
     """
     xm = _masked_input(x, mask, model.dim)
     if not np.isfinite(xm).all():
@@ -370,8 +373,8 @@ def _masked_rows(model: SomModel, rows, mask: DistanceMask | None) -> np.ndarray
     raise DimensionError("rows match neither full dim nor mask width")
 
 
-# Elements (rows x units x width) of one distance block: 2**16 float64 is
-# 512 KiB, about the size of an L2 cache.
+# Elements of one distance block: 2**16 float64 is 512 KiB, about the size
+# of an L2 cache.
 DISTANCE_BLOCK = 1 << 16
 
 
@@ -383,7 +386,14 @@ def _blocks(size: int, step: int):
 
 
 def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Squared distance from every row to every code vector, n x U.
+    """Squared distance from every row to every code vector, n x U, in the
+    difference form sum((x - w)**2).
+
+    This kernel serves code-vs-code distances (Ward, neighbour statistics,
+    orphan placement): both sides are dense, two code vectors can lie far
+    closer together than their norms, where the expanded form would lose
+    the distance to cancellation, and the pinned dendrogram bytes rest on
+    this arithmetic.  Data rows go through _row_distances instead.
 
     The difference and its einsum reduction run one block at a time: as
     many rows as fit DISTANCE_BLOCK elements with all units, and when two rows
@@ -392,8 +402,7 @@ def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     row or unit of several: einsum reduces one wide row against one unit
     through another loop, whose last bits differ.  Blocks of two or more
     give the bits of one block over everything, so the blocking never shows
-    in the result.  bmu() reduces a single input with another einsum, and
-    on wide rows its distances can differ from these in the last bits.
+    in the result.
     """
     n, width = rows.shape
     u = code.shape[0]
@@ -407,6 +416,68 @@ def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Squared distance from every data row to every code vector, n x U, as
+    ||x||^2 - 2<x, w> + ||w||^2 over the nonzero entries of each row.
+
+    This kernel serves the batch passes over data: the quantization-error
+    checkpoints and assign().  A corrected disjunctive row holds K nonzeros
+    out of M columns, so the cross term gathers K code columns where the
+    difference form would subtract across all M.  bmu() and train_step()
+    keep the difference form, so training trajectories do not depend on
+    this kernel (except where a checkpoint's argmin feeds a sampler).
+
+    ||x||^2 and the cross term add the row's nonzero entries one at a time
+    in column order, with element-wise numpy multiply-adds, and ||w||^2 is
+    one einsum per code vector; nothing calls BLAS or starts a thread.  So
+    a row's distances have the same bits whatever other rows or units
+    share the call, whatever the block size, and whether the rows are a
+    strided view or a contiguous copy.  The rows are scanned and gathered
+    one block at a time, as many rows as fit DISTANCE_BLOCK elements of
+    their width or of the unit count, so no temporary grows with the
+    product of rows, units and width.  A distance far below the norms
+    loses relative precision to cancellation and can round to a small
+    negative.
+    """
+    n, width = rows.shape
+    u = code.shape[0]
+    w2 = np.einsum("uw,uw->u", code, code)
+    step = max(1, DISTANCE_BLOCK // max(width, u))
+    out = np.empty((n, u))
+    for start in range(0, n, step):
+        _block_row_distances(rows[start:start + step], code.T, w2, out[start:start + step])
+    return out
+
+
+def _block_row_distances(block, by_column, w2, out) -> None:
+    """_row_distances of one block of rows into ``out``; ``by_column`` is
+    the code transposed (a view), so row c holds component c of every unit.
+    A call of its own, so the block's temporaries are freed before the next
+    block's scan."""
+    size = block.shape[0]
+    # The k-th nonzero of each row in its column order, padded with zero
+    # values at column 0 up to the block's largest count.
+    r, c = np.nonzero(block != 0)
+    counts = np.bincount(r, minlength=size)
+    depth = int(counts.max(initial=0))
+    rank = np.arange(len(r))
+    rank -= (np.cumsum(counts) - counts)[r]
+    vals = np.zeros((depth, size))
+    vals[rank, r] = block[r, c]
+    cols = np.zeros((depth, size), dtype=np.intp)
+    cols[rank, r] = c
+    x2 = np.zeros(size)
+    out[:] = 0.0
+    for k in range(depth):
+        x2 += vals[k] * vals[k]
+        term = by_column[cols[k]]
+        term *= vals[k][:, np.newaxis]
+        out += term
+    out *= -2.0
+    out += x2[:, np.newaxis]
+    out += w2
+
+
 def quantization_error(
     model: SomModel,
     rows: np.ndarray,
@@ -416,10 +487,10 @@ def quantization_error(
     """Mean squared distance from each row to its best matching unit.
 
     ``bmus``, an integer array with one slot per row, receives each row's
-    best matching unit from the same distances.
+    best matching unit from the same distances (_row_distances).
     """
     rows = _masked_rows(model, rows, mask)
-    d2 = _squared_distances(rows, _masked_code(model, mask))
+    d2 = _row_distances(rows, _masked_code(model, mask))
     if bmus is not None:
         bmus[:] = np.argmin(d2, axis=1)
     return float(np.mean(np.maximum(d2.min(axis=1), 0.0)))
@@ -533,10 +604,12 @@ def assign(
 ) -> MapAssignment:
     """Map every row to its best matching unit (deterministic, no learning).
 
-    ``units`` limits every row's search as in ``bmu``.
+    ``units`` limits every row's search as in ``bmu``.  Distances come from
+    _row_distances, so on wide rows a near tie can resolve otherwise than
+    in ``bmu``.
     """
     rows = _masked_rows(model, rows, mask)
-    d2 = _squared_distances(rows, _masked_code(model, mask))
+    d2 = _row_distances(rows, _masked_code(model, mask))
     if units is None:
         best = np.argmin(d2, axis=1)
     else:

@@ -62,9 +62,23 @@ class BurtTable:
 
 
 def burt(disj: DisjunctiveTable) -> BurtTable:
+    """B = D'D, multiplied in float64 and cast back to int64.
+
+    numpy runs an int64 matrix product in its own loop, without BLAS.  Every
+    partial sum of D'D is a count below 2**53, so the float64 products and
+    their sum are exact whatever order BLAS sums in.  The rows are converted
+    and multiplied in blocks of at most 2**16 entries, so no float copy of
+    the whole table is made.
+    """
     d = disj.entries
+    n, m = d.shape
+    step = max(1, (1 << 16) // m)
+    entries = np.zeros((m, m))
+    for start in range(0, n, step):
+        block = d[start:start + step].astype(np.float64)
+        entries += block.T @ block
     return BurtTable(
-        entries=d.T @ d,
+        entries=entries.astype(np.int64),
         block_offsets=disj.block_offsets,
         counts=disj.counts.copy(),
         names=disj.names,

@@ -350,6 +350,36 @@ def test_render_command_reads_result_without_model(trained, capsys):
     assert (outdir / f"{base}.txt").exists()
 
 
+def test_result_with_members_key_loads_and_renders_as_before(trained, capsys):
+    """Results written before the ``members`` key was dropped still load, and
+    the key plays no part in what they draw."""
+    outdir, result = trained
+    blob = load(result)
+    legacy_dir = outdir / "legacy"
+    legacy_dir.mkdir()
+    for family in ("modalities", "individuals"):
+        packed = blob[family]
+        assert set(packed) == {"items", "units"}
+        members = {}
+        for item, unit in zip(packed["items"], packed["units"]):
+            members.setdefault(str(unit), []).append(item)
+        packed["members"] = dict(sorted(members.items(), key=lambda kv: int(kv[0])))
+    legacy = legacy_dir / result.name
+    legacy.write_text(json.dumps(blob, indent=2), encoding="utf-8")
+
+    old, new = AnalysisResult.from_json(load(legacy)), AnalysisResult.from_json(load(result))
+    for family in ("modalities", "individuals"):
+        a, b = getattr(old, family), getattr(new, family)
+        assert a.labels == b.labels and np.array_equal(a.units, b.units)
+    drawn = {}
+    for path in (result, legacy):
+        summary = run_json(capsys, "render", "--result", str(path), "--render", "both")
+        drawn[path] = [
+            (path.parent / f"{summary['base']}.{ext}").read_bytes() for ext in ("svg", "txt")
+        ]
+    assert drawn[result] == drawn[legacy]
+
+
 def test_pies_and_render_read_only_the_result(trained, capsys):
     outdir, result = trained
     (outdir / "marriages.kdisj.0.model.json").write_text("{not json", encoding="utf-8")

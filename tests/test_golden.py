@@ -55,44 +55,44 @@ SURVEY_SCHEMA = {"variables": [
 EXTERNAL_COLUMN = "color"
 
 GOLDEN = {
-    "marriages.kmca.0.result.json": "0d50dee0e056f96ae3d8ef93aae9940bb33c1dd8e6655c46e4fb6af7193fd47d",
+    "marriages.kmca.0.result.json": "c0b5cfd3c3408ef9eea568214d2502e108bba10df397fc6399e112cadac04f18",
     "marriages.kmca.0.model.json": "45d23eb2fae72e02d8229b30ff9615b91db8c3e8d5118f1abfe0c738d908c6f9",
     "marriages.kmca.0.macro.json": "f684fd56edaeff22630231a5d6c7a1582bb7b7b12f3726fb4d5fbd631c5aa912",
-    "marriages.kmca.1.result.json": "a5d5db6171794c5e317dc11302aa05fa8b2228302fcbe6f0a2fc448666b6cabf",
+    "marriages.kmca.1.result.json": "b62f80ae33556dc6cb581d45b161511c932c305166412c4dca72d8efe9c09201",
     "marriages.kmca.1.model.json": "5497e17e9cb186e445a3e536fab6da8c478f01ba463528a6deb73d3506f739f9",
     "marriages.kmca.1.macro.json": "59797c11e9e2ae22165ffef7358d7068f9b31baa67617f5359c0ad0bc677d928",
-    "marriages.kmca.2.result.json": "ee901c041bcb6fc6cf841808a03b6558d61f5c1cbb26154a392b3daf67a8da78",
+    "marriages.kmca.2.result.json": "92298a88b62d62147756ccca2bee2da5e79267300fe5b432e6592658363df856",
     "marriages.kmca.2.model.json": "c7abe2cfdc09be489726895465ebf64752a8571c83387f73bd3f22fbfaf3d4d2",
     "marriages.kmca.2.macro.json": "c61fa91bd585c99fafb6574fcaf1ceb68fb0c8b9545b390c5f42d29115c5a123",
     "marriages.kmca.stability.json": "edbf37c195554ebc762db02a1b266df033e8acd0a06ec6f7ca6e4f0eb37a2005",
-    "marriages.kmca-ind.0.result.json": "965c20f1ceb41b3c2e80a7d8cad3fd556a080a439cc7c5efe0734f5153d1bc6a",
+    "marriages.kmca-ind.0.result.json": "0cb93113046242ced8fb98a5c0c2be3cf2a79621c98ec8c6eaceb6931e19a2e3",
     "marriages.kmca-ind.0.model.json": "5a09c0999146e80549363eec6e077df2a330efd61c7f73b8941e5646342c2460",
     "marriages.kmca-ind.0.macro.json": "59cba41751181539ead05000c4a31d657d1ef9fb743cef68b42f8244c88c1081",
     "marriages.kmca-ind.0.deviations.json": "8caf570e727525bfbf8b78b560bb4202487254bbb29af492f658fd091d643a5e",
-    "marriages.kmca-ind.1.result.json": "2201b6b47b453e9dd3c346f3f394b331f11a982cce4991a54a7176c694db0f4d",
+    "marriages.kmca-ind.1.result.json": "b4ef7811952de63d4ba02079847064f86e16e180c36cd73ee48e2850bd4bf391",
     "marriages.kmca-ind.1.model.json": "39498a32b3e54b52fbe2f699f04ffc271c3c313b081d297bece44cf170eef0cd",
     "marriages.kmca-ind.1.macro.json": "94758100fdd99e4467e83d0ed7e71790c83b7f1bcb79f1bef4ea810b4e38c660",
     "marriages.kmca-ind.1.deviations.json": "4978b6437e5b96faf5d51ac531ce9a6b373183db19787e24e2468290196bd384",
-    "marriages.kmca-ind.2.result.json": "780b7a79af599e1139a21906c9fc1727714adfc4724ff54574eea503b123ae23",
+    "marriages.kmca-ind.2.result.json": "364797839bb8b062bc776bbe737ecac9391c201ebe91eb9760f92609e7ae3c67",
     "marriages.kmca-ind.2.model.json": "f31e12f12cdfa0e20482870c0ec8359ad327a030e5654fa00d8e9f0e4bb50556",
     "marriages.kmca-ind.2.macro.json": "339c39b382a6163972698584d23a91d807a002f683bece0770d9deaf94086f0a",
     "marriages.kmca-ind.2.deviations.json": "adfb73ccf12ee8cada45541de64501db0f1f979e24cb0cb7198ee26badfc3c03",
     "marriages.kmca-ind.stability.json": "b4dc271d0eb2d36280b08bfc4c39bf7758aaf5c99443fb63287010544919f503",
-    "marriages.kdisj.0.result.json": "c218f81d926fd352de9737335fbea7f0c3328e289f9a5a4f157afb787b1dc659",
+    "marriages.kdisj.0.result.json": "83f37602419db15f00294a8d1d1abb5158122d365466fcf5da8fb10c6524cc58",
     "marriages.kdisj.0.model.json": "baa3b00fff2ef5eaea754378e3bf45cdcedb2e4e0c67669761fffd1de8fae809",
     "marriages.kdisj.0.macro.json": "35d384107dd2cac0ef175a1ddd445207d2ef787394a2ae6af0dcf621f9105087",
     "marriages.kdisj.0.deviations.json": "89ef02346cb1b72ddd3f785289d4f43291a9ceaa11892b3e6fcf121266287fa2",
-    "marriages.kdisj.1.result.json": "a9499a1e2ba77f3db802e912a38346de8c9fd739d44b1738696fc8fca9c5b89c",
+    "marriages.kdisj.1.result.json": "2220066d206e72635205c88996acecf13ca240a17d7d5db42babd399b1610a22",
     "marriages.kdisj.1.model.json": "01f615d48c2d9a50b90f9a9ef477107bd4b899d68b117ea64b207bc89095cfea",
     "marriages.kdisj.1.macro.json": "00599b0ba1a9cda2f48d899ce46c7a5f7bb7a68b50a619238875745725743fff",
     "marriages.kdisj.1.deviations.json": "30962128b5ef7e7c0f389548d95bfd2ed56ae51b5a90786e9ec8b4ddd7d8fd33",
-    "marriages.kdisj.2.result.json": "af8042eb416c9965e6bbbe5928f9a8461e424df6f249bda89272a94755f960d9",
+    "marriages.kdisj.2.result.json": "e0956f1906d504348563964493f1160054a83655810b0985d3a6d80c6a64bb67",
     "marriages.kdisj.2.model.json": "7b33c1c37db48ebf94e5285524922ce90bcbfa9f41f7711dfe0d1fa94acd62c1",
     "marriages.kdisj.2.macro.json": "413a1bba6b14d3db52488b149dd62711ea20e7630331fbed68401706b69929fc",
     "marriages.kdisj.2.deviations.json": "acbc2273b16b624a3802e8a460985aff758c8eed4c600d77d7d5461f6295ec1b",
     "marriages.kdisj.stability.json": "13ad88223157a3e12147c7abccdc663294d60f77bcb415258b16f44aef0c17b5",
-    "marriages.report.json": "3ee79f69e4fc69616dc4b0ec3c733044651f48dc2299639f7c381aedc3dd9078",
-    "marriages.report.csv": "013a4bcaa7ab5f2bee4bcaf68ac9b2152efe479b657272e09a1cf4f288ec1445",
+    "marriages.report.json": "66a9f08fefdcf9d66249434a426c26344f4d1901f73f30c227b32a4ceb772e78",
+    "marriages.report.csv": "34ccd835e3274caea0f64329c9f711bc121b50f709244949b371d10d31d34230",
 }
 
 DENDROGRAM_GOLDEN = {

@@ -392,8 +392,12 @@ def test_assign_respects_mask_and_labels():
         a.unit_of("sideways")
 
 
-@pytest.mark.parametrize("n, units, width", [(61, 16, 60), (9, 16, 2048)])
-@pytest.mark.parametrize("block", [1, 4000, 3 * 2 * 2048, 1 << 16, 1 << 40])
+SHAPES = [(61, 16, 60), (9, 16, 2048)]
+BLOCKS = [1, 4000, 3 * 2 * 2048, 1 << 16, 1 << 40]
+
+
+@pytest.mark.parametrize("n, units, width", SHAPES)
+@pytest.mark.parametrize("block", BLOCKS)
 def test_distance_blocks_give_the_bits_of_one_block(
     n, units, width, block, monkeypatch
 ):
@@ -404,6 +408,66 @@ def test_distance_blocks_give_the_bits_of_one_block(
     whole = np.einsum("nuw,nuw->nu", diff, diff)
     monkeypatch.setattr(som, "DISTANCE_BLOCK", block)
     assert np.array_equal(som._squared_distances(rows, code), whole)
+
+
+def k_hot_rows(rng, n, sizes):
+    """Corrected disjunctive rows: one 1 per question, each column scaled by
+    1/sqrt(K * b_j) as tables.corrected_disjunctive does."""
+    offsets = np.cumsum((0,) + sizes[:-1])
+    ones = np.zeros((n, sum(sizes)))
+    for off, size in zip(offsets, sizes):
+        ones[np.arange(n), off + rng.integers(0, size, n)] = 1.0
+    counts = np.maximum(ones.sum(axis=0), 1.0)
+    return ones / np.sqrt(len(sizes) * counts)
+
+
+def row_distance_cases():
+    rng = np.random.default_rng(23)
+    k_hot = k_hot_rows(rng, 300, (6,) * 10)
+    return {
+        "dense": (rng.normal(size=(50, 7)), rng.normal(size=(9, 7))),
+        "k-hot": (k_hot, rng.random((16, 60)) * k_hot.max(axis=0)),
+        "wide": (rng.random((12, 4000)), rng.random((8, 4000))),
+        "zero": (np.zeros((5, 30)), rng.normal(size=(6, 30))),
+    }
+
+
+@pytest.mark.parametrize("case", ["dense", "k-hot", "wide", "zero"])
+def test_row_distances_agree_with_the_difference_form(case):
+    rows, code = row_distance_cases()[case]
+    got = som._row_distances(rows, code)
+    want = som._squared_distances(rows, code)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n, units, width", SHAPES)
+@pytest.mark.parametrize("block", BLOCKS)
+def test_row_distances_ignore_blocks_and_call_partners(
+    n, units, width, block, monkeypatch
+):
+    rng = np.random.default_rng(24)
+    rows = rng.random((n, width))
+    rows[rows < 0.7] = 0.0  # rows with different nonzero counts
+    rows[::4] = 0.0  # and all-zero rows between them
+    code = rng.random((units, width + 3))[:, 3:]  # a strided mask view
+    whole = som._row_distances(rows, code)
+    monkeypatch.setattr(som, "DISTANCE_BLOCK", block)
+    assert np.array_equal(som._row_distances(rows, code), whole)
+    for pick in (slice(None, None, -1), slice(1, None, 3), slice(n // 2, n // 2 + 1)):
+        assert np.array_equal(som._row_distances(rows[pick], code), whole[pick])
+    for pick in (slice(None, None, 2), slice(units - 1, None), slice(3, 7)):
+        assert np.array_equal(som._row_distances(rows, code[pick]), whole[:, pick])
+
+
+def test_row_distances_of_a_strided_view_equal_those_of_its_copy():
+    rng = np.random.default_rng(25)
+    dc = k_hot_rows(rng, 400, (5, 4, 3))
+    code = rng.random((16, 400 + 12))
+    view, copy = dc.T, np.ascontiguousarray(dc.T)  # kdisj's modality rows
+    got = som._row_distances(view, code[:, 12:])
+    assert np.array_equal(got, som._row_distances(copy, code[:, 12:]))
+    assert np.array_equal(got, som._row_distances(copy, code[:, 12:].copy()))
 
 
 def test_distance_blocks_hold_no_lone_item():

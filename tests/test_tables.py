@@ -69,6 +69,15 @@ def test_burt_equals_cross_products_on_random_data():
         assert np.array_equal(burt(disj).entries, expect)
 
 
+def test_burt_float_product_equals_the_int64_product():
+    rng = np.random.default_rng(12)
+    for n, sizes in ((40, (3, 4, 2)), (3000, (6,) * 10), (500, (2, 9, 5, 3))):
+        disj = to_disjunctive(random_dataset(rng, n=n, sizes=sizes))
+        entries = burt(disj).entries
+        assert entries.dtype == np.int64
+        assert np.array_equal(entries, disj.entries.T @ disj.entries)
+
+
 # ----------------------------------------------------------- corrected tables
 
 def test_corrected_burt_direct_formula(marriage_disj, marriage_burt):
