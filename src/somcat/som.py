@@ -445,7 +445,8 @@ def _row_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     step = max(1, DISTANCE_BLOCK // max(width, u))
     out = np.empty((n, u))
     for start in range(0, n, step):
-        _block_row_distances(rows[start:start + step], code.T, w2, out[start:start + step])
+        span = slice(start, start + step)
+        _block_row_distances(rows[span], code.T, w2, out[span])
     return out
 
 

@@ -367,16 +367,16 @@ def test_result_with_members_key_loads_and_renders_as_before(trained, capsys):
     legacy = legacy_dir / result.name
     legacy.write_text(json.dumps(blob, indent=2), encoding="utf-8")
 
-    old, new = AnalysisResult.from_json(load(legacy)), AnalysisResult.from_json(load(result))
+    old = AnalysisResult.from_json(load(legacy))
+    new = AnalysisResult.from_json(load(result))
     for family in ("modalities", "individuals"):
         a, b = getattr(old, family), getattr(new, family)
         assert a.labels == b.labels and np.array_equal(a.units, b.units)
     drawn = {}
     for path in (result, legacy):
         summary = run_json(capsys, "render", "--result", str(path), "--render", "both")
-        drawn[path] = [
-            (path.parent / f"{summary['base']}.{ext}").read_bytes() for ext in ("svg", "txt")
-        ]
+        names = [f"{summary['base']}.{ext}" for ext in ("svg", "txt")]
+        drawn[path] = [(path.parent / name).read_bytes() for name in names]
     assert drawn[result] == drawn[legacy]
 
 
