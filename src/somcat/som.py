@@ -190,6 +190,9 @@ class SomModel:
     code_vectors: np.ndarray          # U x dim
     trained_steps: int = 0
     rng: np.random.Generator = None   # type: ignore[assignment]
+    # Set by train() for the length of one run: per searched block (lo, hi),
+    # each unit's ||w_u||^2 and whether an update has touched it since.
+    _norms: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.code_vectors = np.ascontiguousarray(self.code_vectors, dtype=np.float64)
@@ -313,18 +316,43 @@ def bmu(
 
     ``units`` (one boolean per unit) limits the search to the units marked
     True.  Ties resolve to the lowest unit index.  This is every training
-    step's search, in the difference form sum((x - w)**2): one input against
-    the units, where gathering nonzeros would save little.  Batch passes over
-    many rows use _row_distances.
+    step's search, in the difference form sum((x - w)**2), except inside
+    train() on a block of more than DISTANCE_BLOCK elements (kdisj's
+    modality steps on a wide dataset): there the search is _norm_distances,
+    whose last bits differ, so a near tie can resolve otherwise.  Batch
+    passes over many rows use _row_distances.
     """
     xm = _masked_input(x, mask, model.dim)
     if not np.isfinite(xm).all():
         raise DimensionError("input vector contains non-finite values")
-    diff = _masked_code(model, mask) - xm
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    code = _masked_code(model, mask)
+    if code.size > DISTANCE_BLOCK and model._norms is not None:
+        key = (0, model.dim) if mask is None else (mask.lo, mask.hi)
+        d2 = _norm_distances(model._norms, key, code, xm)
+    else:
+        diff = code - xm
+        d2 = np.einsum("ij,ij->i", diff, diff)
     if units is None:
         return int(d2.argmin())
     return int(_best_among(d2, units, model.topology.n_units))
+
+
+def _norm_distances(norms: dict, key, code: np.ndarray, xm: np.ndarray) -> np.ndarray:
+    """||w||^2 - 2<x, w> for every unit, the squared distance less ||x||^2.
+
+    ``norms[key]`` holds each unit's ||w||^2 on this block and the units an
+    update has touched since, which alone are summed again, one einsum each.
+    The cross term gathers the units' components at the input's nonzeros (a
+    corrected modality column holds b_j of N): one einsum, no BLAS.
+    """
+    if key not in norms:
+        norms[key] = (np.empty(len(code)), np.ones(len(code), dtype=bool))
+    w2, stale = norms[key]
+    for u in np.flatnonzero(stale):
+        w2[u] = np.einsum("w,w->", code[u], code[u])
+    stale[:] = False
+    nz = np.flatnonzero(xm)
+    return w2 - 2.0 * np.einsum("un,n->u", code[:, nz], xm[nz])
 
 
 def train_step(
@@ -353,11 +381,16 @@ def train_step(
     eps = cfg.epsilon(t, topo.n_units)
     r, c = divmod(winner, topo.cols)
     lo, hi = (0, model.dim) if update_mask is None else (update_mask.lo, update_mask.hi)
+    r0, c0 = max(r - rho, 0), max(c - rho, 0)
     # Splitting the unit axis is a view for any strides, so the update lands
     # in the model's own array.
     grid = model.code_vectors.reshape(topo.rows, topo.cols, model.dim)
-    block = grid[max(r - rho, 0):r + rho + 1, max(c - rho, 0):c + rho + 1, lo:hi]
+    block = grid[r0:r + rho + 1, c0:c + rho + 1, lo:hi]
     block += eps * (x[lo:hi] - block)
+    if model._norms:
+        for (a, b), (_, stale) in model._norms.items():
+            if a < hi and lo < b:  # the update moved components of a cached block
+                stale.reshape(topo.rows, topo.cols)[r0:r + rho + 1, c0:c + rho + 1] = True
     model.trained_steps += 1
     return winner
 
@@ -432,21 +465,33 @@ def _row_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     one einsum per code vector; nothing calls BLAS or starts a thread.  So
     a row's distances have the same bits whatever other rows or units
     share the call, whatever the block size, and whether the rows are a
-    strided view or a contiguous copy.  The rows are scanned and gathered
-    one block at a time, as many rows as fit DISTANCE_BLOCK elements of
-    their width or of the unit count, so no temporary grows with the
-    product of rows, units and width.  A distance far below the norms
+    strided view or a contiguous copy.  The rows go one block at a time, as
+    many as keep their number times the larger of the unit count and their
+    largest nonzero count within DISTANCE_BLOCK, which bounds the block's
+    padded arrays and gathers; rows wider than the unit count are counted
+    first, DISTANCE_BLOCK elements at a time.  So no temporary grows with
+    the product of rows, units and width.  A distance far below the norms
     loses relative precision to cancellation and can round to a small
     negative.
     """
     n, width = rows.shape
     u = code.shape[0]
     w2 = np.einsum("uw,uw->u", code, code)
-    step = max(1, DISTANCE_BLOCK // max(width, u))
+    cost = np.full(n, u, dtype=np.intp)  # a row's nonzeros, or u if more
+    if width > u:
+        scan = max(1, DISTANCE_BLOCK // width)
+        for s in range(0, n, scan):
+            counts = np.count_nonzero(rows[s:s + scan], axis=1)
+            np.maximum(counts, u, out=cost[s:s + scan])
     out = np.empty((n, u))
-    for start in range(0, n, step):
-        span = slice(start, start + step)
+    start = 0
+    while start < n:
+        need = np.maximum.accumulate(cost[start:start + DISTANCE_BLOCK // u + 1])
+        need *= np.arange(1, len(need) + 1)
+        size = max(1, int(np.count_nonzero(need <= DISTANCE_BLOCK)))
+        span = slice(start, start + size)
         _block_row_distances(rows[span], code.T, w2, out[span])
+        start += size
     return out
 
 
@@ -554,15 +599,19 @@ def train(model, sampler, checkpoints=None, observer=None):
         qe_log.append((steps, qe))
         sampler.locate(bmus, model.topology.n_units)
 
-    if 0 in marks:
-        checkpoint(0)
-    for t in range(t_max):
-        x, smask, umask = sampler.draw(t, model.rng)
-        train_step(model, x, t, smask, umask, sampler.candidates(t))
-        if observer is not None:
-            observer(t, x, smask, umask, model)
-        if (t + 1) in marks:
-            checkpoint(t + 1)
+    model._norms = {}
+    try:
+        if 0 in marks:
+            checkpoint(0)
+        for t in range(t_max):
+            x, smask, umask = sampler.draw(t, model.rng)
+            train_step(model, x, t, smask, umask, sampler.candidates(t))
+            if observer is not None:
+                observer(t, x, smask, umask, model)
+            if (t + 1) in marks:
+                checkpoint(t + 1)
+    finally:
+        model._norms = None  # no search after the run reads a norm it held
     return model, qe_log
 
 

@@ -295,6 +295,78 @@ def test_every_step_calls_train_step_then_bmu_once(monkeypatch, marriage, algori
     assert calls == {"train_step": 40, "bmu": 40}
 
 
+def test_kdisj_golden_digests_hold_with_the_cached_search_forced_on(monkeypatch,
+                                                                    tmp_path):
+    """With the size gate open to every search, the cached-norm search
+    reproduces every pinned kdisj artifact of the marriage runs."""
+    import test_golden
+
+    blocks = set()
+    original = som._norm_distances
+
+    def recorded(norms, key, code, xm):
+        blocks.add(key)
+        return original(norms, key, code, xm)
+
+    monkeypatch.setattr(som, "_norm_distances", recorded)
+    monkeypatch.setattr(som, "DISTANCE_BLOCK", 1)
+    got = test_golden.digests("kdisj", tmp_path)
+    assert got == {k: v for k, v in test_golden.GOLDEN.items() if ".kdisj." in k}
+    assert blocks == {(0, 12), (12, 282)}
+
+
+def gated_kdisj_model(marriage, t_max=400):
+    """A fresh kdisj model on the marriage data and its sampler; under a
+    DISTANCE_BLOCK of 1000 its modality steps (16 units x 270 components)
+    search above the size gate and its individual steps (16 x 12) below."""
+    sampler = KdisjSampler(corrected_disjunctive(to_disjunctive(marriage)).entries)
+    return init_model(TOPO, 282, small_cfg(t_max=t_max)), sampler
+
+
+def test_cached_norms_match_their_units_after_every_step(monkeypatch, marriage):
+    monkeypatch.setattr(som, "DISTANCE_BLOCK", 1000)
+    checked = []
+
+    def observer(t, x, smask, umask, model):
+        assert set(model._norms) == ({(12, 282)} if t else set())
+        for (lo, hi), (w2, stale) in model._norms.items():
+            block = model.code_vectors[:, lo:hi]
+            fresh = np.array([np.einsum("w,w->", w, w) for w in block])
+            np.testing.assert_allclose(w2[~stale], fresh[~stale], rtol=1e-12, atol=0)
+            checked.append(int(np.sum(~stale)))
+
+    som.train(*gated_kdisj_model(marriage), observer=observer)
+    assert len(checked) == 399 and min(checked) > 0
+
+
+def test_bmu_after_training_uses_the_difference_form(monkeypatch, marriage):
+    """Once train() has returned or raised, no search reads its cached norms,
+    even on a model whose code vectors were edited since."""
+    monkeypatch.setattr(som, "DISTANCE_BLOCK", 1000)
+
+    def stop(t, x, smask, umask, model):
+        if t == 201:
+            raise RuntimeError("stop mid-schedule")
+
+    raised, sampler = gated_kdisj_model(marriage)
+    with pytest.raises(RuntimeError):
+        som.train(raised, sampler, observer=stop)
+    finished, _ = som.train(*gated_kdisj_model(marriage))
+
+    def fail(*args):
+        raise AssertionError("a search read the cached norms after training")
+
+    monkeypatch.setattr(som, "_norm_distances", fail)
+    rng = np.random.default_rng(9)
+    for model in (raised, finished):
+        assert model._norms is None
+        model.code_vectors[:, 12:] = rng.random((16, 270)) * 0.1
+        for x in sampler.columns:
+            d2 = np.einsum("uw,uw->u", model.code_vectors[:, 12:] - x,
+                           model.code_vectors[:, 12:] - x)
+            assert som.bmu(model, x, DistanceMask(12, 282)) == np.argmin(d2)
+
+
 def test_analysis_result_json_round_trip(marriage):
     res = kmca_ind(marriage, TOPO, small_cfg())
     blob = res.to_json(model_file="m.json")

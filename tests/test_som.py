@@ -477,6 +477,29 @@ def test_distance_blocks_hold_no_lone_item():
         assert sorted(set().union(*spans)) == list(range(size))
 
 
+def test_cached_search_picks_the_winner_of_the_difference_form():
+    """Inside a training run, a search over more than DISTANCE_BLOCK elements
+    goes through the cached unit norms; on K-hot corrected columns it picks
+    the difference form's winner, with and without a limit on the units."""
+    rng = np.random.default_rng(26)
+    columns = k_hot_rows(rng, 1200, (6,) * 10).T  # 60 modality columns
+    model = init_model(Topology.grid(8, 8), 1200, TrainConfig(t_max=10, seed=0),
+                       data=columns[:2])
+    # Units near mixtures of a few columns, as training leaves them.
+    mix = rng.random((64, 60)) ** 8
+    model.code_vectors[:] = mix / mix.sum(axis=1, keepdims=True) @ columns
+    model.code_vectors += rng.normal(scale=1e-3, size=model.code_vectors.shape)
+    assert model.code_vectors.size > som.DISTANCE_BLOCK
+    model._norms = {}  # as train() sets it for its run
+    for draw in range(1200):
+        x = columns[rng.integers(0, 60)]
+        units = None if draw % 2 else rng.random(64) < 0.3
+        d2 = np.einsum("uw,uw->u", model.code_vectors - x, model.code_vectors - x)
+        want = np.argmin(d2 if units is None else np.where(units, d2, np.inf))
+        assert bmu(model, x, units=units) == want
+    assert list(model._norms) == [(0, 1200)]
+
+
 def test_wide_assign_keeps_its_temporaries_small():
     rng = np.random.default_rng(22)
     rows = rng.random((40, 4000))  # a whole-input temporary: 82 MB
