@@ -80,7 +80,6 @@ from .som import (
 from .tables import (
     BurtTable,
     ContingencyStats,
-    CorrectedMatrix,
     Profiles,
     burt,
     chi2_distance,
@@ -100,7 +99,6 @@ __all__ = [
     "CategoricalDataset",
     "ConfigError",
     "ContingencyStats",
-    "CorrectedMatrix",
     "Dendrogram",
     "DeviationTable",
     "DisjunctiveTable",

@@ -82,16 +82,16 @@ def modality_mean_vectors(disj: DisjunctiveTable) -> np.ndarray:
     return b / counts[:, np.newaxis] / np.sqrt(counts)[np.newaxis, :] / np.sqrt(k)
 
 
-def kdisj_associate(row: np.ndarray, rng: np.random.Generator | None = None) -> int:
+def kdisj_associate(row: np.ndarray, rng: np.random.Generator) -> int:
     """Rarest chosen modality of a corrected disjunctive row.
 
     The corrected value of a chosen modality is 1/sqrt(K*b_j), so the
     largest entry marks the smallest count.  Exact ties are resolved by a
-    uniform draw when an RNG is given, else by the lowest column index.
+    uniform draw from ``rng``, which a row without a tie leaves untouched.
     """
     row = np.asarray(row, dtype=np.float64)
     hits = np.flatnonzero(row == row.max())
-    if len(hits) == 1 or rng is None:
+    if len(hits) == 1:
         return int(hits[0])
     return int(hits[rng.integers(0, len(hits))])
 
@@ -124,6 +124,7 @@ class KdisjSampler:
         self._mod_mask = DistanceMask(self.m, self.dim)
         self._adopters = [np.flatnonzero(col > 0) for col in self.columns]
         self._held: np.ndarray | None = None  # M x U: j has an adopter at u
+        self.bmus: np.ndarray | None = None  # each individual's unit, as last located
         self._drawn = 0  # modality of the last odd draw
 
     def draw(self, t: int, rng: np.random.Generator):
@@ -147,11 +148,12 @@ class KdisjSampler:
         return self._held[self._drawn]
 
     def locate(self, bmus: np.ndarray, n_units: int) -> None:
-        """Record which units hold adopters, from each individual's unit."""
+        """Record each individual's unit and which units hold adopters."""
         held = np.zeros((self.m, n_units), dtype=bool)
         for j, rows in enumerate(self._adopters):
             held[j, bmus[rows]] = True
         self._held = held
+        self.bmus = bmus
 
     @property
     def qe_rows(self) -> np.ndarray:
@@ -200,6 +202,10 @@ class AnalysisResult:
 
     @classmethod
     def from_json(cls, data: dict, model: SomModel | None = None) -> "AnalysisResult":
+        keys = ("algorithm", "topology", "provenance", "modalities", "individuals")
+        missing = [k for k in keys if k not in data] if isinstance(data, dict) else keys
+        if missing:
+            raise DataError(f"not an analysis result: no {', '.join(missing)}")
         topo = Topology.from_json(data["topology"])
         n_units = topo.n_units
 
@@ -228,11 +234,13 @@ class AnalysisResult:
 
 
 def _train(algorithm: str, ds: CategoricalDataset, topology: Topology,
-           config: TrainConfig | None, sampler, dim: int, data=None, ranges=None,
-           observer=None) -> tuple[SomModel, list[tuple[int, float]]]:
+           config: TrainConfig | None, sampler, dim: int, labels, data=None,
+           ranges=None, observer=None
+           ) -> tuple[SomModel, list[tuple[int, float]], MapAssignment]:
     """Initialize a map of ``dim`` components from ``data`` or ``ranges`` and
     train it on ``sampler``; an unset t_max takes the algorithm's default
-    budget for ``ds``."""
+    budget for ``ds``.  Returns the model, its QE log and the units of the
+    sampler's QE rows, named by ``labels``, from the last checkpoint."""
     config = config or TrainConfig()
     if config.t_max is None:
         steps = default_iterations(
@@ -240,7 +248,10 @@ def _train(algorithm: str, ds: CategoricalDataset, topology: Topology,
         )
         config = dataclasses.replace(config, t_max=steps)
     model = init_model(topology, dim, config, data=data, ranges=ranges)
-    return train(model, sampler, observer=observer)
+    model, qe_log = train(model, sampler, observer=observer)
+    rows = MapAssignment(labels=tuple(labels), units=sampler.bmus,
+                         n_units=topology.n_units)
+    return model, qe_log, rows
 
 
 def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
@@ -262,12 +273,13 @@ def kmca(
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on the corrected Burt rows; map positions for modalities only."""
-    bc = corrected_burt(burt(to_disjunctive(ds)))
-    rows = bc.entries
-    model, qe_log = _train(
-        "kmca", ds, topology, config, UniformRowSampler(rows), rows.shape[1], data=rows
+    bt = burt(to_disjunctive(ds))
+    rows = corrected_burt(bt)
+    model, qe_log, modalities = _train(
+        "kmca", ds, topology, config, UniformRowSampler(rows), rows.shape[1],
+        bt.names, data=rows,
     )
-    return _result("kmca", ds, model, qe_log, assign(model, rows, labels=bc.row_labels))
+    return _result("kmca", ds, model, qe_log, modalities)
 
 
 def kmca_ind(
@@ -277,13 +289,11 @@ def kmca_ind(
 ) -> AnalysisResult:
     """Train on corrected disjunctive rows; modalities placed by mean vector."""
     disj = to_disjunctive(ds)
-    dc = corrected_disjunctive(disj)
-    rows = dc.entries
-    model, qe_log = _train(
+    rows = corrected_disjunctive(disj)
+    model, qe_log, individuals = _train(
         "kmca-ind", ds, topology, config, UniformRowSampler(rows), rows.shape[1],
-        data=rows,
+        disj.individuals, data=rows,
     )
-    individuals = assign(model, rows, labels=dc.row_labels)
     modalities = assign(model, modality_mean_vectors(disj), labels=disj.names)
     return _result("kmca-ind", ds, model, qe_log, modalities, individuals)
 
@@ -296,20 +306,18 @@ def kdisj(
 ) -> AnalysisResult:
     """Simultaneous analysis of individuals and modalities on one map."""
     disj = to_disjunctive(ds)
-    sampler = KdisjSampler(corrected_disjunctive(disj).entries)
+    sampler = KdisjSampler(corrected_disjunctive(disj))
     dc = sampler.dc
-    n, m = dc.shape
     lo = np.concatenate([dc.min(axis=0), dc.min(axis=1)])
     hi = np.concatenate([dc.max(axis=0), dc.max(axis=1)])
-    model, qe_log = _train(
-        "kdisj", ds, topology, config, sampler, m + n, ranges=(lo, hi),
-        observer=observer,
+    model, qe_log, individuals = _train(
+        "kdisj", ds, topology, config, sampler, sampler.dim, disj.individuals,
+        ranges=(lo, hi), observer=observer,
     )
-    individuals = assign(model, dc, mask=DistanceMask(0, m), labels=disj.individuals)
     modalities = assign(
         model,
         sampler.columns,
-        mask=DistanceMask(m, m + n),
+        mask=sampler._mod_mask,
         labels=disj.names,
         units=individuals.counts > 0,
     )

@@ -282,17 +282,15 @@ def _train_algorithm(
     stability = None
     if len(results) > 1:
         stability = stability_report(
-            results,
-            macros if all(m is not None for m in macros) else None,
-            ds=ds,
+            results, macros if all(m is not None for m in macros) else None, ds
         )
     return summaries, files, stability
 
 
 def stability_report(
     results: list[AnalysisResult],
-    macros: list[MacroClassing] | None = None,
-    ds: CategoricalDataset | None = None,
+    macros: list[MacroClassing] | None,
+    ds: CategoricalDataset,
 ) -> dict:
     """How stably items co-locate across several runs of one analysis.
 
@@ -334,7 +332,7 @@ def stability_report(
     if macros is not None:
         out["co_class_frequency"] = (co_class / n).tolist()
 
-    if ds is not None and results[0].individuals is not None:
+    if results[0].individuals is not None:
         for r in results:
             if tuple(r.individuals.labels) != tuple(ds.individuals):
                 raise ConfigError("stability dataset does not match the runs")
@@ -391,8 +389,6 @@ def cmd_tables(args) -> int:
     outdir = _outdir(args)
     disj = to_disjunctive(ds)
     bt = burt(disj)
-    bc = corrected_burt(bt)
-    dc = corrected_disjunctive(disj)
     files: list[str] = []
     payload = {
         "dataset": name,
@@ -403,8 +399,8 @@ def cmd_tables(args) -> int:
             "counts": bt.counts.tolist(),
             "entries": bt.entries.tolist(),
         },
-        "burt_corrected": bc.entries.tolist(),
-        "disjunctive_corrected": dc.entries.tolist(),
+        "burt_corrected": corrected_burt(bt).tolist(),
+        "disjunctive_corrected": corrected_disjunctive(disj).tolist(),
     }
     _write_json(outdir, f"{name}.tables.json", payload, files)
     k, n = ds.n_variables, ds.n_individuals
@@ -507,6 +503,10 @@ def cmd_render(args) -> int:
     macro = None
     if args.macro_file:
         macro = MacroClassing.from_json(jsonio.load(args.macro_file))
+        n = result.topology.n_units
+        if len(macro.labels) != n:
+            raise ConfigError(
+                f"{args.macro_file} classes {len(macro.labels)} units, not {n}")
     files: list[str] = []
     _write_maps(outdir, base, result, macro, args, files)
     _emit(

@@ -138,12 +138,10 @@ class Dendrogram:
         )
 
 
-def ward_cluster(model: SomModel, weights: np.ndarray | None = None) -> Dendrogram:
+def ward_cluster(model: SomModel, weights: np.ndarray) -> Dendrogram:
     """Cluster a trained map's code vectors; zero-weight units sit out."""
     code = model.code_vectors
     u = model.topology.n_units
-    if weights is None:
-        weights = np.ones(u)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (u,):
         raise DimensionError("need one weight per map unit")

@@ -30,6 +30,8 @@ PALETTE = (
     "#225555", "#552200", "#997700", "#cc3311",
 )
 FONT_SIZE = 10
+CELL_SIZE = 120         # pixels per unit, the default map cell and every pie cell
+MAX_LABELS = 12         # lines per unit cell of the SVG map
 TEXT_MAX_LINES = 6      # lines per unit box of the text map
 
 
@@ -48,19 +50,16 @@ def grey_palette(k: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class MapRenderSpec:
-    """Knobs for both renderers; defaults fit a 4x4 map on one screen."""
+    """Knobs of the SVG map; defaults fit a 4x4 map on one screen."""
 
-    cell_size: int = 120
+    cell_size: int = CELL_SIZE
     label_source: str = "auto"      # auto | modalities | modalities+counts | none
-    max_labels: int = 12
 
     def __post_init__(self):
         if self.cell_size < 40:
             raise RenderError("cell size below 40 leaves no room for labels")
         if self.label_source not in ("auto", "modalities", "modalities+counts", "none"):
             raise RenderError(f"unknown label source {self.label_source!r}")
-        if self.max_labels < 2:
-            raise RenderError("max_labels must be at least 2")
 
 
 def _f(x: float) -> str:
@@ -113,7 +112,7 @@ def render_map(result, macro: MacroClassing | None = None,
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     max_fit = max(2, (cell - 18) // line_h)
-    limit = min(spec.max_labels, max_fit)
+    limit = min(MAX_LABELS, max_fit)
     for u in range(topo.n_units):
         r, c = divmod(u, topo.cols)
         x, y = c * cell, r * cell
@@ -165,11 +164,10 @@ def _wedge_path(cx: float, cy: float, r: float, a0: float, a1: float) -> str:
     )
 
 
-def render_pies(pies: PieGrid, spec: MapRenderSpec | None = None) -> str:
+def render_pies(pies: PieGrid) -> str:
     """SVG pie per unit: the external variable's spread over the map."""
-    spec = spec or MapRenderSpec()
     topo = pies.topology
-    cell, fs = spec.cell_size, FONT_SIZE
+    cell, fs = CELL_SIZE, FONT_SIZE
     colors = [PALETTE[i % len(PALETTE)] for i in range(len(pies.labels))]
     width, grid_h = topo.cols * cell, topo.rows * cell
     legend_h = 8 + 16 * len(pies.labels) + 4

@@ -17,8 +17,10 @@ schedule (for n >= 3), after which only the winner itself moves.
 
 Component masks let different input families live in different slices of
 one code vector: the search mask picks which components define the match,
-the update mask picks which components move.  A sampler may also limit the
-units a step can win; the neighborhood update around the winner is the same.
+the update mask picks which components move.  A vector or block of rows
+handed over with a mask holds exactly the mask's components (all ``dim``
+of them when the mask is None).  A sampler may also limit the units a step
+can win; the neighborhood update around the winner is the same.
 """
 
 from __future__ import annotations
@@ -132,10 +134,12 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon0 <= 1.0:
             raise ConfigError("epsilon0 must lie in (0, 1]")
-        if self.c0 <= 0.0:
-            raise ConfigError("c0 must be positive")
+        if not (math.isfinite(self.c0) and self.c0 > 0.0):
+            raise ConfigError("c0 must be positive and finite")
         if self.t_max is not None and self.t_max < 1:
             raise ConfigError("t_max must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     def epsilon(self, t: int, n_units: int) -> float:
         return self.epsilon0 / (1.0 + self.c0 * t / n_units)
@@ -223,9 +227,6 @@ class SomModel:
             trained_steps=data["trained_steps"],
         )
 
-    def save(self, path) -> None:
-        jsonio.write_json(path, self.to_json())
-
     @classmethod
     def load(cls, path) -> "SomModel":
         return cls.from_json(jsonio.load(path))
@@ -284,14 +285,14 @@ def _masked_code(model: SomModel, mask: DistanceMask | None) -> np.ndarray:
     return code if mask is None else code[:, mask.lo:mask.hi]
 
 
-def _masked_input(x: np.ndarray, mask: DistanceMask | None, dim: int) -> np.ndarray:
-    """Accept a full-dim vector or one already cut to the mask width."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape == (dim,):
-        return x if mask is None else x[mask.lo:mask.hi]
-    if mask is not None and x.shape == (mask.width,):
-        return x
-    raise DimensionError(f"input shape {x.shape} fits neither dim {dim} nor the mask")
+def _masked_input(data, mask: DistanceMask | None, dim: int, ndim: int) -> np.ndarray:
+    """``data`` as float64, checked to be a vector (``ndim`` 1) or a block of
+    rows (``ndim`` 2) of exactly the mask's width, ``dim`` for a None mask."""
+    data = np.asarray(data, dtype=np.float64)
+    width = dim if mask is None else mask.width
+    if data.ndim != ndim or data.shape[-1] != width:
+        raise DimensionError(f"input shape {data.shape} is not {width} components wide")
+    return data
 
 
 def _best_among(d2: np.ndarray, units, n_units: int) -> np.ndarray:
@@ -314,15 +315,16 @@ def bmu(
 ) -> int:
     """Best matching unit: least squared distance on the masked components.
 
-    ``units`` (one boolean per unit) limits the search to the units marked
-    True.  Ties resolve to the lowest unit index.  This is every training
-    step's search, in the difference form sum((x - w)**2), except inside
-    train() on a block of more than DISTANCE_BLOCK elements (kdisj's
-    modality steps on a wide dataset): there the search is _norm_distances,
-    whose last bits differ, so a near tie can resolve otherwise.  Batch
-    passes over many rows use _row_distances.
+    ``x`` holds the masked components only.  ``units`` (one boolean per
+    unit) limits the search to the units marked True.  Ties resolve to the
+    lowest unit index.  This is every training step's search, in the
+    difference form sum((x - w)**2), except inside train() on a block of
+    more than DISTANCE_BLOCK elements (kdisj's modality steps on a wide
+    dataset): there the search is _norm_distances, whose last bits differ,
+    so a near tie can resolve otherwise.  Batch passes over many rows use
+    _row_distances.
     """
-    xm = _masked_input(x, mask, model.dim)
+    xm = _masked_input(x, mask, model.dim, 1)
     if not np.isfinite(xm).all():
         raise DimensionError("input vector contains non-finite values")
     code = _masked_code(model, mask)
@@ -365,18 +367,16 @@ def train_step(
 ) -> int:
     """One training step at schedule time t; returns the winning unit.
 
-    The input must be full-dim here (the update mask slices into it).
-    ``units`` limits the winner search as in ``bmu``; the neighborhood
-    update is not limited.
+    The input is full-dim: the search reads its search-mask components and
+    the update its update-mask components.  ``units`` limits the winner
+    search as in ``bmu``; the neighborhood update is not limited.
     """
     cfg, topo = model.config, model.topology
     if cfg.t_max is None or not 0 <= t < cfg.t_max:
         raise ConfigError(f"step time {t} outside schedule [0, {cfg.t_max})")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise DimensionError("train_step needs a full-dimension input vector")
-
-    winner = bmu(model, x, search_mask, units)
+    x = _masked_input(x, None, model.dim, 1)
+    xs = x if search_mask is None else x[search_mask.lo:search_mask.hi]
+    winner = bmu(model, xs, search_mask, units)
     rho = cfg.radius(t, topo.side)
     eps = cfg.epsilon(t, topo.n_units)
     r, c = divmod(winner, topo.cols)
@@ -393,17 +393,6 @@ def train_step(
                 stale.reshape(topo.rows, topo.cols)[r0:r + rho + 1, c0:c + rho + 1] = True
     model.trained_steps += 1
     return winner
-
-
-def _masked_rows(model: SomModel, rows, mask: DistanceMask | None) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise DimensionError("expected a 2-d array of row vectors")
-    if rows.shape[1] == model.dim:
-        return rows if mask is None else rows[:, mask.lo:mask.hi]
-    if mask is not None and rows.shape[1] == mask.width:
-        return rows
-    raise DimensionError("rows match neither full dim nor mask width")
 
 
 # Elements of one distance block: 2**16 float64 is 512 KiB, about the size
@@ -535,7 +524,7 @@ def quantization_error(
     ``bmus``, an integer array with one slot per row, receives each row's
     best matching unit from the same distances (_row_distances).
     """
-    rows = _masked_rows(model, rows, mask)
+    rows = _masked_input(rows, mask, model.dim, 2)
     d2 = _row_distances(rows, _masked_code(model, mask))
     if bmus is not None:
         bmus[:] = np.argmin(d2, axis=1)
@@ -549,6 +538,7 @@ class UniformRowSampler:
 
     def __init__(self, rows: np.ndarray):
         self.rows = np.asarray(rows, dtype=np.float64)
+        self.bmus: np.ndarray | None = None  # each row's unit, as last located
 
     def draw(self, t: int, rng: np.random.Generator):
         i = int(rng.integers(0, self.rows.shape[0]))
@@ -558,51 +548,45 @@ class UniformRowSampler:
         return None
 
     def locate(self, bmus: np.ndarray, n_units: int) -> None:
-        pass
+        self.bmus = bmus
 
     @property
     def qe_rows(self) -> np.ndarray:
         return self.rows
 
 
-def _default_checkpoints(t_max: int) -> list[int]:
-    marks = {0, t_max}
-    for i in range(1, 10):
-        marks.add(round(t_max * i / 10))
-    return sorted(marks)
-
-
-def train(model, sampler, checkpoints=None, observer=None):
+def train(model, sampler, observer=None):
     """Run the full schedule on a fresh model.
 
     ``sampler.draw(t, rng)`` supplies (input, search mask, update mask) per
     step from the model's own RNG stream, and ``sampler.candidates(t)`` the
     units that step may win (one boolean per unit, or None for all).  At
-    every checkpoint step the quantization error of ``sampler.qe_rows`` on
-    ``sampler.qe_mask`` is logged, and ``sampler.locate(bmus, n_units)``
-    receives the best matching unit of each of those rows from the same
-    pass.  Returns the model and the log of (steps done, quantization
-    error).  ``observer`` is called as observer(t, x, search_mask,
-    update_mask, model) after each step, for instrumentation.
+    step 0 and every tenth of t_max the quantization error of
+    ``sampler.qe_rows`` on ``sampler.qe_mask`` is logged, and
+    ``sampler.locate(bmus, n_units)`` receives a new array of each of those
+    rows' best matching unit from the same pass; the last, at t_max, holds
+    their units on the trained map.  Returns the model and the log of
+    (steps done, quantization error).  ``observer`` is called as
+    observer(t, x, search_mask, update_mask, model) after each step, for
+    instrumentation.
     """
     if model.trained_steps != 0:
         raise ConfigError("train() expects a freshly initialized model")
     t_max = model.config.t_max
     if t_max is None:
         raise ConfigError("train() needs a resolved t_max")
-    marks = set(_default_checkpoints(t_max) if checkpoints is None else checkpoints)
+    marks = {round(t_max * i / 10) for i in range(1, 11)}
     qe_log: list[tuple[int, float]] = []
-    bmus = np.empty(len(sampler.qe_rows), dtype=np.int64)
 
     def checkpoint(steps: int) -> None:
+        bmus = np.empty(len(sampler.qe_rows), dtype=np.int64)
         qe = quantization_error(model, sampler.qe_rows, sampler.qe_mask, bmus)
         qe_log.append((steps, qe))
         sampler.locate(bmus, model.topology.n_units)
 
     model._norms = {}
     try:
-        if 0 in marks:
-            checkpoint(0)
+        checkpoint(0)
         for t in range(t_max):
             x, smask, umask = sampler.draw(t, model.rng)
             train_step(model, x, t, smask, umask, sampler.candidates(t))
@@ -658,7 +642,7 @@ def assign(
     _row_distances, so on wide rows a near tie can resolve otherwise than
     in ``bmu``.
     """
-    rows = _masked_rows(model, rows, mask)
+    rows = _masked_input(rows, mask, model.dim, 2)
     d2 = _row_distances(rows, _masked_code(model, mask))
     if units is None:
         best = np.argmin(d2, axis=1)

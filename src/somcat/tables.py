@@ -87,59 +87,35 @@ def burt(disj: DisjunctiveTable) -> BurtTable:
     )
 
 
-@dataclass(eq=False)
-class CorrectedMatrix:
-    """A count matrix rescaled so Euclidean row distance = chi-square distance."""
-
-    entries: np.ndarray
-    row_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        if len(self.row_labels) != self.entries.shape[0]:
-            raise DimensionError("corrected matrix labels do not match its shape")
-
-
 def _check_positive_counts(counts: np.ndarray, names) -> None:
     for j, c in enumerate(counts):
         if c == 0:
-            raise ZeroModalityError(names[j] if names is not None else f"#{j}")
+            raise ZeroModalityError(names[j])
 
 
-def corrected_burt(table, k: int | None = None, names=None) -> CorrectedMatrix:
+def corrected_burt(table: BurtTable) -> np.ndarray:
     """Burt correction: entry (j, l) becomes b_jl / (K * sqrt(b_j) * sqrt(b_l)).
 
-    Accepts a :class:`BurtTable` (K and labels taken from it) or a raw square
-    array with ``k`` given.  Every diagonal entry of the result is 1/K up to
-    rounding, a useful sanity anchor.
+    Row j is modality ``table.names[j]``.  Every diagonal entry of the
+    result is 1/K up to rounding, a useful sanity anchor.
     """
-    if isinstance(table, BurtTable):
-        entries, counts, names, k = (
-            table.entries, table.counts, table.names, table.n_variables,
-        )
-    else:
-        entries = np.asarray(table, dtype=np.int64)
-        if k is None:
-            raise DimensionError("k (number of variables) required for raw input")
-        counts = np.diag(entries)
-        if names is None:
-            names = tuple(f"m{j}" for j in range(entries.shape[0]))
-    _check_positive_counts(counts, names)
-    root = np.sqrt(counts.astype(np.float64))
-    scaled = entries / (k * np.outer(root, root))
-    return CorrectedMatrix(entries=scaled, row_labels=tuple(names))
+    _check_positive_counts(table.counts, table.names)
+    root = np.sqrt(table.counts.astype(np.float64))
+    return table.entries / (table.n_variables * np.outer(root, root))
 
 
-def corrected_disjunctive(disj: DisjunctiveTable) -> CorrectedMatrix:
-    """Disjunctive correction: entry (i, j) becomes d_ij / (sqrt(K) * sqrt(b_j))."""
+def corrected_disjunctive(disj: DisjunctiveTable) -> np.ndarray:
+    """Disjunctive correction: entry (i, j) becomes d_ij / (sqrt(K) * sqrt(b_j)).
+
+    Row i is individual ``disj.individuals[i]``.
+    """
     _check_positive_counts(disj.counts, disj.names)
     k = disj.n_variables
     root = np.sqrt(disj.counts.astype(np.float64))
-    scaled = disj.entries / (np.sqrt(float(k)) * root)[np.newaxis, :]
-    return CorrectedMatrix(entries=scaled, row_labels=tuple(disj.individuals))
+    return disj.entries / (np.sqrt(float(k)) * root)[np.newaxis, :]
 
 
-def corrected_frequency(table, row_labels=None) -> CorrectedMatrix:
+def corrected_frequency(table) -> np.ndarray:
     """General contingency correction: f_ij / sqrt(f_i. * f_.j) on frequencies."""
     counts = np.asarray(table, dtype=np.float64)
     total = counts.sum()
@@ -149,9 +125,7 @@ def corrected_frequency(table, row_labels=None) -> CorrectedMatrix:
     fr, fc = f.sum(axis=1), f.sum(axis=0)
     if np.any(fr == 0) or np.any(fc == 0):
         raise DataError("corrected frequency table requires nonzero margins")
-    scaled = f / np.sqrt(np.outer(fr, fc))
-    labels = row_labels or [f"r{i}" for i in range(f.shape[0])]
-    return CorrectedMatrix(entries=scaled, row_labels=tuple(labels))
+    return f / np.sqrt(np.outer(fr, fc))
 
 
 @dataclass(eq=False)

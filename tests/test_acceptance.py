@@ -110,11 +110,11 @@ def test_criterion_01_burt_identities(marriage_burt):
 
 def test_criterion_02_corrected_matrix_values(marriage_disj, marriage_burt):
     bc = corrected_burt(marriage_burt)
-    idx = bare(bc.row_labels)
-    off_gap = abs(bc.entries[idx["MFARM"], idx["FFARM"]] - 0.5)
-    diag_gap = float(np.max(np.abs(np.diag(bc.entries) - 0.5)))
+    idx = bare(marriage_burt.names)
+    off_gap = abs(bc[idx["MFARM"], idx["FFARM"]] - 0.5)
+    diag_gap = float(np.max(np.abs(np.diag(bc) - 0.5)))
 
-    dc = corrected_disjunctive(marriage_disj).entries
+    dc = corrected_disjunctive(marriage_disj)
     k = marriage_disj.n_variables
     oracle = np.empty_like(dc)
     for i in range(marriage_disj.n_individuals):
@@ -158,7 +158,7 @@ def test_criterion_03_inertia_equals_chi_square_over_n():
 
 
 def test_criterion_04_rarest_modality_oracle(marriage_disj):
-    dc = corrected_disjunctive(marriage_disj).entries
+    dc = corrected_disjunctive(marriage_disj)
     rng = np.random.default_rng(4)
     matches = 0
     for i in range(dc.shape[0]):
@@ -187,7 +187,7 @@ def test_criterion_04_rarest_modality_oracle(marriage_disj):
 
 def test_criterion_05_mean_vector_identity(marriage_disj):
     def direct(disj):
-        dc = corrected_disjunctive(disj).entries
+        dc = corrected_disjunctive(disj)
         out = np.empty((disj.n_modalities, disj.n_modalities))
         for j in range(disj.n_modalities):
             out[j] = dc[disj.entries[:, j] == 1].mean(axis=0)
@@ -374,7 +374,7 @@ def test_criterion_12_determinism_and_round_trip(marriage):
     svg_a, svg_b = render_map(a).encode(), render_map(b).encode()
 
     disj = to_disjunctive(marriage)
-    dc = corrected_disjunctive(disj).entries
+    dc = corrected_disjunctive(disj)
     m, n = disj.n_modalities, disj.n_individuals
     clone = SomModel.from_json(a.model.to_json())
     re_ind = assign(clone, dc, mask=DistanceMask(0, m), labels=disj.individuals)

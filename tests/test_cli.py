@@ -183,7 +183,7 @@ def test_stability_pairs_match_dense_co_assignment():
     rng = np.random.default_rng(41)
     ds = random_dataset(rng, n=300, sizes=(3, 4, 2, 5))
     runs = random_runs(rng, ds, n_runs=3, n_units=12)
-    report = stability_report(runs, ds=ds)
+    report = stability_report(runs, None, ds)
     groups = list(report["individual_groups"])
     _, rep = np.unique(ds.cells, axis=0, return_index=True)
     rep = np.sort(rep)
@@ -206,7 +206,7 @@ def test_stability_of_many_patterns_needs_no_group_matrix():
     runs = random_runs(rng, ds, n_runs=2, n_units=400)
     tracemalloc.start()
     try:
-        report = stability_report(runs, ds=ds)
+        report = stability_report(runs, None, ds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -405,6 +405,27 @@ def test_render_with_macro_file(trained, capsys):
     assert "class 0" in svg  # macro legend present
 
 
+def test_render_rejects_a_model_file_given_as_result(trained, capsys):
+    outdir, _ = trained
+    model = outdir / "marriages.kdisj.0.model.json"
+    code, _, err = run(capsys, "render", "--result", str(model))
+    assert code == 1
+    assert err.startswith("error:data:")
+
+
+def test_render_rejects_a_macro_file_of_a_smaller_map(trained, capsys):
+    outdir, result = trained
+    small = outdir / "small"
+    run_json(capsys, "kmca", *MARRIAGE, "--grid", "2x2", "--iters", "50",
+             "--macro", "2", "--render", "none", "--out", str(small))
+    code, _, err = run(
+        capsys, "render", "--result", str(result),
+        "--macro-file", str(small / "marriages.kmca.0.macro.json"),
+    )
+    assert code == 1
+    assert err.startswith("error:config:")
+
+
 # --------------------------------------------------------------------- report
 
 def test_report_runs_all_algorithms(tmp_path, capsys):
@@ -446,6 +467,17 @@ def test_train_with_zero_seeds_is_a_config_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "kmca", *MARRIAGE, "--seeds", "0", "--out", str(tmp_path)
     )
+    assert code == 1
+    assert err.startswith("error:config:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--c0", "inf"), ("--c0", "nan"),
+])
+def test_train_with_a_bad_schedule_value_is_a_config_error(tmp_path, capsys,
+                                                           flag, value):
+    code, _, err = run(capsys, "kmca", *MARRIAGE, flag, value, "--out", str(tmp_path))
     assert code == 1
     assert err.startswith("error:config:")
     assert list(tmp_path.iterdir()) == []

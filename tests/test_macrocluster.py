@@ -199,7 +199,7 @@ def test_cut_extremes_and_validation():
     rng = np.random.default_rng(33)
     topo = Topology.grid(2, 3)
     model = make_model(topo, rng.normal(size=(6, 2)))
-    dendro = ward_cluster(model)
+    dendro = ward_cluster(model, np.ones(model.topology.n_units))
     assert cut(dendro, 6).k == 6
     assert all(len(c) == 1 for c in cut(dendro, 6).classes)
     one = cut(dendro, 1)
@@ -216,7 +216,7 @@ def test_cut_refinement_chain():
     rng = np.random.default_rng(34)
     topo = Topology.grid(3, 3)
     model = make_model(topo, rng.normal(size=(9, 4)))
-    dendro = ward_cluster(model)
+    dendro = ward_cluster(model, np.ones(model.topology.n_units))
 
     def blocks(mc):
         return {frozenset(c) for c in mc.classes}
@@ -235,7 +235,7 @@ def test_cut_class_numbering_by_smallest_unit():
     rng = np.random.default_rng(35)
     topo = Topology.grid(2, 2)
     model = make_model(topo, rng.normal(size=(4, 2)))
-    mc = cut(ward_cluster(model), 2)
+    mc = cut(ward_cluster(model, np.ones(model.topology.n_units)), 2)
     assert mc.class_of(0) == 0
     assert min(mc.classes[0]) < min(mc.classes[1])
 
@@ -255,7 +255,7 @@ def test_cut_without_vectors_needs_no_orphans():
     rng = np.random.default_rng(36)
     topo = Topology.grid(2, 2)
     model = make_model(topo, rng.normal(size=(4, 2)))
-    blob = ward_cluster(model).to_json()
+    blob = ward_cluster(model, np.ones(model.topology.n_units)).to_json()
     revived = Dendrogram.from_json(blob)
     assert cut(revived, 2).k == 2  # all units clustered: vectors not needed
 
@@ -271,7 +271,7 @@ def test_connected_flag_detects_split_class():
     topo = Topology.grid(1, 4)
     vectors = np.array([[0.0], [5.0], [5.1], [0.1]])
     model = make_model(topo, vectors)
-    mc = cut(ward_cluster(model), 2)
+    mc = cut(ward_cluster(model, np.ones(model.topology.n_units)), 2)
     by_units = {tuple(c): conn for c, conn in zip(mc.classes, mc.connected)}
     assert by_units[(0, 3)] is False
     assert by_units[(1, 2)] is True
@@ -280,7 +280,7 @@ def test_connected_flag_detects_split_class():
 def test_macro_classing_json_round_trip():
     rng = np.random.default_rng(37)
     model = make_model(Topology.grid(2, 3), rng.normal(size=(6, 3)))
-    mc = cut(ward_cluster(model), 3)
+    mc = cut(ward_cluster(model, np.ones(model.topology.n_units)), 3)
     clone = MacroClassing.from_json(mc.to_json())
     assert clone.k == mc.k
     assert np.array_equal(clone.labels, mc.labels)

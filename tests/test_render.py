@@ -159,7 +159,7 @@ def test_display_labels_bare_when_unique():
 
 def test_label_overflow_marker(run_and_macro):
     res, _ = run_and_macro
-    svg = render_map(res, spec=MapRenderSpec(max_labels=2))
+    svg = render_map(res, spec=MapRenderSpec(cell_size=40))  # room for 2 lines
     assert "more" in svg
 
 
@@ -173,8 +173,6 @@ def test_grey_palette_distinct_and_light_to_dark():
 def test_render_spec_validation():
     with pytest.raises(RenderError):
         MapRenderSpec(cell_size=10)
-    with pytest.raises(RenderError):
-        MapRenderSpec(max_labels=1)
 
 
 def test_render_text_grid(run_and_macro):

@@ -8,7 +8,7 @@ import pytest
 
 from somcat import som
 from somcat.errors import ConfigError, DimensionError
-from somcat.jsonio import dumps
+from somcat.jsonio import dumps, write_json
 from somcat.som import (
     DistanceMask,
     InitSpec,
@@ -131,6 +131,11 @@ def test_config_validation():
         TrainConfig(c0=-1.0)
     with pytest.raises(ConfigError):
         TrainConfig(t_max=0)
+    for c0 in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            TrainConfig(c0=c0)
+    with pytest.raises(ConfigError):
+        TrainConfig(seed=-1)
     with pytest.raises(ConfigError):
         InitSpec(kind="bogus")
 
@@ -214,11 +219,11 @@ def test_bmu_masked_search():
     model.code_vectors[:] = 9.0
     model.code_vectors[3, 2:] = 0.0
     mask = DistanceMask(2, 4)
-    assert bmu(model, np.zeros(4), mask) == 3
-    # a short vector already cut to the mask is accepted too
     assert bmu(model, np.zeros(2), mask) == 3
-    with pytest.raises(DimensionError):
-        bmu(model, np.zeros(3), mask)
+    # the input holds exactly the mask's components
+    for bad in (np.zeros(3), np.zeros(4), np.zeros((1, 2))):
+        with pytest.raises(DimensionError):
+            bmu(model, bad, mask)
 
 
 def test_train_step_update_arithmetic():
@@ -384,7 +389,9 @@ def test_assign_respects_mask_and_labels():
     model = init_model(Topology.grid(2, 2), 2, TrainConfig(t_max=10, seed=0),
                        data=rows)
     model.code_vectors[:] = [[9.0, 4.9], [9.0, -4.9], [9.0, 0.0], [9.0, 1.0]]
-    a = assign(model, rows, mask=DistanceMask(1, 2), labels=["up", "down"])
+    a = assign(model, rows[:, 1:], mask=DistanceMask(1, 2), labels=["up", "down"])
+    with pytest.raises(DimensionError):
+        assign(model, rows, mask=DistanceMask(1, 2))
     assert a.unit_of("up") == 0
     assert a.unit_of("down") == 1
     assert a.members_by_unit()[0] == ["up"]
@@ -556,9 +563,9 @@ def test_train_locates_qe_rows_at_every_checkpoint():
             self.located.append((bmus.copy(), n_units))
 
     sampler = Recorder(rows)
-    model, qe_log = train(model, sampler, checkpoints=[0, 10, 30])
-    assert [s for s, _ in qe_log] == [0, 10, 30]
-    assert len(sampler.located) == 3
+    model, qe_log = train(model, sampler)
+    assert [s for s, _ in qe_log] == list(range(0, 31, 3))
+    assert len(sampler.located) == 11
     last, n_units = sampler.located[-1]
     assert n_units == 6
     assert np.array_equal(last, assign(model, rows).units)
@@ -595,7 +602,7 @@ def test_model_save_load(tmp_path):
     model = init_model(Topology.grid(2, 2), 2, TrainConfig(t_max=5, seed=0),
                        data=rows)
     path = tmp_path / "model.json"
-    model.save(path)
+    write_json(path, model.to_json())
     clone = SomModel.load(path)
     assert np.array_equal(clone.code_vectors, model.code_vectors)
     assert clone.config == model.config

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from somcat.dataset import to_disjunctive
+from somcat.dataset import CategoricalDataset, VariableSpec, to_disjunctive
 from somcat.errors import DataError, ZeroModalityError
 from somcat.marriages import marriage_counts
 from somcat.tables import (
@@ -88,18 +88,18 @@ def test_corrected_burt_direct_formula(marriage_disj, marriage_burt):
     for j in range(12):
         for l in range(12):
             expect = b[j, l] / (k * np.sqrt(counts[j]) * np.sqrt(counts[l]))
-            assert bc.entries[j, l] == pytest.approx(expect, abs=1e-15)
+            assert bc[j, l] == pytest.approx(expect, abs=1e-15)
 
 
 def test_corrected_burt_diagonal_is_half(marriage_burt):
     bc = corrected_burt(marriage_burt)
-    assert np.all(np.abs(np.diag(bc.entries) - 0.5) <= 1e-15)
+    assert np.all(np.abs(np.diag(bc) - 0.5) <= 1e-15)
 
 
 def test_corrected_burt_exclusive_pair_is_half(marriage_disj, marriage_burt):
     bc = corrected_burt(marriage_burt)
     idx = marriage_disj.column_index
-    assert bc.entries[idx("MFARM"), idx("FFARM")] == pytest.approx(0.5, abs=1e-15)
+    assert bc[idx("MFARM"), idx("FFARM")] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_corrected_disjunctive_direct_formula(marriage_disj):
@@ -109,13 +109,20 @@ def test_corrected_disjunctive_direct_formula(marriage_disj):
     for i in range(270):
         for j in range(12):
             expect = d[i, j] / (np.sqrt(2.0) * np.sqrt(counts[j]))
-            assert dc.entries[i, j] == pytest.approx(expect, abs=1e-15)
+            assert dc[i, j] == pytest.approx(expect, abs=1e-15)
 
 
 def test_corrected_rejects_zero_modality():
-    entries = np.array([[4, 0], [0, 0]])
-    with pytest.raises(ZeroModalityError):
-        corrected_burt(entries, k=1)
+    ds = CategoricalDataset(
+        individuals=["a", "b"],
+        variables=[VariableSpec(name="v", modalities=("x", "y", "z"))],
+        cells=np.array([[0], [1]]),
+    )
+    disj = to_disjunctive(ds)
+    with pytest.raises(ZeroModalityError, match="'v.z'"):
+        corrected_burt(burt(disj))
+    with pytest.raises(ZeroModalityError, match="'v.z'"):
+        corrected_disjunctive(disj)
 
 
 def test_corrected_frequency_matches_formula():
@@ -126,13 +133,13 @@ def test_corrected_frequency_matches_formula():
     for i in range(2):
         for j in range(3):
             expect = f[i, j] / np.sqrt(f[i].sum() * f[:, j].sum())
-            assert fc.entries[i, j] == pytest.approx(expect, abs=1e-15)
+            assert fc[i, j] == pytest.approx(expect, abs=1e-15)
 
 
 def test_corrected_frequency_identity_diagonal():
     # a diagonal table concentrates each row on its own column
     fc = corrected_frequency(np.diag([2.0, 3.0, 5.0]))
-    assert np.allclose(fc.entries, np.eye(3))
+    assert np.allclose(fc, np.eye(3))
 
 
 # ------------------------------------------------------- profiles and inertia
