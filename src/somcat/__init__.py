@@ -1,8 +1,9 @@
 """Self-organizing-map analysis of categorical survey data.
 
 The pipeline: encode answers as a complete disjunctive table, derive the
-Burt co-occurrence table, rescale either so Euclidean distance matches the
-chi-square distance of correspondence analysis, train a small map on the
+Burt co-occurrence table, rescale both by the modality counts (Euclidean
+distance between corrected disjunctive rows is then the chi-square distance
+of correspondence analysis, up to the factor N), train a small map on the
 corrected rows (three variants: modalities only, individuals with projected
 modalities, or both at once), then cluster the code vectors into
 macro-classes and render the result.
@@ -78,14 +79,12 @@ from .som import (
     train_step,
 )
 from .tables import (
-    BurtTable,
     ContingencyStats,
     Profiles,
     burt,
     chi2_distance,
     corrected_burt,
     corrected_disjunctive,
-    corrected_frequency,
     profiles,
     total_inertia,
 )
@@ -95,7 +94,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "AnalysisResult",
-    "BurtTable",
     "CategoricalDataset",
     "ConfigError",
     "ContingencyStats",
@@ -124,7 +122,6 @@ __all__ = [
     "chi2_distance",
     "corrected_burt",
     "corrected_disjunctive",
-    "corrected_frequency",
     "cross",
     "cut",
     "default_iterations",

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .dataset import CategoricalDataset, DisjunctiveTable, to_disjunctive
 from .errors import ConfigError, DataError, DimensionError
 from .som import (
@@ -78,7 +79,7 @@ def modality_mean_vectors(disj: DisjunctiveTable) -> np.ndarray:
     _check_positive_counts(disj.counts, disj.names)
     counts = disj.counts.astype(np.float64)
     k = float(disj.n_variables)
-    b = burt(disj).entries
+    b = burt(disj)
     return b / counts[:, np.newaxis] / np.sqrt(counts)[np.newaxis, :] / np.sqrt(k)
 
 
@@ -201,11 +202,10 @@ class AnalysisResult:
         }
 
     @classmethod
-    def from_json(cls, data: dict, model: SomModel | None = None) -> "AnalysisResult":
+    def from_json(cls, data: dict) -> "AnalysisResult":
+        """The stored result; its ``model`` is None until the caller attaches one."""
         keys = ("algorithm", "topology", "provenance", "modalities", "individuals")
-        missing = [k for k in keys if k not in data] if isinstance(data, dict) else keys
-        if missing:
-            raise DataError(f"not an analysis result: no {', '.join(missing)}")
+        jsonio.require_keys(data, keys, "an analysis result")
         topo = Topology.from_json(data["topology"])
         n_units = topo.n_units
 
@@ -222,7 +222,7 @@ class AnalysisResult:
         return cls(
             algorithm=data["algorithm"],
             topology=topo,
-            model=model,
+            model=None,
             modalities=unpack(data["modalities"]),
             individuals=unpack(data["individuals"]),
             provenance={
@@ -273,11 +273,11 @@ def kmca(
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on the corrected Burt rows; map positions for modalities only."""
-    bt = burt(to_disjunctive(ds))
-    rows = corrected_burt(bt)
+    disj = to_disjunctive(ds)
+    rows = corrected_burt(disj)
     model, qe_log, modalities = _train(
         "kmca", ds, topology, config, UniformRowSampler(rows), rows.shape[1],
-        bt.names, data=rows,
+        disj.names, data=rows,
     )
     return _result("kmca", ds, model, qe_log, modalities)
 

@@ -388,18 +388,18 @@ def cmd_tables(args) -> int:
     name, ds = _load_dataset(args)
     outdir = _outdir(args)
     disj = to_disjunctive(ds)
-    bt = burt(disj)
+    b = burt(disj)
     files: list[str] = []
     payload = {
         "dataset": name,
         "dataset_sha256": ds.sha256(),
         "disjunctive": disj.to_json(),
         "burt": {
-            "names": list(bt.names),
-            "counts": bt.counts.tolist(),
-            "entries": bt.entries.tolist(),
+            "names": list(disj.names),
+            "counts": disj.counts.tolist(),
+            "entries": b.tolist(),
         },
-        "burt_corrected": corrected_burt(bt).tolist(),
+        "burt_corrected": corrected_burt(disj).tolist(),
         "disjunctive_corrected": corrected_disjunctive(disj).tolist(),
     }
     _write_json(outdir, f"{name}.tables.json", payload, files)
@@ -409,7 +409,7 @@ def cmd_tables(args) -> int:
         "n_individuals": n,
         "n_variables": k,
         "n_modalities": ds.n_modalities,
-        "burt_total": int(bt.entries.sum()),
+        "burt_total": int(b.sum()),
         "expected_burt_total": k * k * n,
         "files": files,
     }
@@ -435,13 +435,14 @@ def cmd_train(args, algorithm: str) -> int:
 
 def cmd_macro(args) -> int:
     data = jsonio.load(args.result)
+    result = AnalysisResult.from_json(data)
     model_file = args.model or data.get("model_file")
     model_path = Path(args.result).parent / model_file if model_file else None
     if model_path is None or not model_path.exists():
         if args.model:
             raise ConfigError(f"model file {args.model} not found")
         raise ConfigError("macro clustering needs the trained model file")
-    result = AnalysisResult.from_json(data, model=SomModel.load(model_path))
+    result.model = SomModel.load(model_path)
     outdir = _outdir(args, fallback=str(Path(args.result).parent))
     base = _result_base(args.result)
     weights = unit_weights(result, uniform=bool(args.uniform_weights))

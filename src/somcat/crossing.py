@@ -108,15 +108,6 @@ class PieGrid:
             "counts": self.counts.tolist(),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "PieGrid":
-        return cls(
-            topology=Topology.from_json(data["topology"]),
-            variable=data["variable"],
-            labels=tuple(data["labels"]),
-            counts=np.asarray(data["counts"], dtype=np.int64),
-        )
-
 
 def cross(
     assignment: MapAssignment, external: ExternalColumn, topology: Topology

@@ -80,6 +80,7 @@ class VariableSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "VariableSpec":
+        jsonio.require_keys(data, ("name", "modalities"), "a variable")
         breaks = data.get("breaks")
         order = data.get("order", "ascending")
         if order not in ("ascending", "descending"):
@@ -173,6 +174,7 @@ class CategoricalDataset:
 
     @classmethod
     def from_json(cls, data: dict) -> "CategoricalDataset":
+        jsonio.require_keys(data, ("individuals", "variables", "cells"), "a dataset")
         return cls(
             individuals=list(data["individuals"]),
             variables=[VariableSpec.from_json(v) for v in data["variables"]],
@@ -218,17 +220,6 @@ class DisjunctiveTable:
     @property
     def n_modalities(self) -> int:
         return self.entries.shape[1]
-
-    def column_index(self, name: str) -> int:
-        """Column of a global name, or of a bare label when unambiguous."""
-        if name in self.names:
-            return self.names.index(name)
-        hits = [j for j, full in enumerate(self.names) if full.split(".", 1)[1] == name]
-        if len(hits) == 1:
-            return hits[0]
-        if not hits:
-            raise DataError(f"unknown modality {name!r}")
-        raise DataError(f"modality label {name!r} is ambiguous; use VAR.MODALITY")
 
     def to_json(self) -> dict:
         return {

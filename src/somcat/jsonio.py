@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from types import NoneType
 
-from .errors import IOErrorCategory
+from .errors import DataError, IOErrorCategory
 
 _INDENT = "  "
 _SCALARS = (str, int, float, NoneType)
@@ -130,3 +130,10 @@ def load(path: str | Path):
         raise IOErrorCategory(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IOErrorCategory(f"invalid JSON in {path}: {exc}") from exc
+
+
+def require_keys(data, keys: tuple[str, ...], what: str) -> None:
+    """Raise a DataError unless ``data`` is a JSON object with all ``keys``."""
+    missing = [k for k in keys if k not in data] if isinstance(data, dict) else keys
+    if missing:
+        raise DataError(f"not {what}: no {', '.join(missing)}")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .errors import ConfigError, DimensionError
 from .som import SomModel, Topology, _squared_distances
 
@@ -105,16 +106,16 @@ class Dendrogram:
     """Merge tree over the map units that carry weight.
 
     ``leaves`` lists those unit ids ascending; node i stands for leaves[i]
-    and merge j creates node len(leaves) + j.  ``unit_vectors`` (all units,
-    not just leaves) is kept for attaching empty units at cut time and is
-    not serialized.
+    and merge j creates node len(leaves) + j.  ``unit_vectors`` holds the
+    code vectors of all units, not just the leaves, for attaching empty
+    units at cut time; it is not serialized.
     """
 
     topology: Topology
     leaves: tuple[int, ...]
     weights: np.ndarray
     merges: list[tuple[int, int, float]]
-    unit_vectors: np.ndarray | None = None
+    unit_vectors: np.ndarray
 
     @property
     def n_leaves(self) -> int:
@@ -127,15 +128,6 @@ class Dendrogram:
             "weights": self.weights.tolist(),
             "merges": [[a, b, c] for a, b, c in self.merges],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Dendrogram":
-        return cls(
-            topology=Topology.from_json(data["topology"]),
-            leaves=tuple(data["leaves"]),
-            weights=np.asarray(data["weights"], dtype=np.float64),
-            merges=[(int(a), int(b), float(c)) for a, b, c in data["merges"]],
-        )
 
 
 def ward_cluster(model: SomModel, weights: np.ndarray) -> Dendrogram:
@@ -185,6 +177,8 @@ class MacroClassing:
 
     @classmethod
     def from_json(cls, data: dict) -> "MacroClassing":
+        jsonio.require_keys(data, ("k", "labels", "classes", "connected"),
+                            "a macro-classing")
         return cls(
             k=int(data["k"]),
             labels=np.asarray(data["labels"], dtype=np.int64),
@@ -218,9 +212,8 @@ def cut(dendrogram: Dendrogram, k: int) -> MacroClassing:
     """Undo the last k - 1 merges, leaving k clusters of the leaves.
 
     Units that sat out the clustering (zero weight) inherit the class of the
-    nearest clustered unit by code-vector distance, lowest unit id on ties;
-    that needs the dendrogram's unit vectors, so it works on freshly built
-    dendrograms, not deserialized ones.
+    nearest clustered unit by the distance between the dendrogram's unit
+    vectors, lowest unit id on ties.
     """
     n_leaves = dendrogram.n_leaves
     if not 1 <= k <= n_leaves:
@@ -237,10 +230,6 @@ def cut(dendrogram: Dendrogram, k: int) -> MacroClassing:
 
     orphan = np.flatnonzero(labels < 0)
     if orphan.size:
-        if dendrogram.unit_vectors is None:
-            raise ConfigError(
-                "cut with empty units needs the dendrogram's unit vectors"
-            )
         code = dendrogram.unit_vectors
         clustered = np.asarray(dendrogram.leaves)
         nearest = _squared_distances(code[orphan], code[clustered]).argmin(axis=1)

@@ -74,17 +74,6 @@ class Topology:
             raise DimensionError(f"unit {unit} out of range")
         return divmod(unit, self.cols)
 
-    def adjacent_pairs(self) -> list[tuple[int, int]]:
-        """Horizontally or vertically touching unit pairs, each once (a < b)."""
-        pairs = []
-        for u in range(self.n_units):
-            r, c = divmod(u, self.cols)
-            if c + 1 < self.cols:
-                pairs.append((u, u + 1))
-            if r + 1 < self.rows:
-                pairs.append((u, u + self.cols))
-        return pairs
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "rows": self.rows, "cols": self.cols}
 
@@ -219,6 +208,8 @@ class SomModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "SomModel":
+        keys = ("topology", "dim", "config", "code_vectors", "trained_steps")
+        jsonio.require_keys(data, keys, "a map model")
         return cls(
             topology=Topology.from_json(data["topology"]),
             dim=data["dim"],

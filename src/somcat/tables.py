@@ -2,10 +2,12 @@
 
 The Burt table of a disjunctive table D is B = D'D: an M x M symmetric count
 matrix whose (j, l) entry is the number of individuals choosing modalities j
-and l together.  Dividing by functions of the modality counts turns B and D
-into matrices whose ordinary Euclidean row distances equal the chi-square
-distances of correspondence analysis; those corrected matrices are what the
-map algorithms train on.
+and l together.  Dividing by functions of the modality counts gives the
+corrected tables the map algorithms train on.  For N individuals, N times the
+squared Euclidean distance between rows of the corrected disjunctive table C
+is the chi-square distance between those rows of D, and likewise for the
+modality mean vectors (``analyses.modality_mean_vectors``) and rows of B.
+The corrected Burt table C'C has no such row identity.
 """
 
 from __future__ import annotations
@@ -18,51 +20,12 @@ from .dataset import DisjunctiveTable
 from .errors import DataError, DimensionError, ZeroModalityError
 
 
-@dataclass(eq=False)
-class BurtTable:
-    """Symmetric M x M co-occurrence count table with its block structure."""
+def burt(disj: DisjunctiveTable) -> np.ndarray:
+    """B = D'D, the M x M int64 count table, multiplied in float64.
 
-    entries: np.ndarray
-    block_offsets: tuple[int, ...]
-    counts: np.ndarray            # diagonal / modality counts b_j
-    names: tuple[str, ...]
-    n_individuals: int
-    n_variables: int
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.int64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        m = self.entries.shape[0]
-        if self.entries.shape != (m, m):
-            raise DimensionError("Burt table must be square")
-        if len(self.names) != m:
-            raise DimensionError("Burt table labels do not match its shape")
-        if not np.array_equal(self.entries, self.entries.T):
-            raise DataError("Burt table must be symmetric")
-        if not np.array_equal(np.diag(self.entries), self.counts):
-            raise DataError("Burt diagonal must equal the modality counts")
-        k = self.n_variables
-        bounds = list(self.block_offsets) + [m]
-        for blk in range(k):
-            lo, hi = bounds[blk], bounds[blk + 1]
-            block = self.entries[lo:hi, lo:hi]
-            if not np.array_equal(block, np.diag(np.diag(block))):
-                raise DataError(
-                    f"diagonal block {blk} must be diagonal "
-                    "(modalities of one variable never co-occur)"
-                )
-        if not np.array_equal(self.entries.sum(axis=1), k * self.counts):
-            raise DataError("Burt row sums must equal K * modality count")
-        if int(self.entries.sum()) != k * k * self.n_individuals:
-            raise DataError("Burt grand total must equal K^2 * N")
-
-    @property
-    def n_modalities(self) -> int:
-        return self.entries.shape[0]
-
-
-def burt(disj: DisjunctiveTable) -> BurtTable:
-    """B = D'D, multiplied in float64 and cast back to int64.
+    Row and column j are modality ``disj.names[j]``.  For a valid table B is
+    symmetric with the counts b_j on its diagonal and diagonal blocks, row j
+    sums to K * b_j, and the whole table to K^2 * N.
 
     numpy runs an int64 matrix product in its own loop, without BLAS.  Every
     partial sum of D'D is a count below 2**53, so the float64 products and
@@ -77,14 +40,7 @@ def burt(disj: DisjunctiveTable) -> BurtTable:
     for start in range(0, n, step):
         block = d[start:start + step].astype(np.float64)
         entries += block.T @ block
-    return BurtTable(
-        entries=entries.astype(np.int64),
-        block_offsets=disj.block_offsets,
-        counts=disj.counts.copy(),
-        names=disj.names,
-        n_individuals=disj.n_individuals,
-        n_variables=disj.n_variables,
-    )
+    return entries.astype(np.int64)
 
 
 def _check_positive_counts(counts: np.ndarray, names) -> None:
@@ -93,15 +49,15 @@ def _check_positive_counts(counts: np.ndarray, names) -> None:
             raise ZeroModalityError(names[j])
 
 
-def corrected_burt(table: BurtTable) -> np.ndarray:
-    """Burt correction: entry (j, l) becomes b_jl / (K * sqrt(b_j) * sqrt(b_l)).
+def corrected_burt(disj: DisjunctiveTable) -> np.ndarray:
+    """Burt correction: entry (j, l) of burt(disj) over K * sqrt(b_j) * sqrt(b_l).
 
-    Row j is modality ``table.names[j]``.  Every diagonal entry of the
+    Row j is modality ``disj.names[j]``.  Every diagonal entry of the
     result is 1/K up to rounding, a useful sanity anchor.
     """
-    _check_positive_counts(table.counts, table.names)
-    root = np.sqrt(table.counts.astype(np.float64))
-    return table.entries / (table.n_variables * np.outer(root, root))
+    _check_positive_counts(disj.counts, disj.names)
+    root = np.sqrt(disj.counts.astype(np.float64))
+    return burt(disj) / (disj.n_variables * np.outer(root, root))
 
 
 def corrected_disjunctive(disj: DisjunctiveTable) -> np.ndarray:
@@ -113,19 +69,6 @@ def corrected_disjunctive(disj: DisjunctiveTable) -> np.ndarray:
     k = disj.n_variables
     root = np.sqrt(disj.counts.astype(np.float64))
     return disj.entries / (np.sqrt(float(k)) * root)[np.newaxis, :]
-
-
-def corrected_frequency(table) -> np.ndarray:
-    """General contingency correction: f_ij / sqrt(f_i. * f_.j) on frequencies."""
-    counts = np.asarray(table, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise DataError("contingency table must have a positive total")
-    f = counts / total
-    fr, fc = f.sum(axis=1), f.sum(axis=0)
-    if np.any(fr == 0) or np.any(fc == 0):
-        raise DataError("corrected frequency table requires nonzero margins")
-    return f / np.sqrt(np.outer(fr, fc))
 
 
 @dataclass(eq=False)

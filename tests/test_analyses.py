@@ -371,7 +371,7 @@ def test_bmu_after_training_uses_the_difference_form(monkeypatch, marriage):
 def test_analysis_result_json_round_trip(marriage):
     res = kmca_ind(marriage, TOPO, small_cfg())
     blob = res.to_json(model_file="m.json")
-    clone = AnalysisResult.from_json(blob, model=res.model)
+    clone = AnalysisResult.from_json(blob)
     assert clone.algorithm == res.algorithm
     assert clone.topology == res.topology
     assert np.array_equal(clone.modalities.units, res.modalities.units)

@@ -413,6 +413,31 @@ def test_render_rejects_a_model_file_given_as_result(trained, capsys):
     assert err.startswith("error:data:")
 
 
+@pytest.mark.parametrize("case", ["macro-list", "render-macro-file", "train-data",
+                                  "pies-data", "macro-model", "unnamed-variable"])
+def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
+    outdir, result = trained
+    listing = outdir / "list.json"
+    listing.write_text("[1, 2]\n", encoding="utf-8")
+    unnamed = outdir / "unnamed.dataset.json"
+    unnamed.write_text(json.dumps({"individuals": ["a"], "cells": [[0]],
+                                   "variables": [{"modalities": ["x", "y"]}]}))
+    argv = {
+        "macro-list": ["macro", "--result", str(listing), "--macro", "2"],
+        "render-macro-file": ["render", "--result", str(result),
+                              "--macro-file", str(result)],
+        "train-data": ["kmca", "--data", str(result), "--out", str(outdir)],
+        "pies-data": ["pies", "--result", str(result), "--variable", "wife",
+                      "--data", str(result)],
+        "macro-model": ["macro", "--result", str(result), "--model", str(result),
+                        "--macro", "2"],
+        "unnamed-variable": ["kmca", "--data", str(unnamed), "--out", str(outdir)],
+    }[case]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:data: not a"), err
+
+
 def test_render_rejects_a_macro_file_of_a_smaller_map(trained, capsys):
     outdir, result = trained
     small = outdir / "small"

@@ -84,17 +84,6 @@ def test_frequencies_rows_sum_to_one_or_zero():
     assert np.all(freq >= 0)
 
 
-def test_pie_grid_json_round_trip():
-    counts = np.array([[1, 0], [2, 3], [0, 0], [4, 1]])
-    pies = PieGrid(
-        topology=Topology.grid(2, 2), variable="v", labels=("a", "b"), counts=counts
-    )
-    clone = PieGrid.from_json(pies.to_json())
-    assert clone.variable == "v"
-    assert np.array_equal(clone.counts, counts)
-    assert clone.topology == pies.topology
-
-
 def test_external_from_csv_inferred(tmp_path):
     p = tmp_path / "extra.csv"
     p.write_text("id,region\ni1,north\ni2,south\ni3,north\n", encoding="utf-8")

@@ -13,12 +13,9 @@ from somcat.dataset import (
     expand_from_contingency,
     ingest_csv,
     load_schema,
-    to_disjunctive,
 )
 from somcat.errors import DataError
 from somcat.marriages import HUSBAND, WIFE, marriage_counts
-
-from conftest import random_dataset
 
 
 # ---------------------------------------------------------------- VariableSpec
@@ -163,32 +160,6 @@ def test_disjunctive_rejects_two_ones_in_block():
             individuals=("i1",),
             n_variables=2,
         )
-
-
-def test_column_index_accepts_unambiguous_bare_label(marriage_disj):
-    assert marriage_disj.column_index("MFARM") == 0
-    assert marriage_disj.column_index("wife.FWORK") == 11
-    with pytest.raises(DataError):
-        marriage_disj.column_index("NOPE")
-
-
-def test_column_index_rejects_ambiguous_bare_label():
-    rng = np.random.default_rng(3)
-    ds = random_dataset(rng, n=30, sizes=(2, 2))
-    disj = to_disjunctive(ds)
-    # rename both blocks to share a bare label
-    names = ("u.SAME", "u.other", "v.SAME", "v.more")
-    clone = DisjunctiveTable(
-        entries=disj.entries,
-        block_offsets=disj.block_offsets,
-        counts=disj.counts,
-        names=names,
-        individuals=disj.individuals,
-        n_variables=2,
-    )
-    assert clone.column_index("v.SAME") == 2
-    with pytest.raises(DataError):
-        clone.column_index("SAME")
 
 
 # -------------------------------------------------------------------- ingest

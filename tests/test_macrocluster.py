@@ -12,7 +12,6 @@ import pytest
 from somcat.errors import ConfigError
 from somcat.macrocluster import (
     WARD_MAX_BYTES,
-    Dendrogram,
     MacroClassing,
     check_ward_size,
     cut,
@@ -249,20 +248,6 @@ def test_cut_orphans_inherit_nearest_class():
     assert dendro.leaves == (0, 3)
     mc = cut(dendro, 2)
     assert mc.labels.tolist() == [0, 0, 1, 1]
-
-
-def test_cut_without_vectors_needs_no_orphans():
-    rng = np.random.default_rng(36)
-    topo = Topology.grid(2, 2)
-    model = make_model(topo, rng.normal(size=(4, 2)))
-    blob = ward_cluster(model, np.ones(model.topology.n_units)).to_json()
-    revived = Dendrogram.from_json(blob)
-    assert cut(revived, 2).k == 2  # all units clustered: vectors not needed
-
-    weights = np.array([1.0, 1.0, 0.0, 1.0])
-    partial = Dendrogram.from_json(ward_cluster(model, weights=weights).to_json())
-    with pytest.raises(ConfigError):
-        cut(partial, 2)
 
 
 def test_connected_flag_detects_split_class():

@@ -56,18 +56,10 @@ def test_topology_distances_are_chebyshev():
             assert d[a, b] == max(abs(ra - rb), abs(ca - cb))
 
 
-def test_adjacent_pairs_are_4_neighborhood():
-    topo = Topology.grid(2, 3)
-    pairs = set(topo.adjacent_pairs())
-    # units: 0 1 2 / 3 4 5
-    assert pairs == {(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}
-
-
 def test_string_topology_is_one_row():
     topo = Topology.string(5)
     assert (topo.rows, topo.cols) == (1, 5)
     assert topo.side == 5
-    assert set(topo.adjacent_pairs()) == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
 
 def test_topology_needs_two_units():

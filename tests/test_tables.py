@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from somcat.analyses import modality_mean_vectors
 from somcat.dataset import CategoricalDataset, VariableSpec, to_disjunctive
 from somcat.errors import DataError, ZeroModalityError
-from somcat.marriages import marriage_counts
+from somcat.marriages import marriage_counts, marriage_dataset
 from somcat.tables import (
     burt,
     chi2_distance,
     corrected_burt,
     corrected_disjunctive,
-    corrected_frequency,
     profiles,
     total_inertia,
 )
@@ -31,31 +31,36 @@ def pearson_chi_square(counts):
     return chi2
 
 
+def bare_index(names):
+    """Column of a modality label with its variable prefix stripped."""
+    return [n.split(".", 1)[1] for n in names].index
+
+
 # ----------------------------------------------------------------------- Burt
 
 def test_burt_is_symmetric_with_count_diagonal(marriage_disj, marriage_burt):
-    b = marriage_burt.entries
+    b = marriage_burt
     assert np.array_equal(b, b.T)
     assert np.array_equal(np.diag(b), marriage_disj.counts)
 
 
 def test_burt_known_cells(marriage_disj, marriage_burt):
-    b = marriage_burt.entries
-    idx = marriage_disj.column_index
+    b = marriage_burt
+    idx = bare_index(marriage_disj.names)
     assert b[idx("MFARM"), idx("FFARM")] == 16
     assert b[idx("MWORK"), idx("FCLER")] == 60
     assert b[idx("MINTO"), idx("FCLER")] == 35
 
 
 def test_burt_within_block_off_diagonal_zero(marriage_burt):
-    b = marriage_burt.entries
+    b = marriage_burt
     for lo, hi in ((0, 6), (6, 12)):
         block = b[lo:hi, lo:hi]
         assert np.array_equal(block, np.diag(np.diag(block)))
 
 
 def test_burt_row_sums_and_total(marriage_disj, marriage_burt):
-    b = marriage_burt.entries
+    b = marriage_burt
     assert np.array_equal(b.sum(axis=1), 2 * marriage_disj.counts)
     assert b.sum() == 4 * 270  # K^2 * N
 
@@ -66,14 +71,14 @@ def test_burt_equals_cross_products_on_random_data():
         ds = random_dataset(rng, n=25, sizes=(3, 2, 4))
         disj = to_disjunctive(ds)
         expect = disj.entries.T @ disj.entries
-        assert np.array_equal(burt(disj).entries, expect)
+        assert np.array_equal(burt(disj), expect)
 
 
 def test_burt_float_product_equals_the_int64_product():
     rng = np.random.default_rng(12)
     for n, sizes in ((40, (3, 4, 2)), (3000, (6,) * 10), (500, (2, 9, 5, 3))):
         disj = to_disjunctive(random_dataset(rng, n=n, sizes=sizes))
-        entries = burt(disj).entries
+        entries = burt(disj)
         assert entries.dtype == np.int64
         assert np.array_equal(entries, disj.entries.T @ disj.entries)
 
@@ -81,8 +86,8 @@ def test_burt_float_product_equals_the_int64_product():
 # ----------------------------------------------------------- corrected tables
 
 def test_corrected_burt_direct_formula(marriage_disj, marriage_burt):
-    bc = corrected_burt(marriage_burt)
-    b = marriage_burt.entries
+    bc = corrected_burt(marriage_disj)
+    b = marriage_burt
     counts = marriage_disj.counts
     k = 2
     for j in range(12):
@@ -91,14 +96,14 @@ def test_corrected_burt_direct_formula(marriage_disj, marriage_burt):
             assert bc[j, l] == pytest.approx(expect, abs=1e-15)
 
 
-def test_corrected_burt_diagonal_is_half(marriage_burt):
-    bc = corrected_burt(marriage_burt)
+def test_corrected_burt_diagonal_is_half(marriage_disj):
+    bc = corrected_burt(marriage_disj)
     assert np.all(np.abs(np.diag(bc) - 0.5) <= 1e-15)
 
 
-def test_corrected_burt_exclusive_pair_is_half(marriage_disj, marriage_burt):
-    bc = corrected_burt(marriage_burt)
-    idx = marriage_disj.column_index
+def test_corrected_burt_exclusive_pair_is_half(marriage_disj):
+    bc = corrected_burt(marriage_disj)
+    idx = bare_index(marriage_disj.names)
     assert bc[idx("MFARM"), idx("FFARM")] == pytest.approx(0.5, abs=1e-15)
 
 
@@ -112,6 +117,51 @@ def test_corrected_disjunctive_direct_formula(marriage_disj):
             assert dc[i, j] == pytest.approx(expect, abs=1e-15)
 
 
+def chi2_case(which):
+    """The marriage data, or a random dataset drawn from seed ``which``."""
+    if which == "marriage":
+        return to_disjunctive(marriage_dataset())
+    rng = np.random.default_rng(which)
+    return to_disjunctive(random_dataset(rng, n=30, sizes=(3, 2, 4)))
+
+
+def scaled_squared_distance(rows, a, b, n):
+    diff = rows[a] - rows[b]
+    return n * float(diff @ diff)
+
+
+@pytest.mark.parametrize("which", ["marriage", 21, 22])
+def test_corrected_disjunctive_rows_give_chi_square_distance(which):
+    # N * ||dc_a - dc_b||^2 is the chi-square distance between rows a, b of D
+    disj = chi2_case(which)
+    dc = corrected_disjunctive(disj)
+    n = disj.n_individuals
+    rng = np.random.default_rng(5)
+    for a, b in rng.integers(0, n, size=(60, 2)):
+        expect = chi2_distance(disj.entries, a, b)
+        got = scaled_squared_distance(dc, a, b, n)
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("which", ["marriage", 21, 22])
+def test_modality_mean_vectors_give_chi_square_distance(which):
+    # N * ||mean_j - mean_l||^2 is the chi-square distance between rows j, l of B
+    disj = chi2_case(which)
+    means = modality_mean_vectors(disj)
+    b = burt(disj)
+    n, m = disj.n_individuals, disj.n_modalities
+    for j in range(m):
+        for l in range(j + 1, m):
+            expect = chi2_distance(b, j, l)
+            got = scaled_squared_distance(means, j, l, n)
+            assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_corrected_burt_is_the_gram_matrix_of_corrected_columns(marriage_disj):
+    dc = corrected_disjunctive(marriage_disj)
+    assert np.allclose(corrected_burt(marriage_disj), dc.T @ dc, rtol=0, atol=1e-15)
+
+
 def test_corrected_rejects_zero_modality():
     ds = CategoricalDataset(
         individuals=["a", "b"],
@@ -120,26 +170,9 @@ def test_corrected_rejects_zero_modality():
     )
     disj = to_disjunctive(ds)
     with pytest.raises(ZeroModalityError, match="'v.z'"):
-        corrected_burt(burt(disj))
+        corrected_burt(disj)
     with pytest.raises(ZeroModalityError, match="'v.z'"):
         corrected_disjunctive(disj)
-
-
-def test_corrected_frequency_matches_formula():
-    counts = np.array([[3.0, 1.0, 4.0], [1.0, 5.0, 9.0]])
-    fc = corrected_frequency(counts)
-    total = counts.sum()
-    f = counts / total
-    for i in range(2):
-        for j in range(3):
-            expect = f[i, j] / np.sqrt(f[i].sum() * f[:, j].sum())
-            assert fc[i, j] == pytest.approx(expect, abs=1e-15)
-
-
-def test_corrected_frequency_identity_diagonal():
-    # a diagonal table concentrates each row on its own column
-    fc = corrected_frequency(np.diag([2.0, 3.0, 5.0]))
-    assert np.allclose(fc, np.eye(3))
 
 
 # ------------------------------------------------------- profiles and inertia
