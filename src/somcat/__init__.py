@@ -1,7 +1,8 @@
 """Self-organizing-map analysis of categorical survey data.
 
 The pipeline: encode answers as a complete disjunctive table, derive the
-Burt co-occurrence table, rescale both by the modality counts (Euclidean
+Burt co-occurrence table (both plain arrays computed from the dataset, which
+labels their rows and columns), rescale both by the modality counts (Euclidean
 distance between corrected disjunctive rows is then the chi-square distance
 of correspondence analysis, up to the factor N), train a small map on the
 corrected rows (three variants: modalities only, individuals with projected
@@ -31,7 +32,6 @@ from .crossing import (
 )
 from .dataset import (
     CategoricalDataset,
-    DisjunctiveTable,
     VariableSpec,
     expand_from_contingency,
     ingest_csv,
@@ -99,7 +99,6 @@ __all__ = [
     "ContingencyStats",
     "Dendrogram",
     "DeviationTable",
-    "DisjunctiveTable",
     "DistanceMask",
     "ExternalColumn",
     "InitSpec",

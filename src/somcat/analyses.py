@@ -18,7 +18,9 @@
                 on the individual-space block, among the units that hold
                 any individual.
 
-All three consume one RNG stream per run (seeded from the config), covering
+Each computes its table from the dataset and labels the mapped rows with
+the dataset's ``individuals`` and ``global_modality_names``.  All three
+consume one RNG stream per run (seeded from the config), covering
 initialization, draws and tie breaks, so equal inputs give equal outputs.
 """
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .dataset import CategoricalDataset, DisjunctiveTable, to_disjunctive
+from .dataset import CategoricalDataset
 from .errors import ConfigError, DataError, DimensionError
 from .som import (
     DistanceMask,
@@ -43,7 +45,7 @@ from .som import (
     init_model,
     train,
 )
-from .tables import _check_positive_counts, burt, corrected_burt, corrected_disjunctive
+from .tables import _checked_counts, burt, corrected_burt, corrected_disjunctive
 
 ALGORITHMS = ("kmca", "kmca-ind", "kdisj")
 ITERATION_CAP = 100_000
@@ -69,17 +71,17 @@ def default_iterations(
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
-def modality_mean_vectors(disj: DisjunctiveTable) -> np.ndarray:
+def modality_mean_vectors(ds: CategoricalDataset) -> np.ndarray:
     """Mean corrected-disjunctive row over each modality's adopters, M x M.
 
     Computed in closed form from the Burt table: entry (j, l) equals
     B_jl / (b_j * sqrt(K) * sqrt(b_l)), which is exactly the average of the
-    corrected rows of the individuals who chose modality j.
+    corrected rows of the individuals who chose modality j.  Row j is
+    modality ``ds.global_modality_names[j]``.
     """
-    _check_positive_counts(disj.counts, disj.names)
-    counts = disj.counts.astype(np.float64)
-    k = float(disj.n_variables)
-    b = burt(disj)
+    b = burt(ds)
+    counts = _checked_counts(np.diag(b), ds)
+    k = float(ds.n_variables)
     return b / counts[:, np.newaxis] / np.sqrt(counts)[np.newaxis, :] / np.sqrt(k)
 
 
@@ -212,6 +214,7 @@ class AnalysisResult:
         def unpack(packed):
             if packed is None:
                 return None
+            jsonio.require_keys(packed, ("items", "units"), "a packed assignment")
             return MapAssignment(
                 labels=tuple(packed["items"]),
                 units=np.asarray(packed["units"], dtype=np.int64),
@@ -219,6 +222,8 @@ class AnalysisResult:
             )
 
         prov = data["provenance"]
+        keys = ("dataset_sha256", "config", "qe_log")
+        jsonio.require_keys(prov, keys, "a result provenance")
         return cls(
             algorithm=data["algorithm"],
             topology=topo,
@@ -273,11 +278,10 @@ def kmca(
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on the corrected Burt rows; map positions for modalities only."""
-    disj = to_disjunctive(ds)
-    rows = corrected_burt(disj)
+    rows = corrected_burt(ds)
     model, qe_log, modalities = _train(
         "kmca", ds, topology, config, UniformRowSampler(rows), rows.shape[1],
-        disj.names, data=rows,
+        ds.global_modality_names, data=rows,
     )
     return _result("kmca", ds, model, qe_log, modalities)
 
@@ -288,13 +292,13 @@ def kmca_ind(
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on corrected disjunctive rows; modalities placed by mean vector."""
-    disj = to_disjunctive(ds)
-    rows = corrected_disjunctive(disj)
+    rows = corrected_disjunctive(ds)
     model, qe_log, individuals = _train(
         "kmca-ind", ds, topology, config, UniformRowSampler(rows), rows.shape[1],
-        disj.individuals, data=rows,
+        ds.individuals, data=rows,
     )
-    modalities = assign(model, modality_mean_vectors(disj), labels=disj.names)
+    modalities = assign(model, modality_mean_vectors(ds),
+                        labels=ds.global_modality_names)
     return _result("kmca-ind", ds, model, qe_log, modalities, individuals)
 
 
@@ -305,20 +309,19 @@ def kdisj(
     observer=None,
 ) -> AnalysisResult:
     """Simultaneous analysis of individuals and modalities on one map."""
-    disj = to_disjunctive(ds)
-    sampler = KdisjSampler(corrected_disjunctive(disj))
+    sampler = KdisjSampler(corrected_disjunctive(ds))
     dc = sampler.dc
     lo = np.concatenate([dc.min(axis=0), dc.min(axis=1)])
     hi = np.concatenate([dc.max(axis=0), dc.max(axis=1)])
     model, qe_log, individuals = _train(
-        "kdisj", ds, topology, config, sampler, sampler.dim, disj.individuals,
+        "kdisj", ds, topology, config, sampler, sampler.dim, ds.individuals,
         ranges=(lo, hi), observer=observer,
     )
     modalities = assign(
         model,
         sampler.columns,
         mask=sampler._mod_mask,
-        labels=disj.names,
+        labels=ds.global_modality_names,
         units=individuals.counts > 0,
     )
     return _result("kdisj", ds, model, qe_log, modalities, individuals)

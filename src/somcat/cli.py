@@ -11,7 +11,8 @@ Conventions shared by all subcommands:
 * artifacts land in ``--out``, else ``$SOMCAT_OUTDIR``, else the current
   directory (for derived artifacts: next to their input);
 * run artifacts are named ``<dataset>.<algorithm>.<seed>.<kind>``;
-* ``--config FILE`` loads a JSON object whose keys override the flags;
+* ``--config FILE`` loads a JSON object whose keys are parsed as flags after
+  the command line, so they override it and are checked like it;
 * ``--json`` prints a machine-readable summary to stdout;
 * failures print ``error:<category>: <message>`` to stderr and exit 1
   (argparse keeps its usual exit 2 for malformed arguments).
@@ -46,42 +47,46 @@ ENV_OUTDIR = "SOMCAT_OUTDIR"
 # ---------------------------------------------------------------- helpers
 
 
-def _grid_arg(text: str) -> str:
+def _grid_arg(text: str) -> Topology:
     parts = text.lower().split("x")
     try:
         if len(parts) != 2:
             raise ValueError(text)
-        rows, cols = int(parts[0]), int(parts[1])
-        Topology.grid(rows, cols)
+        return Topology.grid(int(parts[0]), int(parts[1]))
     except (ValueError, SomcatError):
         raise argparse.ArgumentTypeError(
             f"bad grid {text!r} (want ROWSxCOLS with positive sides, >= 2 units)"
         ) from None
-    return f"{rows}x{cols}"
 
 
 def _topology(args) -> Topology:
-    if getattr(args, "string", None):
-        return Topology.string(int(args.string))
-    try:
-        rows, cols = (int(p) for p in str(args.grid).lower().split("x"))
-    except ValueError:
-        raise ConfigError(f"bad grid {args.grid!r}") from None
-    return Topology.grid(rows, cols)
+    return args.grid if args.string is None else Topology.string(args.string)
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Overlay a JSON config file on the parsed flags (file wins)."""
-    path = getattr(args, "config", None)
-    if not path:
-        return args
-    data = jsonio.load(path)
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str],
+                  args: argparse.Namespace) -> argparse.Namespace:
+    """Parse a JSON config file's keys as flags after the command line, so
+    the file wins and each value meets its flag's type and choices.  A
+    true/false option (a bool in ``args``) takes only a JSON bool."""
+    data = jsonio.load(args.config)
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ConfigError(f"config file {args.config} must hold a JSON object")
+    flags, switches = [], {}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest in ("func", "command", "config") or not hasattr(args, dest):
             raise ConfigError(f"config key {key!r} does not match any option")
+        switch = isinstance(getattr(args, dest), bool)
+        scalar = isinstance(value, (str, int, float))
+        if switch != isinstance(value, bool) or not scalar:
+            want = "true or false" if switch else "a string or a number"
+            raise ConfigError(f"config key {key!r} takes {want}")
+        if switch:
+            switches[dest] = value
+        else:
+            flags.append(f"--{dest.replace('_', '-')}={value}")
+    args = parser.parse_args([*argv, *flags])
+    for dest, value in switches.items():
         setattr(args, dest, value)
     return args
 
@@ -153,7 +158,7 @@ def _write_maps(
 ) -> None:
     """Write the map(s) ``--render`` asks for: svg, text, both or none."""
     if args.render in ("svg", "both"):
-        spec = MapRenderSpec(cell_size=int(args.cell_size), label_source=args.labels)
+        spec = MapRenderSpec(cell_size=args.cell_size, label_source=args.labels)
         _write(outdir, f"{base}.svg", render_map(result, macro, spec), files)
     if args.render in ("text", "both"):
         _write(outdir, f"{base}.txt", render_text(result, macro), files)
@@ -163,9 +168,9 @@ def _write_maps(
 
 
 def _seeds(args) -> list[int]:
-    if int(args.seeds) < 1:
+    if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
-    return [int(args.seed) + i for i in range(int(args.seeds))]
+    return [args.seed + i for i in range(args.seeds)]
 
 
 def _run_seeds(
@@ -176,16 +181,11 @@ def _run_seeds(
     seeds: list[int],
 ) -> list[AnalysisResult]:
     configs = [
-        TrainConfig(
-            epsilon0=float(args.eps0),
-            c0=float(args.c0),
-            t_max=None if args.iters is None else int(args.iters),
-            seed=seed,
-        )
+        TrainConfig(epsilon0=args.eps0, c0=args.c0, t_max=args.iters, seed=seed)
         for seed in seeds
     ]
     n = len(configs)
-    workers = int(args.workers or min(n, os.cpu_count() or 1, 4))
+    workers = args.workers or min(n, os.cpu_count() or 1, 4)
     if workers > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(
@@ -214,9 +214,9 @@ def _write_run(
 
     macro = None
     if macro_k is not None:
-        weights = unit_weights(result, uniform=bool(args.uniform_weights))
+        weights = unit_weights(result, uniform=args.uniform_weights)
         dendro = ward_cluster(result.model, weights=weights)
-        k = min(4, dendro.n_leaves) if macro_k == "auto" else int(macro_k)
+        k = min(4, dendro.n_leaves) if macro_k == "auto" else macro_k
         macro = cut(dendro, k)
         _write_json(outdir, f"{base}.macro.json", macro.to_json(), files)
 
@@ -387,20 +387,26 @@ def cmd_ingest(args) -> int:
 def cmd_tables(args) -> int:
     name, ds = _load_dataset(args)
     outdir = _outdir(args)
-    disj = to_disjunctive(ds)
-    b = burt(disj)
+    d = to_disjunctive(ds)
+    b = burt(ds)
+    names, counts = list(ds.global_modality_names), d.sum(axis=0).tolist()
     files: list[str] = []
     payload = {
         "dataset": name,
         "dataset_sha256": ds.sha256(),
-        "disjunctive": disj.to_json(),
-        "burt": {
-            "names": list(disj.names),
-            "counts": disj.counts.tolist(),
-            "entries": b.tolist(),
+        "disjunctive": {
+            "n_individuals": ds.n_individuals,
+            "n_variables": ds.n_variables,
+            "n_modalities": ds.n_modalities,
+            "block_offsets": list(ds.block_offsets),
+            "modality_counts": counts,
+            "names": names,
+            "individuals": list(ds.individuals),
+            "ones": [np.flatnonzero(row).tolist() for row in d],
         },
-        "burt_corrected": corrected_burt(disj).tolist(),
-        "disjunctive_corrected": corrected_disjunctive(disj).tolist(),
+        "burt": {"names": names, "counts": counts, "entries": b.tolist()},
+        "burt_corrected": corrected_burt(ds).tolist(),
+        "disjunctive_corrected": corrected_disjunctive(ds).tolist(),
     }
     _write_json(outdir, f"{name}.tables.json", payload, files)
     k, n = ds.n_variables, ds.n_individuals
@@ -445,9 +451,9 @@ def cmd_macro(args) -> int:
     result.model = SomModel.load(model_path)
     outdir = _outdir(args, fallback=str(Path(args.result).parent))
     base = _result_base(args.result)
-    weights = unit_weights(result, uniform=bool(args.uniform_weights))
+    weights = unit_weights(result, uniform=args.uniform_weights)
     dendro = ward_cluster(result.model, weights=weights)
-    macro = cut(dendro, int(args.macro))
+    macro = cut(dendro, args.macro)
     files: list[str] = []
     _write_json(outdir, f"{base}.macro.json", macro.to_json(), files)
     _write_json(outdir, f"{base}.dendrogram.json", dendro.to_json(), files)
@@ -529,7 +535,7 @@ def cmd_report(args) -> int:
     name, ds = _load_dataset(args)
     outdir = _outdir(args)
     topology = _topology(args)
-    macro_k = "auto" if args.macro is None else int(args.macro)
+    macro_k = "auto" if args.macro is None else args.macro
 
     run_fields = (
         "algorithm", "seed", "t_max", "qe_initial", "qe_final", "occupied_units"
@@ -682,9 +688,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args)
+        if args.config:
+            args = _apply_config(parser, argv, args)
         return args.func(args)
     except SomcatError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)

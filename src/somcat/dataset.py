@@ -3,8 +3,9 @@
 A dataset is N individuals answering K qualitative questions, each question
 having a fixed list of modalities (possible answers).  Quantitative columns
 can be discretized into modalities via break-points.  The complete
-disjunctive table is the N x M one-hot encoding (M = total modality count)
-with exactly one 1 per question block in every row.
+disjunctive table (``to_disjunctive``) is the N x M one-hot array (M = total
+modality count) with exactly one 1 per question block in every row; its
+labels are the dataset's ``individuals`` and ``global_modality_names``.
 """
 
 from __future__ import annotations
@@ -185,70 +186,15 @@ class CategoricalDataset:
         return jsonio.sha256_of(self.to_json())
 
 
-@dataclass(eq=False)
-class DisjunctiveTable:
-    """Complete disjunctive table: one-hot rows with one 1 per question block."""
-
-    entries: np.ndarray                 # N x M, 0/1
-    block_offsets: tuple[int, ...]
-    counts: np.ndarray                  # column sums b_j, length M
-    names: tuple[str, ...]              # global modality names
-    individuals: tuple[str, ...]
-    n_variables: int
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.int64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        n, m = self.entries.shape
-        k = self.n_variables
-        if len(self.names) != m or len(self.block_offsets) != k:
-            raise DataError("disjunctive table labels do not match its shape")
-        bounds = list(self.block_offsets) + [m]
-        for blk in range(k):
-            lo, hi = bounds[blk], bounds[blk + 1]
-            if not np.all(self.entries[:, lo:hi].sum(axis=1) == 1):
-                raise DataError(f"block {blk} must contain exactly one 1 per row")
-        if not np.array_equal(self.counts, self.entries.sum(axis=0)):
-            raise DataError("modality counts do not match column sums")
-        if int(self.counts.sum()) != n * k:
-            raise DataError("sum of modality counts must equal N*K")
-
-    @property
-    def n_individuals(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_modalities(self) -> int:
-        return self.entries.shape[1]
-
-    def to_json(self) -> dict:
-        return {
-            "n_individuals": self.n_individuals,
-            "n_variables": self.n_variables,
-            "n_modalities": self.n_modalities,
-            "block_offsets": list(self.block_offsets),
-            "modality_counts": self.counts.tolist(),
-            "names": list(self.names),
-            "individuals": list(self.individuals),
-            "ones": [np.flatnonzero(row).tolist() for row in self.entries],
-        }
-
-
-def to_disjunctive(ds: CategoricalDataset) -> DisjunctiveTable:
-    """One-hot encode a dataset; row sums all equal K by construction."""
-    n, m = ds.n_individuals, ds.n_modalities
-    entries = np.zeros((n, m), dtype=np.int64)
-    offsets = ds.block_offsets
-    for j, off in enumerate(offsets):
+def to_disjunctive(ds: CategoricalDataset) -> np.ndarray:
+    """The N x M int64 one-hot table D: row i is ``ds.individuals[i]``, column
+    j ``ds.global_modality_names[j]``; the cells are in range, so each row
+    has one 1 in every variable's block."""
+    n = ds.n_individuals
+    entries = np.zeros((n, ds.n_modalities), dtype=np.int64)
+    for j, off in enumerate(ds.block_offsets):
         entries[np.arange(n), off + ds.cells[:, j]] = 1
-    return DisjunctiveTable(
-        entries=entries,
-        block_offsets=offsets,
-        counts=entries.sum(axis=0),
-        names=ds.global_modality_names,
-        individuals=tuple(ds.individuals),
-        n_variables=ds.n_variables,
-    )
+    return entries
 
 
 def load_schema(path: str | Path) -> list[VariableSpec]:

@@ -79,6 +79,7 @@ class Topology:
 
     @classmethod
     def from_json(cls, data: dict) -> "Topology":
+        jsonio.require_keys(data, ("kind", "rows", "cols"), "a map topology")
         return cls(kind=data["kind"], rows=data["rows"], cols=data["cols"])
 
 
@@ -106,6 +107,7 @@ class InitSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "InitSpec":
+        jsonio.require_keys(data, ("kind", "lo", "hi"), "an init spec")
         return cls(kind=data["kind"], lo=data["lo"], hi=data["hi"])
 
 
@@ -150,6 +152,8 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
+        keys = ("epsilon0", "c0", "t_max", "seed", "init")
+        jsonio.require_keys(data, keys, "a training config")
         return cls(
             epsilon0=data["epsilon0"],
             c0=data["c0"],

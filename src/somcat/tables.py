@@ -1,13 +1,14 @@
 """Burt table, chi-square corrections and contingency-table statistics.
 
-The Burt table of a disjunctive table D is B = D'D: an M x M symmetric count
-matrix whose (j, l) entry is the number of individuals choosing modalities j
-and l together.  Dividing by functions of the modality counts gives the
-corrected tables the map algorithms train on.  For N individuals, N times the
-squared Euclidean distance between rows of the corrected disjunctive table C
-is the chi-square distance between those rows of D, and likewise for the
-modality mean vectors (``analyses.modality_mean_vectors``) and rows of B.
-The corrected Burt table C'C has no such row identity.
+The Burt table of a dataset's disjunctive table D is B = D'D: an M x M
+symmetric count matrix whose (j, l) entry is the number of individuals
+choosing modalities j and l together.  Dividing by functions of the modality
+counts gives the corrected tables the map algorithms train on; all are plain
+arrays computed from the ``CategoricalDataset``.  For N individuals, N
+times the squared Euclidean distance between rows of the corrected
+disjunctive table C is the chi-square distance between those rows of D, and
+likewise for the modality mean vectors (``analyses.modality_mean_vectors``)
+and rows of B.  The corrected Burt table C'C has no such row identity.
 """
 
 from __future__ import annotations
@@ -16,16 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DisjunctiveTable
+from .dataset import CategoricalDataset, to_disjunctive
 from .errors import DataError, DimensionError, ZeroModalityError
 
 
-def burt(disj: DisjunctiveTable) -> np.ndarray:
-    """B = D'D, the M x M int64 count table, multiplied in float64.
+def burt(ds: CategoricalDataset) -> np.ndarray:
+    """B = D'D for D = to_disjunctive(ds), the M x M int64 count table.
 
-    Row and column j are modality ``disj.names[j]``.  For a valid table B is
-    symmetric with the counts b_j on its diagonal and diagonal blocks, row j
-    sums to K * b_j, and the whole table to K^2 * N.
+    Row and column j are modality ``ds.global_modality_names[j]``.  B is
+    symmetric with the modality counts b_j (the column sums of D) on its
+    diagonal and zeros elsewhere in its diagonal blocks; row j sums to
+    K * b_j, and the whole table to K^2 * N.
 
     numpy runs an int64 matrix product in its own loop, without BLAS.  Every
     partial sum of D'D is a count below 2**53, so the float64 products and
@@ -33,7 +35,7 @@ def burt(disj: DisjunctiveTable) -> np.ndarray:
     and multiplied in blocks of at most 2**16 entries, so no float copy of
     the whole table is made.
     """
-    d = disj.entries
+    d = to_disjunctive(ds)
     n, m = d.shape
     step = max(1, (1 << 16) // m)
     entries = np.zeros((m, m))
@@ -43,32 +45,34 @@ def burt(disj: DisjunctiveTable) -> np.ndarray:
     return entries.astype(np.int64)
 
 
-def _check_positive_counts(counts: np.ndarray, names) -> None:
-    for j, c in enumerate(counts):
-        if c == 0:
-            raise ZeroModalityError(names[j])
+def _checked_counts(counts: np.ndarray, ds: CategoricalDataset) -> np.ndarray:
+    """The modality counts as float64; a modality nobody chose is an error."""
+    zero = np.flatnonzero(counts == 0)
+    if len(zero):
+        raise ZeroModalityError(ds.global_modality_names[zero[0]])
+    return counts.astype(np.float64)
 
 
-def corrected_burt(disj: DisjunctiveTable) -> np.ndarray:
-    """Burt correction: entry (j, l) of burt(disj) over K * sqrt(b_j) * sqrt(b_l).
+def corrected_burt(ds: CategoricalDataset) -> np.ndarray:
+    """Burt correction: entry (j, l) of burt(ds) over K * sqrt(b_j) * sqrt(b_l).
 
-    Row j is modality ``disj.names[j]``.  Every diagonal entry of the
-    result is 1/K up to rounding, a useful sanity anchor.
+    Row j is modality ``ds.global_modality_names[j]``.  Every diagonal entry
+    of the result is 1/K up to rounding, a useful sanity anchor.
     """
-    _check_positive_counts(disj.counts, disj.names)
-    root = np.sqrt(disj.counts.astype(np.float64))
-    return burt(disj) / (disj.n_variables * np.outer(root, root))
+    b = burt(ds)
+    root = np.sqrt(_checked_counts(np.diag(b), ds))
+    return b / (ds.n_variables * np.outer(root, root))
 
 
-def corrected_disjunctive(disj: DisjunctiveTable) -> np.ndarray:
+def corrected_disjunctive(ds: CategoricalDataset) -> np.ndarray:
     """Disjunctive correction: entry (i, j) becomes d_ij / (sqrt(K) * sqrt(b_j)).
 
-    Row i is individual ``disj.individuals[i]``.
+    Row i is individual ``ds.individuals[i]``, column j modality
+    ``ds.global_modality_names[j]``.
     """
-    _check_positive_counts(disj.counts, disj.names)
-    k = disj.n_variables
-    root = np.sqrt(disj.counts.astype(np.float64))
-    return disj.entries / (np.sqrt(float(k)) * root)[np.newaxis, :]
+    d = to_disjunctive(ds)
+    root = np.sqrt(_checked_counts(d.sum(axis=0), ds))
+    return d / (np.sqrt(float(ds.n_variables)) * root)[np.newaxis, :]
 
 
 @dataclass(eq=False)

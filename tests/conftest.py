@@ -18,8 +18,8 @@ def marriage_disj(marriage):
 
 
 @pytest.fixture(scope="session")
-def marriage_burt(marriage_disj):
-    return somcat.burt(marriage_disj)
+def marriage_burt(marriage):
+    return somcat.burt(marriage)
 
 
 def random_dataset(rng, n=40, sizes=(3, 4, 2)):

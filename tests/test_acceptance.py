@@ -91,14 +91,14 @@ def wedge_angles(svg):
     return out
 
 
-def test_criterion_01_burt_identities(marriage_disj, marriage_burt):
+def test_criterion_01_burt_identities(marriage, marriage_disj, marriage_burt):
     t0 = time.perf_counter()
     table = marriage_burt
-    idx = bare(marriage_disj.names)
+    idx = bare(marriage.global_modality_names)
     ok = (
         table[idx["MFARM"], idx["FFARM"]] == 16
         and table[idx["MWORK"], idx["FCLER"]] == 60
-        and np.array_equal(table.sum(axis=1), 2 * marriage_disj.counts)
+        and np.array_equal(table.sum(axis=1), 2 * marriage_disj.sum(axis=0))
         and int(table.sum()) == 1080
     )
     elapsed = time.perf_counter() - t0
@@ -108,19 +108,20 @@ def test_criterion_01_burt_identities(marriage_disj, marriage_burt):
     assert ok
 
 
-def test_criterion_02_corrected_matrix_values(marriage_disj):
-    bc = corrected_burt(marriage_disj)
-    idx = bare(marriage_disj.names)
+def test_criterion_02_corrected_matrix_values(marriage, marriage_disj):
+    bc = corrected_burt(marriage)
+    idx = bare(marriage.global_modality_names)
     off_gap = abs(bc[idx["MFARM"], idx["FFARM"]] - 0.5)
     diag_gap = float(np.max(np.abs(np.diag(bc) - 0.5)))
 
-    dc = corrected_disjunctive(marriage_disj)
-    k = marriage_disj.n_variables
+    dc = corrected_disjunctive(marriage)
+    k = marriage.n_variables
+    counts = marriage_disj.sum(axis=0)
     oracle = np.empty_like(dc)
-    for i in range(marriage_disj.n_individuals):
-        for j in range(marriage_disj.n_modalities):
-            oracle[i, j] = marriage_disj.entries[i, j] / (
-                math.sqrt(k) * math.sqrt(marriage_disj.counts[j])
+    for i in range(marriage.n_individuals):
+        for j in range(marriage.n_modalities):
+            oracle[i, j] = marriage_disj[i, j] / (
+                math.sqrt(k) * math.sqrt(counts[j])
             )
     dc_gap = float(np.max(np.abs(dc - oracle)))
 
@@ -157,8 +158,8 @@ def test_criterion_03_inertia_equals_chi_square_over_n():
     assert ok
 
 
-def test_criterion_04_rarest_modality_oracle(marriage_disj):
-    dc = corrected_disjunctive(marriage_disj)
+def test_criterion_04_rarest_modality_oracle(marriage):
+    dc = corrected_disjunctive(marriage)
     rng = np.random.default_rng(4)
     matches = 0
     for i in range(dc.shape[0]):
@@ -169,7 +170,7 @@ def test_criterion_04_rarest_modality_oracle(marriage_disj):
         else:
             matches += got in ties
 
-    row = dc[marriage_disj.individuals.index("MFARM:FFARM:1")]
+    row = dc[marriage.individuals.index("MFARM:FFARM:1")]
     ties = np.flatnonzero(row == row.max())
     draws = np.array([kdisj_associate(row, rng) for _ in range(10_000)])
     freqs = [float((draws == t).mean()) for t in ties]
@@ -185,24 +186,24 @@ def test_criterion_04_rarest_modality_oracle(marriage_disj):
     assert ok
 
 
-def test_criterion_05_mean_vector_identity(marriage_disj):
-    def direct(disj):
-        dc = corrected_disjunctive(disj)
-        out = np.empty((disj.n_modalities, disj.n_modalities))
-        for j in range(disj.n_modalities):
-            out[j] = dc[disj.entries[:, j] == 1].mean(axis=0)
+def test_criterion_05_mean_vector_identity(marriage):
+    def direct(ds):
+        dc = corrected_disjunctive(ds)
+        d = to_disjunctive(ds)
+        out = np.empty((ds.n_modalities, ds.n_modalities))
+        for j in range(ds.n_modalities):
+            out[j] = dc[d[:, j] == 1].mean(axis=0)
         return out
 
     worst = float(np.max(np.abs(
-        modality_mean_vectors(marriage_disj) - direct(marriage_disj)
+        modality_mean_vectors(marriage) - direct(marriage)
     )))
     rng = np.random.default_rng(5)
     for _ in range(50):
         sizes = tuple(int(s) for s in rng.integers(2, 5, size=rng.integers(2, 4)))
         ds = random_dataset(rng, n=int(rng.integers(15, 40)), sizes=sizes)
-        disj = to_disjunctive(ds)
         worst = max(worst, float(np.max(np.abs(
-            modality_mean_vectors(disj) - direct(disj)
+            modality_mean_vectors(ds) - direct(ds)
         ))))
 
     ok = worst <= 1e-12
@@ -245,7 +246,7 @@ def test_criterion_07_own_class_deviations_all_positive(marriage):
 
 
 def test_criterion_08_modality_steps_leave_individual_block_alone(marriage):
-    m = to_disjunctive(marriage).n_modalities
+    m = marriage.n_modalities
     seen = {"prev": None, "odd": 0, "clean": 0}
 
     def observer(t, x, smask, umask, model):
@@ -373,13 +374,12 @@ def test_criterion_12_determinism_and_round_trip(marriage):
     json_b = json.dumps(b.to_json(), sort_keys=True).encode()
     svg_a, svg_b = render_map(a).encode(), render_map(b).encode()
 
-    disj = to_disjunctive(marriage)
-    dc = corrected_disjunctive(disj)
-    m, n = disj.n_modalities, disj.n_individuals
+    dc = corrected_disjunctive(marriage)
+    m, n = marriage.n_modalities, marriage.n_individuals
     clone = SomModel.from_json(a.model.to_json())
-    re_ind = assign(clone, dc, mask=DistanceMask(0, m), labels=disj.individuals)
-    re_mod = assign(clone, dc.T, mask=DistanceMask(m, m + n), labels=disj.names,
-                    units=re_ind.counts > 0)
+    re_ind = assign(clone, dc, mask=DistanceMask(0, m), labels=marriage.individuals)
+    re_mod = assign(clone, dc.T, mask=DistanceMask(m, m + n),
+                    labels=marriage.global_modality_names, units=re_ind.counts > 0)
     round_trip = (
         np.array_equal(re_ind.units, a.individuals.units)
         and np.array_equal(re_mod.units, a.modalities.units)

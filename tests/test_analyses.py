@@ -52,11 +52,11 @@ def test_default_iteration_budgets_for_marriage():
 
 # ----------------------------------------------------------------- mean vectors
 
-def test_mean_vectors_match_direct_averaging(marriage_disj):
-    means = modality_mean_vectors(marriage_disj)
-    dc = corrected_disjunctive(marriage_disj)
-    d = marriage_disj.entries
-    for j in range(marriage_disj.n_modalities):
+def test_mean_vectors_match_direct_averaging(marriage, marriage_disj):
+    means = modality_mean_vectors(marriage)
+    dc = corrected_disjunctive(marriage)
+    d = marriage_disj
+    for j in range(marriage.n_modalities):
         adopters = np.flatnonzero(d[:, j])
         direct = dc[adopters].mean(axis=0)
         assert np.max(np.abs(means[j] - direct)) <= 1e-12
@@ -66,11 +66,11 @@ def test_mean_vectors_match_direct_averaging_random():
     rng = np.random.default_rng(42)
     for _ in range(10):
         ds = random_dataset(rng, n=30, sizes=(3, 2, 4))
-        disj = to_disjunctive(ds)
-        means = modality_mean_vectors(disj)
-        dc = corrected_disjunctive(disj)
-        for j in range(disj.n_modalities):
-            adopters = np.flatnonzero(disj.entries[:, j])
+        d = to_disjunctive(ds)
+        means = modality_mean_vectors(ds)
+        dc = corrected_disjunctive(ds)
+        for j in range(ds.n_modalities):
+            adopters = np.flatnonzero(d[:, j])
             direct = dc[adopters].mean(axis=0)
             assert np.max(np.abs(means[j] - direct)) <= 1e-12
 
@@ -82,13 +82,13 @@ def test_mean_vectors_reject_a_modality_without_adopters():
         cells=np.array([[0], [1]]),
     )
     with pytest.raises(ZeroModalityError, match="'v.z'"):
-        modality_mean_vectors(to_disjunctive(ds))
+        modality_mean_vectors(ds)
 
 
 # ---------------------------------------------------------------- j(i) choice
 
-def test_kdisj_associate_matches_brute_force(marriage_disj):
-    dc = corrected_disjunctive(marriage_disj)
+def test_kdisj_associate_matches_brute_force(marriage):
+    dc = corrected_disjunctive(marriage)
     rng = np.random.default_rng(0)
     for i in range(270):
         j = kdisj_associate(dc[i], rng)
@@ -96,10 +96,10 @@ def test_kdisj_associate_matches_brute_force(marriage_disj):
         assert j in best  # the only choice when there is no tie
 
 
-def test_kdisj_associate_picks_rarest_modality(marriage_disj):
-    dc = corrected_disjunctive(marriage_disj)
-    d = marriage_disj.entries
-    counts = marriage_disj.counts
+def test_kdisj_associate_picks_rarest_modality(marriage, marriage_disj):
+    dc = corrected_disjunctive(marriage)
+    d = marriage_disj
+    counts = d.sum(axis=0)
     for i in range(0, 270, 7):
         chosen = set(np.flatnonzero(d[i]))
         rare = min(chosen, key=lambda j: counts[j])
@@ -107,10 +107,10 @@ def test_kdisj_associate_picks_rarest_modality(marriage_disj):
             assert kdisj_associate(dc[i], np.random.default_rng(i)) == rare
 
 
-def test_kdisj_associate_tie_frequencies(marriage_disj):
+def test_kdisj_associate_tie_frequencies(marriage):
     # the farm couples adopt two modalities of identical count 16
-    dc = corrected_disjunctive(marriage_disj)
-    i = marriage_disj.individuals.index("MFARM:FFARM:1")
+    dc = corrected_disjunctive(marriage)
+    i = marriage.individuals.index("MFARM:FFARM:1")
     ties = np.flatnonzero(dc[i] == dc[i].max())
     assert len(ties) == 2
     rng = np.random.default_rng(123)
@@ -121,8 +121,8 @@ def test_kdisj_associate_tie_frequencies(marriage_disj):
 
 # -------------------------------------------------------------------- sampler
 
-def test_kdisj_sampler_alternates_phases(marriage_disj):
-    dc = corrected_disjunctive(marriage_disj)
+def test_kdisj_sampler_alternates_phases(marriage):
+    dc = corrected_disjunctive(marriage)
     n, m = dc.shape
     sampler = KdisjSampler(dc)
     rng = np.random.default_rng(0)
@@ -140,8 +140,8 @@ def test_kdisj_sampler_alternates_phases(marriage_disj):
     assert any(np.array_equal(y[m:], dc[:, j]) for j in range(m))
 
 
-def test_kdisj_sampler_even_pairs_row_with_its_rarest_column(marriage_disj):
-    dc = corrected_disjunctive(marriage_disj)
+def test_kdisj_sampler_even_pairs_row_with_its_rarest_column(marriage):
+    dc = corrected_disjunctive(marriage)
     n, m = dc.shape
     sampler = KdisjSampler(dc)
     for seed in range(5):
@@ -179,9 +179,8 @@ def test_kmca_ind_assigns_both_families(marriage):
     assert len(res.individuals.labels) == 270
     assert res.model.dim == 12
     # modalities are placed by their mean vectors, not trained directly
-    disj = to_disjunctive(marriage)
-    means = modality_mean_vectors(disj)
-    expect = assign(res.model, means, labels=disj.names)
+    means = modality_mean_vectors(marriage)
+    expect = assign(res.model, means, labels=marriage.global_modality_names)
     assert np.array_equal(res.modalities.units, expect.units)
 
 
@@ -220,7 +219,7 @@ def test_kdisj_sampler_modality_steps_search_units_holding_adopters():
     rng = np.random.default_rng(7)
     for _ in range(20):
         ds = random_dataset(rng, n=12, sizes=(2, 3))
-        dc = corrected_disjunctive(to_disjunctive(ds))
+        dc = corrected_disjunctive(ds)
         n, m = dc.shape
         sampler = KdisjSampler(dc)
         sampler.draw(1, rng)
@@ -238,12 +237,11 @@ def test_kdisj_sampler_modality_steps_search_units_holding_adopters():
             assert got.tolist() == [u in held for u in range(6)]
 
 
-def test_kdisj_modality_steps_win_only_units_holding_adopters(marriage,
-                                                             marriage_disj):
+def test_kdisj_modality_steps_win_only_units_holding_adopters(marriage):
     """Instrumented default run: once the radius is 0, every modality step
     moves one unit, and that unit held an adopter of the drawn modality at
     the latest checkpoint."""
-    dc = corrected_disjunctive(marriage_disj)
+    dc = corrected_disjunctive(marriage)
     n, m = dc.shape
     t_max = default_iterations("kdisj", n, m, 2)
     marks = {round(t_max * i / 10) for i in range(1, 10)}
@@ -320,7 +318,7 @@ def gated_kdisj_model(marriage, t_max=400):
     """A fresh kdisj model on the marriage data and its sampler; under a
     DISTANCE_BLOCK of 1000 its modality steps (16 units x 270 components)
     search above the size gate and its individual steps (16 x 12) below."""
-    sampler = KdisjSampler(corrected_disjunctive(to_disjunctive(marriage)))
+    sampler = KdisjSampler(corrected_disjunctive(marriage))
     return init_model(TOPO, 282, small_cfg(t_max=t_max)), sampler
 
 
@@ -383,7 +381,6 @@ def test_analysis_result_json_round_trip(marriage):
 
 def fake_result(ds, ind_units, mod_units, n_units=4):
     """Assemble a result with hand-picked unit assignments."""
-    disj = to_disjunctive(ds)
     topo = Topology.grid(2, n_units // 2)
     model = init_model(
         topo, 2, TrainConfig(t_max=1, seed=0), data=np.zeros((2, 2))
@@ -393,10 +390,12 @@ def fake_result(ds, ind_units, mod_units, n_units=4):
         topology=topo,
         model=model,
         modalities=MapAssignment(
-            labels=disj.names, units=np.asarray(mod_units), n_units=n_units
+            labels=ds.global_modality_names, units=np.asarray(mod_units),
+            n_units=n_units,
         ),
         individuals=MapAssignment(
-            labels=disj.individuals, units=np.asarray(ind_units), n_units=n_units
+            labels=tuple(ds.individuals), units=np.asarray(ind_units),
+            n_units=n_units,
         ),
         provenance={},
         qe_log=[],
@@ -406,10 +405,10 @@ def fake_result(ds, ind_units, mod_units, n_units=4):
 def test_deviation_row_sums_are_exact(marriage):
     res = kdisj(marriage, TOPO, small_cfg())
     table = deviations(res, marriage)
-    disj = to_disjunctive(marriage)
-    assert np.array_equal(table.observed.sum(axis=1), disj.counts)
+    counts = to_disjunctive(marriage).sum(axis=0)
+    assert np.array_equal(table.observed.sum(axis=1), counts)
     # expected counts also resum to the modality counts
-    assert np.allclose(table.expected.sum(axis=1), disj.counts)
+    assert np.allclose(table.expected.sum(axis=1), counts)
     # and deviations cancel across units
     assert np.allclose(table.deviation.sum(axis=1), 0.0)
 
@@ -450,9 +449,8 @@ def test_deviation_mean_zero_under_permutation_null():
     rng = np.random.default_rng(7)
     n, u = 60, 4
     ds = random_dataset(rng, n=n, sizes=(3, 2))
-    disj = to_disjunctive(ds)
     reps = 300
-    acc = np.zeros((disj.n_modalities, u))
+    acc = np.zeros((ds.n_modalities, u))
     base = np.repeat(np.arange(u), n // u)
     for _ in range(reps):
         ind_units = rng.permutation(base)
@@ -460,7 +458,7 @@ def test_deviation_mean_zero_under_permutation_null():
         acc += deviations(res, ds).deviation
     mean = acc / reps
     nk = n // u
-    for j, b in enumerate(disj.counts):
+    for j, b in enumerate(to_disjunctive(ds).sum(axis=0)):
         var = nk * (b / n) * (1 - b / n) * (n - nk) / (n - 1)
         bound = 3.0 * np.sqrt(var / reps)
         assert np.all(np.abs(mean[j]) <= bound + 1e-12)

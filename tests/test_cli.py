@@ -268,6 +268,26 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "error:config" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seeds", "two"), ("iters", "many"), ("macro", "few"), ("workers", "all"),
+    ("string", "long"), ("eps0", "fast"), ("render", "bogus"), ("iters", 2.7),
+    ("uniform_weights", "no"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "out"
+    try:
+        code = main(["kmca", *MARRIAGE, "--iters", "50", "--config", str(cfg),
+                     "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code != 0
+    assert key in err.replace("-", "_"), err
+    assert not out.exists()
+
+
 def test_outdir_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOMCAT_OUTDIR", str(tmp_path))
     run_json(capsys, "ingest", *MARRIAGE)
@@ -413,8 +433,20 @@ def test_render_rejects_a_model_file_given_as_result(trained, capsys):
     assert err.startswith("error:data:")
 
 
+def without(path, *keys):
+    """The JSON file at ``path`` with its entry at ``keys`` deleted."""
+    data = load(path)
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    del node[keys[-1]]
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("case", ["macro-list", "render-macro-file", "train-data",
-                                  "pies-data", "macro-model", "unnamed-variable"])
+                                  "pies-data", "macro-model", "unnamed-variable",
+                                  "topology-kind", "provenance-qe-log",
+                                  "packed-units", "config-init"])
 def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
     outdir, result = trained
     listing = outdir / "list.json"
@@ -422,6 +454,15 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
     unnamed = outdir / "unnamed.dataset.json"
     unnamed.write_text(json.dumps({"individuals": ["a"], "cells": [[0]],
                                    "variables": [{"modalities": ["x", "y"]}]}))
+    model = outdir / "marriages.kdisj.0.model.json"
+    broken = outdir / "broken.json"
+    broken.write_text({
+        "topology-kind": without(result, "topology", "kind"),
+        "provenance-qe-log": without(result, "provenance", "qe_log"),
+        "packed-units": without(result, "modalities", "units"),
+        "config-init": without(model, "config", "init"),
+    }.get(case, ""), encoding="utf-8")
+    before = sorted(outdir.iterdir())
     argv = {
         "macro-list": ["macro", "--result", str(listing), "--macro", "2"],
         "render-macro-file": ["render", "--result", str(result),
@@ -432,10 +473,16 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "macro-model": ["macro", "--result", str(result), "--model", str(result),
                         "--macro", "2"],
         "unnamed-variable": ["kmca", "--data", str(unnamed), "--out", str(outdir)],
+        "topology-kind": ["render", "--result", str(broken)],
+        "provenance-qe-log": ["render", "--result", str(broken)],
+        "packed-units": ["render", "--result", str(broken)],
+        "config-init": ["macro", "--result", str(result), "--model", str(broken),
+                        "--macro", "2"],
     }[case]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:data: not a"), err
+    assert sorted(outdir.iterdir()) == before
 
 
 def test_render_rejects_a_macro_file_of_a_smaller_map(trained, capsys):
@@ -498,7 +545,7 @@ def test_train_with_zero_seeds_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--seed", "-1"), ("--c0", "inf"), ("--c0", "nan"),
+    ("--seed", "-1"), ("--c0", "inf"), ("--c0", "nan"), ("--string", "0"),
 ])
 def test_train_with_a_bad_schedule_value_is_a_config_error(tmp_path, capsys,
                                                            flag, value):

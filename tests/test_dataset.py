@@ -7,7 +7,6 @@ import pytest
 
 from somcat.dataset import (
     CategoricalDataset,
-    DisjunctiveTable,
     VariableSpec,
     cross_tabulate,
     expand_from_contingency,
@@ -110,27 +109,24 @@ def test_dataset_json_round_trip(marriage):
     assert clone.sha256() == marriage.sha256()
 
 
-# ------------------------------------------------------------ DisjunctiveTable
+# ------------------------------------------------------ disjunctive encoding
 
 def test_disjunctive_one_hot_block_structure(marriage, marriage_disj):
     d = marriage_disj
-    assert d.entries.shape == (270, 12)
+    assert d.shape == (270, 12)
     # exactly one 1 inside every variable block of every row
-    bounds = d.block_offsets + (d.n_modalities,)
+    bounds = marriage.block_offsets + (marriage.n_modalities,)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         assert np.array_equal(
-            d.entries[:, lo:hi].sum(axis=1), np.ones(270, dtype=np.int64)
+            d[:, lo:hi].sum(axis=1), np.ones(270, dtype=np.int64)
         )
-    assert d.entries.sum() == 270 * 2
+    assert d.sum() == 270 * 2
 
 
-def test_disjunctive_counts_match_column_sums(marriage_disj):
-    assert np.array_equal(marriage_disj.counts, marriage_disj.entries.sum(axis=0))
-
-
-def test_marriage_modality_counts(marriage_disj):
-    husband = dict(zip(marriage_disj.names[:6], marriage_disj.counts[:6]))
-    wife = dict(zip(marriage_disj.names[6:], marriage_disj.counts[6:]))
+def test_marriage_modality_counts(marriage, marriage_disj):
+    names, counts = marriage.global_modality_names, marriage_disj.sum(axis=0)
+    husband = dict(zip(names[:6], counts[:6]))
+    wife = dict(zip(names[6:], counts[6:]))
     assert husband == {
         "husband.MFARM": 16,
         "husband.MCRAF": 27,
@@ -147,19 +143,6 @@ def test_marriage_modality_counts(marriage_disj):
         "wife.FCLER": 144,
         "wife.FWORK": 32,
     }
-
-
-def test_disjunctive_rejects_two_ones_in_block():
-    entries = np.array([[1, 1, 0, 1]])
-    with pytest.raises(DataError):
-        DisjunctiveTable(
-            entries=entries,
-            block_offsets=(0, 2),
-            counts=entries.sum(axis=0),
-            names=("a.x", "a.y", "b.x", "b.y"),
-            individuals=("i1",),
-            n_variables=2,
-        )
 
 
 # -------------------------------------------------------------------- ingest

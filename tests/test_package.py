@@ -4,8 +4,13 @@ import ast
 import contextlib
 import io
 import re
+import shlex
 import sys
 from pathlib import Path
+
+import pytest
+
+from somcat.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "somcat"
@@ -33,3 +38,18 @@ def test_readme_python_blocks_run():
     for block in blocks:
         with contextlib.redirect_stdout(io.StringIO()):
             exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_command_lines_parse():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M)
+    lines = [line for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("somcat ")]
+    assert lines
+    for line in lines:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

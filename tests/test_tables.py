@@ -41,12 +41,12 @@ def bare_index(names):
 def test_burt_is_symmetric_with_count_diagonal(marriage_disj, marriage_burt):
     b = marriage_burt
     assert np.array_equal(b, b.T)
-    assert np.array_equal(np.diag(b), marriage_disj.counts)
+    assert np.array_equal(np.diag(b), marriage_disj.sum(axis=0))
 
 
-def test_burt_known_cells(marriage_disj, marriage_burt):
+def test_burt_known_cells(marriage, marriage_burt):
     b = marriage_burt
-    idx = bare_index(marriage_disj.names)
+    idx = bare_index(marriage.global_modality_names)
     assert b[idx("MFARM"), idx("FFARM")] == 16
     assert b[idx("MWORK"), idx("FCLER")] == 60
     assert b[idx("MINTO"), idx("FCLER")] == 35
@@ -61,7 +61,7 @@ def test_burt_within_block_off_diagonal_zero(marriage_burt):
 
 def test_burt_row_sums_and_total(marriage_disj, marriage_burt):
     b = marriage_burt
-    assert np.array_equal(b.sum(axis=1), 2 * marriage_disj.counts)
+    assert np.array_equal(b.sum(axis=1), 2 * marriage_disj.sum(axis=0))
     assert b.sum() == 4 * 270  # K^2 * N
 
 
@@ -69,26 +69,27 @@ def test_burt_equals_cross_products_on_random_data():
     rng = np.random.default_rng(11)
     for _ in range(5):
         ds = random_dataset(rng, n=25, sizes=(3, 2, 4))
-        disj = to_disjunctive(ds)
-        expect = disj.entries.T @ disj.entries
-        assert np.array_equal(burt(disj), expect)
+        d = to_disjunctive(ds)
+        expect = d.T @ d
+        assert np.array_equal(burt(ds), expect)
 
 
 def test_burt_float_product_equals_the_int64_product():
     rng = np.random.default_rng(12)
     for n, sizes in ((40, (3, 4, 2)), (3000, (6,) * 10), (500, (2, 9, 5, 3))):
-        disj = to_disjunctive(random_dataset(rng, n=n, sizes=sizes))
-        entries = burt(disj)
+        ds = random_dataset(rng, n=n, sizes=sizes)
+        d = to_disjunctive(ds)
+        entries = burt(ds)
         assert entries.dtype == np.int64
-        assert np.array_equal(entries, disj.entries.T @ disj.entries)
+        assert np.array_equal(entries, d.T @ d)
 
 
 # ----------------------------------------------------------- corrected tables
 
-def test_corrected_burt_direct_formula(marriage_disj, marriage_burt):
-    bc = corrected_burt(marriage_disj)
+def test_corrected_burt_direct_formula(marriage, marriage_disj, marriage_burt):
+    bc = corrected_burt(marriage)
     b = marriage_burt
-    counts = marriage_disj.counts
+    counts = marriage_disj.sum(axis=0)
     k = 2
     for j in range(12):
         for l in range(12):
@@ -96,21 +97,21 @@ def test_corrected_burt_direct_formula(marriage_disj, marriage_burt):
             assert bc[j, l] == pytest.approx(expect, abs=1e-15)
 
 
-def test_corrected_burt_diagonal_is_half(marriage_disj):
-    bc = corrected_burt(marriage_disj)
+def test_corrected_burt_diagonal_is_half(marriage):
+    bc = corrected_burt(marriage)
     assert np.all(np.abs(np.diag(bc) - 0.5) <= 1e-15)
 
 
-def test_corrected_burt_exclusive_pair_is_half(marriage_disj):
-    bc = corrected_burt(marriage_disj)
-    idx = bare_index(marriage_disj.names)
+def test_corrected_burt_exclusive_pair_is_half(marriage):
+    bc = corrected_burt(marriage)
+    idx = bare_index(marriage.global_modality_names)
     assert bc[idx("MFARM"), idx("FFARM")] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_corrected_disjunctive_direct_formula(marriage_disj):
-    dc = corrected_disjunctive(marriage_disj)
-    d = marriage_disj.entries
-    counts = marriage_disj.counts
+def test_corrected_disjunctive_direct_formula(marriage, marriage_disj):
+    dc = corrected_disjunctive(marriage)
+    d = marriage_disj
+    counts = d.sum(axis=0)
     for i in range(270):
         for j in range(12):
             expect = d[i, j] / (np.sqrt(2.0) * np.sqrt(counts[j]))
@@ -120,9 +121,9 @@ def test_corrected_disjunctive_direct_formula(marriage_disj):
 def chi2_case(which):
     """The marriage data, or a random dataset drawn from seed ``which``."""
     if which == "marriage":
-        return to_disjunctive(marriage_dataset())
+        return marriage_dataset()
     rng = np.random.default_rng(which)
-    return to_disjunctive(random_dataset(rng, n=30, sizes=(3, 2, 4)))
+    return random_dataset(rng, n=30, sizes=(3, 2, 4))
 
 
 def scaled_squared_distance(rows, a, b, n):
@@ -133,12 +134,12 @@ def scaled_squared_distance(rows, a, b, n):
 @pytest.mark.parametrize("which", ["marriage", 21, 22])
 def test_corrected_disjunctive_rows_give_chi_square_distance(which):
     # N * ||dc_a - dc_b||^2 is the chi-square distance between rows a, b of D
-    disj = chi2_case(which)
-    dc = corrected_disjunctive(disj)
-    n = disj.n_individuals
+    ds = chi2_case(which)
+    dc = corrected_disjunctive(ds)
+    n = ds.n_individuals
     rng = np.random.default_rng(5)
     for a, b in rng.integers(0, n, size=(60, 2)):
-        expect = chi2_distance(disj.entries, a, b)
+        expect = chi2_distance(to_disjunctive(ds), a, b)
         got = scaled_squared_distance(dc, a, b, n)
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
@@ -146,10 +147,10 @@ def test_corrected_disjunctive_rows_give_chi_square_distance(which):
 @pytest.mark.parametrize("which", ["marriage", 21, 22])
 def test_modality_mean_vectors_give_chi_square_distance(which):
     # N * ||mean_j - mean_l||^2 is the chi-square distance between rows j, l of B
-    disj = chi2_case(which)
-    means = modality_mean_vectors(disj)
-    b = burt(disj)
-    n, m = disj.n_individuals, disj.n_modalities
+    ds = chi2_case(which)
+    means = modality_mean_vectors(ds)
+    b = burt(ds)
+    n, m = ds.n_individuals, ds.n_modalities
     for j in range(m):
         for l in range(j + 1, m):
             expect = chi2_distance(b, j, l)
@@ -157,9 +158,9 @@ def test_modality_mean_vectors_give_chi_square_distance(which):
             assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
-def test_corrected_burt_is_the_gram_matrix_of_corrected_columns(marriage_disj):
-    dc = corrected_disjunctive(marriage_disj)
-    assert np.allclose(corrected_burt(marriage_disj), dc.T @ dc, rtol=0, atol=1e-15)
+def test_corrected_burt_is_the_gram_matrix_of_corrected_columns(marriage):
+    dc = corrected_disjunctive(marriage)
+    assert np.allclose(corrected_burt(marriage), dc.T @ dc, rtol=0, atol=1e-15)
 
 
 def test_corrected_rejects_zero_modality():
@@ -168,11 +169,10 @@ def test_corrected_rejects_zero_modality():
         variables=[VariableSpec(name="v", modalities=("x", "y", "z"))],
         cells=np.array([[0], [1]]),
     )
-    disj = to_disjunctive(ds)
     with pytest.raises(ZeroModalityError, match="'v.z'"):
-        corrected_burt(disj)
+        corrected_burt(ds)
     with pytest.raises(ZeroModalityError, match="'v.z'"):
-        corrected_disjunctive(disj)
+        corrected_disjunctive(ds)
 
 
 # ------------------------------------------------------- profiles and inertia
