@@ -56,7 +56,6 @@ from .macrocluster import (
 )
 from .marriages import marriage_counts, marriage_dataset
 from .render import (
-    MapRenderSpec,
     grey_palette,
     render_map,
     render_pies,
@@ -104,7 +103,6 @@ __all__ = [
     "InitSpec",
     "MacroClassing",
     "MapAssignment",
-    "MapRenderSpec",
     "PieGrid",
     "Profiles",
     "RenderError",

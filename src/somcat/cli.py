@@ -37,7 +37,9 @@ from .dataset import CategoricalDataset, ingest_csv, load_schema, to_disjunctive
 from .errors import ConfigError, SomcatError
 from .macrocluster import MacroClassing, check_ward_size, cut, unit_weights, ward_cluster
 from .marriages import marriage_dataset
-from .render import MapRenderSpec, render_map, render_pies, render_text
+from .render import (
+    CELL_SIZE, LABEL_SOURCES, MIN_CELL_SIZE, render_map, render_pies, render_text,
+)
 from .som import SomModel, Topology, TrainConfig
 from .tables import burt, corrected_burt, corrected_disjunctive
 
@@ -59,6 +61,16 @@ def _grid_arg(text: str) -> Topology:
         ) from None
 
 
+def _int_from(low: int):
+    """Argument type: an integer of at least ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+    return integer
+
+
 def _topology(args) -> Topology:
     return args.grid if args.string is None else Topology.string(args.string)
 
@@ -67,25 +79,32 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str],
                   args: argparse.Namespace) -> argparse.Namespace:
     """Parse a JSON config file's keys as flags after the command line, so
     the file wins and each value meets its flag's type and choices.  A
-    true/false option (a bool in ``args``) takes only a JSON bool."""
-    data = jsonio.load(args.config)
+    true/false option (a bool in ``args``) takes only a JSON bool.  Every
+    error names the file; a value its flag rejects still exits 2."""
+    path = args.config
+    data = jsonio.load(path)
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {args.config} must hold a JSON object")
+        raise ConfigError(f"config file {path} must hold a JSON object")
     flags, switches = [], {}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest in ("func", "command", "config") or not hasattr(args, dest):
-            raise ConfigError(f"config key {key!r} does not match any option")
+            raise ConfigError(f"{path}: config key {key!r} does not match any option")
         switch = isinstance(getattr(args, dest), bool)
         scalar = isinstance(value, (str, int, float))
         if switch != isinstance(value, bool) or not scalar:
             want = "true or false" if switch else "a string or a number"
-            raise ConfigError(f"config key {key!r} takes {want}")
+            raise ConfigError(f"{path}: config key {key!r} takes {want}")
         if switch:
             switches[dest] = value
         else:
             flags.append(f"--{dest.replace('_', '-')}={value}")
-    args = parser.parse_args([*argv, *flags])
+    try:
+        args = parser.parse_args([*argv, *flags])
+    except SystemExit:  # the command line alone parsed: the file holds the value
+        print(f"{parser.prog}: error: the value above is from config file {path}",
+              file=sys.stderr)
+        raise
     for dest, value in switches.items():
         setattr(args, dest, value)
     return args
@@ -158,8 +177,8 @@ def _write_maps(
 ) -> None:
     """Write the map(s) ``--render`` asks for: svg, text, both or none."""
     if args.render in ("svg", "both"):
-        spec = MapRenderSpec(cell_size=args.cell_size, label_source=args.labels)
-        _write(outdir, f"{base}.svg", render_map(result, macro, spec), files)
+        svg = render_map(result, macro, args.cell_size, args.labels)
+        _write(outdir, f"{base}.svg", svg, files)
     if args.render in ("text", "both"):
         _write(outdir, f"{base}.txt", render_text(result, macro), files)
 
@@ -251,6 +270,21 @@ def _write_run(
     return summary, macro
 
 
+def _check_macro(algorithm: str, ds, topology, args, macro_k) -> None:
+    """Fail before training when the cut at ``macro_k`` cannot be made.
+    Ward's leaves are the units that hold weight: at most one per mapped
+    item (kmca maps only the modalities) unless all count."""
+    if macro_k is None:
+        return
+    items = ds.n_modalities if algorithm == "kmca" else ds.n_individuals
+    units = topology.n_units
+    leaves = units if args.uniform_weights else min(units, items)
+    check_ward_size(leaves)
+    if macro_k != "auto" and macro_k > leaves:
+        raise ConfigError(f"--macro {macro_k} exceeds the {leaves} units "
+                          f"Ward can cluster for {algorithm}")
+
+
 def _train_algorithm(
     outdir: Path,
     name: str,
@@ -266,12 +300,6 @@ def _train_algorithm(
     Returns the run summaries, the files written and, for two or more
     seeds, the stability report.
     """
-    if macro_k is not None:
-        # Ward's leaves are the units that hold weight: at most one per
-        # mapped item (kmca maps only the modalities) unless all count.
-        items = ds.n_modalities if algorithm == "kmca" else ds.n_individuals
-        units = topology.n_units
-        check_ward_size(units if args.uniform_weights else min(units, items))
     results = _run_seeds(algorithm, ds, topology, args, seeds)
     summaries, macros, files = [], [], []
     for result in results:
@@ -427,8 +455,10 @@ def cmd_train(args, algorithm: str) -> int:
     seeds = _seeds(args)
     name, ds = _load_dataset(args)
     outdir = _outdir(args)
+    topology = _topology(args)
+    _check_macro(algorithm, ds, topology, args, args.macro)
     summaries, files, stability = _train_algorithm(
-        outdir, name, algorithm, ds, _topology(args), args, seeds, args.macro
+        outdir, name, algorithm, ds, topology, args, seeds, args.macro
     )
     summary = {"dataset": name, "runs": summaries}
     if stability is not None:
@@ -536,6 +566,8 @@ def cmd_report(args) -> int:
     outdir = _outdir(args)
     topology = _topology(args)
     macro_k = "auto" if args.macro is None else args.macro
+    for algo in algorithms:
+        _check_macro(algo, ds, topology, args, macro_k)
 
     run_fields = (
         "algorithm", "seed", "t_max", "qe_initial", "qe_final", "occupied_units"
@@ -605,12 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
     io_p.add_argument("--config", default=None, help="JSON file overriding flags")
 
     render_p = argparse.ArgumentParser(add_help=False)
+    render_p.add_argument("--labels", choices=LABEL_SOURCES, default="auto")
     render_p.add_argument(
-        "--labels",
-        choices=("auto", "modalities", "modalities+counts", "none"),
-        default="auto",
-    )
-    render_p.add_argument("--cell-size", type=int, default=120)
+        "--cell-size", type=_int_from(MIN_CELL_SIZE), default=CELL_SIZE)
 
     train_p = argparse.ArgumentParser(add_help=False)
     train_p.add_argument("--grid", type=_grid_arg, default="4x4", help="ROWSxCOLS")
@@ -621,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--seed", type=int, default=0)
     train_p.add_argument("--seeds", type=int, default=1, help="run seed..seed+N-1")
     train_p.add_argument("--workers", type=int, default=None)
-    train_p.add_argument("--macro", type=int, default=None, help="macro-class count")
+    train_p.add_argument("--macro", type=_int_from(1), default=None,
+                         help="macro-class count")
     train_p.add_argument("--uniform-weights", action="store_true")
     train_p.add_argument(
         "--render", choices=("svg", "text", "both", "none"), default="svg"
@@ -648,7 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--result", required=True)
     p.add_argument("--model", default=None)
-    p.add_argument("--macro", type=int, required=True, help="number of classes")
+    p.add_argument(
+        "--macro", type=_int_from(1), required=True, help="number of classes")
     p.add_argument("--uniform-weights", action="store_true")
     p.add_argument(
         "--render", choices=("svg", "text", "both", "none"), default="none"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CategoricalDataset, VariableSpec, _encode_column, _read_csv
+from .dataset import CategoricalDataset, _encode_column, _read_csv
 from .errors import DataError, DimensionError
 from .som import MapAssignment, Topology
 
@@ -47,24 +47,17 @@ def external_from_dataset(ds: CategoricalDataset, variable: str) -> ExternalColu
     )
 
 
-def external_from_csv(
-    path: str | Path, column: str, spec: VariableSpec | None = None
-) -> ExternalColumn:
+def external_from_csv(path: str | Path, column: str) -> ExternalColumn:
     """Read an external column from a CSV (header; first column = id).
 
-    The column is read by :func:`~somcat.dataset.ingest_csv`'s rules:
-    without a spec, labels become modalities in first-appearance order; with
-    a binned spec, numeric values are discretized.
+    The column is read by :func:`~somcat.dataset.ingest_csv`'s rules for an
+    inferred schema: its labels become modalities in first-appearance order.
     """
     header, ids, body = _read_csv(path)
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate individual ids")
-    labels, codes = _encode_column(path, header, body, column, spec)
-    return ExternalColumn(
-        name=column if spec is None else spec.name,
-        modalities=labels,
-        values=dict(zip(ids, codes)),
-    )
+    labels, codes = _encode_column(path, header, body, column, None)
+    return ExternalColumn(name=column, modalities=labels, values=dict(zip(ids, codes)))
 
 
 @dataclass(eq=False)

@@ -321,12 +321,3 @@ def expand_from_contingency(
     return CategoricalDataset(
         individuals=ids, variables=variables, cells=np.array(cells, dtype=np.int64)
     )
-
-
-def cross_tabulate(ds: CategoricalDataset, var_a: int, var_b: int) -> np.ndarray:
-    """Count matrix of variable pair (a, b); inverse check for expansion."""
-    ma = len(ds.variables[var_a].modalities)
-    mb = len(ds.variables[var_b].modalities)
-    out = np.zeros((ma, mb), dtype=np.int64)
-    np.add.at(out, (ds.cells[:, var_a], ds.cells[:, var_b]), 1)
-    return out

@@ -3,7 +3,11 @@
 The SVG is assembled by hand from a fixed template: element order follows
 unit order, coordinates are emitted with repr (shortest round-trip float
 form), and no timestamps or ids are generated, so the same inputs always
-produce byte-identical files.
+produce byte-identical files.  Maps and pies share one writer: a white page
+sized to the unit grid, an outlined square per unit, and an optional legend
+of swatches below the grid.  The SVG map and the text map list the same
+lines per unit: the individual count, when asked for, then the short
+modality labels.
 
 Pie geometry: wedge angles grow clockwise from 12 o'clock, and the point at
 angle theta (degrees) on a circle of radius r around (cx, cy) is
@@ -15,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -31,6 +34,8 @@ PALETTE = (
 )
 FONT_SIZE = 10
 CELL_SIZE = 120         # pixels per unit, the default map cell and every pie cell
+MIN_CELL_SIZE = 40      # smallest map cell that still holds two label lines
+LABEL_SOURCES = ("auto", "modalities", "modalities+counts", "none")
 MAX_LABELS = 12         # lines per unit cell of the SVG map
 TEXT_MAX_LINES = 6      # lines per unit box of the text map
 
@@ -46,20 +51,6 @@ def grey_palette(k: int) -> tuple[str, ...]:
         v = 245 - round(i * (245 - 176) / (k - 1))
         out.append(f"#{v:02x}{v:02x}{v:02x}")
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class MapRenderSpec:
-    """Knobs of the SVG map; defaults fit a 4x4 map on one screen."""
-
-    cell_size: int = CELL_SIZE
-    label_source: str = "auto"      # auto | modalities | modalities+counts | none
-
-    def __post_init__(self):
-        if self.cell_size < 40:
-            raise RenderError("cell size below 40 leaves no room for labels")
-        if self.label_source not in ("auto", "modalities", "modalities+counts", "none"):
-            raise RenderError(f"unknown label source {self.label_source!r}")
 
 
 def _f(x: float) -> str:
@@ -84,72 +75,93 @@ def _shown(entries: list[str], limit: int) -> list[str]:
     return kept + [f"+{len(entries) - len(kept)} more"]
 
 
-def render_map(result, macro: MacroClassing | None = None,
-               spec: MapRenderSpec | None = None) -> str:
-    """SVG of the unit grid with macro-class shading and item labels."""
-    spec = spec or MapRenderSpec()
-    topo = result.topology
-    cell, fs = spec.cell_size, FONT_SIZE
-    line_h = fs + 2
-    width, grid_h = topo.cols * cell, topo.rows * cell
-    legend_h = 8 + 16 * macro.k + 4 if macro is not None else 0
-    height = grid_h + legend_h
-
-    if macro is not None:
-        fills = grey_palette(macro.k)
-
-    source = spec.label_source
-    if source == "auto":
-        source = "modalities+counts" if result.individuals is not None else "modalities"
-
+def _unit_lines(result, counts: bool) -> list[list[str]]:
+    """Each unit's lines: its individual count ("12 ind") when ``counts`` is
+    set and the individuals were mapped, then its modalities' short labels."""
     short = display_labels(result.modalities.labels)
     members = result.modalities.members_by_unit()
-    ind_counts = result.individuals.counts if result.individuals is not None else None
+    ind = result.individuals if counts else None
+    return [
+        ([f"{int(ind.counts[u])} ind"] if ind is not None else [])
+        + [short[name] for name in members[u]]
+        for u in range(result.topology.n_units)
+    ]
 
-    lines = [
+
+def _cells(topo, cell: int):
+    """Each unit with the top-left corner of its square, in unit order."""
+    for u in range(topo.n_units):
+        r, c = divmod(u, topo.cols)
+        yield u, c * cell, r * cell
+
+
+def _square(x: int, y: int, size: int, fill: str) -> str:
+    """An outlined square: a unit's cell or a legend swatch."""
+    return (f'<rect x="{x}" y="{y}" width="{size}" height="{size}" '
+            f'fill="{fill}" stroke="#333333"/>')
+
+
+def _text(x, y, text: str, attrs: str = "") -> str:
+    return (f'<text x="{x}" y="{y}" font-family="monospace" '
+            f'font-size="{FONT_SIZE}" fill="#111111"{attrs}>{_esc(text)}</text>')
+
+
+def _legend(top: int, rows: list[tuple[str, str]]) -> list[str]:
+    """A swatch and its caption per (fill, text) row, 16 pixels apart."""
+    out = []
+    for i, (fill, text) in enumerate(rows):
+        y = top + 16 * i
+        out += [_square(4, y, 10, fill), _text(20, y + 9, text)]
+    return out
+
+
+def _page(topo, cell: int, body: list[str], legend: list | None) -> str:
+    """The SVG document: a white page holding the unit grid's ``body`` and,
+    when ``legend`` is given, its rows below the grid."""
+    width, grid_h = topo.cols * cell, topo.rows * cell
+    height = grid_h if legend is None else grid_h + 12 + 16 * len(legend)
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        *body,
+        *_legend(grid_h + 8, legend or []),
+        "</svg>\n",
+    ])
+
+
+def render_map(result, macro: MacroClassing | None = None,
+               cell_size: int = CELL_SIZE, labels: str = "auto") -> str:
+    """SVG of the unit grid: a ``cell_size`` square per unit listing its items,
+    shaded by macro-class with a legend below when ``macro`` is given.
+
+    ``labels`` picks the list: "modalities" (short labels), "modalities+counts"
+    (the unit's individual count first), "none", or "auto" (counts exactly
+    when the individuals were mapped).  A cell shows at most MAX_LABELS lines,
+    fewer when small, the last of them "+N more" when items are left out.
+    """
+    if cell_size < MIN_CELL_SIZE:
+        raise RenderError(f"cell size below {MIN_CELL_SIZE} leaves no room for labels")
+    if labels not in LABEL_SOURCES:
+        raise RenderError(f"unknown label source {labels!r}")
+    if labels == "auto":
+        labels = "modalities+counts" if result.individuals is not None else "modalities"
+    cell, line_h = cell_size, FONT_SIZE + 2
+    limit = min(MAX_LABELS, max(2, (cell - 18) // line_h))
+    fills = grey_palette(macro.k) if macro is not None else None
+    entries = _unit_lines(result, labels == "modalities+counts")
+    body = []
+    for u, x, y in _cells(result.topology, cell):
+        body.append(_square(x, y, cell, fills[macro.labels[u]] if macro else "#ffffff"))
+        if labels != "none":
+            body += [_text(x + 4, y + 4 + FONT_SIZE + i * line_h, text)
+                     for i, text in enumerate(_shown(entries[u], limit))]
+    legend = None if macro is None else [
+        (fills[i], f"class {i} ({len(members)} units, "
+                   f"{'connected' if macro.connected[i] else 'split'})")
+        for i, members in enumerate(macro.classes)
     ]
-    max_fit = max(2, (cell - 18) // line_h)
-    limit = min(MAX_LABELS, max_fit)
-    for u in range(topo.n_units):
-        r, c = divmod(u, topo.cols)
-        x, y = c * cell, r * cell
-        fill = fills[macro.class_of(u)] if macro is not None else "#ffffff"
-        lines.append(
-            f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-            f'fill="{fill}" stroke="#333333"/>'
-        )
-        if source == "none":
-            continue
-        entries = []
-        if source == "modalities+counts" and ind_counts is not None:
-            entries.append(f"{int(ind_counts[u])} ind")
-        entries.extend(short[name] for name in members[u])
-        ty = y + 4 + fs
-        for text in _shown(entries, limit):
-            lines.append(
-                f'<text x="{x + 4}" y="{ty}" font-family="monospace" '
-                f'font-size="{fs}" fill="#111111">{_esc(text)}</text>'
-            )
-            ty += line_h
-    if macro is not None:
-        ly = grid_h + 8
-        for i in range(macro.k):
-            tag = "connected" if macro.connected[i] else "split"
-            lines.append(
-                f'<rect x="4" y="{ly}" width="10" height="10" '
-                f'fill="{fills[i]}" stroke="#333333"/>'
-            )
-            lines.append(
-                f'<text x="20" y="{ly + 9}" font-family="monospace" '
-                f'font-size="{fs}" fill="#111111">class {i} '
-                f'({len(macro.classes[i])} units, {tag})</text>'
-            )
-            ly += 16
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return _page(result.topology, cell, body, legend)
 
 
 def _wedge_path(cx: float, cy: float, r: float, a0: float, a1: float) -> str:
@@ -166,91 +178,46 @@ def _wedge_path(cx: float, cy: float, r: float, a0: float, a1: float) -> str:
 
 def render_pies(pies: PieGrid) -> str:
     """SVG pie per unit: the external variable's spread over the map."""
-    topo = pies.topology
-    cell, fs = CELL_SIZE, FONT_SIZE
+    cell = CELL_SIZE
     colors = [PALETTE[i % len(PALETTE)] for i in range(len(pies.labels))]
-    width, grid_h = topo.cols * cell, topo.rows * cell
-    legend_h = 8 + 16 * len(pies.labels) + 4
-    height = grid_h + legend_h
     radius = 0.38 * cell
-    pops = pies.populations
-
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-    for u in range(topo.n_units):
-        r, c = divmod(u, topo.cols)
-        x, y = c * cell, r * cell
+    body = []
+    for u, x, y in _cells(pies.topology, cell):
         cx, cy = x + cell / 2.0, y + cell / 2.0 - 6.0
-        lines.append(
-            f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-            f'fill="none" stroke="#333333"/>'
-        )
-        pop = int(pops[u])
+        body.append(_square(x, y, cell, "none"))
+        pop = int(pies.counts[u].sum())
+        nonzero = np.flatnonzero(pies.counts[u])
+        disc = f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius)}" '
         if pop == 0:
-            lines.append(
-                f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius)}" '
-                f'fill="none" stroke="#cccccc" stroke-dasharray="3 3"/>'
-            )
+            body.append(disc + 'fill="none" stroke="#cccccc" stroke-dasharray="3 3"/>')
+        elif nonzero.size == 1:
+            body.append(disc + f'fill="{colors[int(nonzero[0])]}" stroke="#ffffff"/>')
         else:
-            counts = pies.counts[u]
-            nonzero = np.flatnonzero(counts)
-            if nonzero.size == 1:
-                v = int(nonzero[0])
-                lines.append(
-                    f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius)}" '
-                    f'fill="{colors[v]}" stroke="#ffffff"/>'
+            running = 0
+            for v in nonzero:
+                a0 = 360.0 * running / pop
+                running += int(pies.counts[u, v])
+                a1 = 360.0 * running / pop
+                body.append(
+                    f'<path d="{_wedge_path(cx, cy, radius, a0, a1)}" '
+                    f'fill="{colors[int(v)]}" stroke="#ffffff"/>'
                 )
-            else:
-                running = 0
-                for v in nonzero:
-                    a0 = 360.0 * running / pop
-                    running += int(counts[v])
-                    a1 = 360.0 * running / pop
-                    lines.append(
-                        f'<path d="{_wedge_path(cx, cy, radius, a0, a1)}" '
-                        f'fill="{colors[int(v)]}" stroke="#ffffff"/>'
-                    )
-        lines.append(
-            f'<text x="{_f(cx)}" y="{y + cell - 6}" font-family="monospace" '
-            f'font-size="{fs}" fill="#111111" text-anchor="middle">'
-            f"n={pop}</text>"
-        )
-    ly = grid_h + 8
-    for i, label in enumerate(pies.labels):
-        lines.append(
-            f'<rect x="4" y="{ly}" width="10" height="10" '
-            f'fill="{colors[i]}" stroke="#333333"/>'
-        )
-        lines.append(
-            f'<text x="20" y="{ly + 9}" font-family="monospace" '
-            f'font-size="{fs}" fill="#111111">{_esc(label)} '
-            f"({int(pies.global_counts[i])})</text>"
-        )
-        ly += 16
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        body.append(_text(_f(cx), y + cell - 6, f"n={pop}", ' text-anchor="middle"'))
+    legend = [(color, f"{label} ({int(n)})")
+              for color, label, n in zip(colors, pies.labels, pies.global_counts)]
+    return _page(pies.topology, cell, body, legend)
 
 
 def render_text(result, macro: MacroClassing | None = None) -> str:
-    """Fixed-width character grid of the map, one box per unit."""
+    """Fixed-width character grid of the map, one box per unit: its
+    macro-class ("#2") when ``macro`` is given, its individual count when the
+    individuals were mapped, then its modalities."""
     topo = result.topology
-    short = display_labels(result.modalities.labels)
-    members = result.modalities.members_by_unit()
-    ind_counts = result.individuals.counts if result.individuals is not None else None
-
-    cells: list[list[str]] = []
-    for u in range(topo.n_units):
-        entries = []
-        if macro is not None:
-            entries.append(f"#{macro.class_of(u)}")
-        if ind_counts is not None:
-            entries.append(f"{int(ind_counts[u])} ind")
-        entries.extend(short[name] for name in members[u])
-        cells.append(_shown(entries, TEXT_MAX_LINES))
-
+    cells = [
+        _shown(([f"#{macro.class_of(u)}"] if macro is not None else []) + lines,
+               TEXT_MAX_LINES)
+        for u, lines in enumerate(_unit_lines(result, counts=True))
+    ]
     width = max(8, min(18, max((len(e) for cell in cells for e in cell), default=8)))
     depth = max(len(cell) for cell in cells)
 

@@ -68,12 +68,6 @@ class Topology:
     def side(self) -> int:
         return max(self.rows, self.cols)
 
-    def position(self, unit: int) -> tuple[int, int]:
-        """(row, col) of a unit; units are numbered row-major."""
-        if not 0 <= unit < self.n_units:
-            raise DimensionError(f"unit {unit} out of range")
-        return divmod(unit, self.cols)
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "rows": self.rows, "cols": self.cols}
 

@@ -85,6 +85,30 @@ def test_bad_grid_argument_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["kmca", "--cell-size", "10"], 2),
+    (["kmca", "--macro", "0"], 2),
+    (["kmca", "--macro", "-1"], 2),
+    (["kmca", "--macro", "17"], 1),
+    (["kmca-ind", "--macro", "17"], 1),
+    (["report", "--algorithms", "kmca-ind,kmca", "--macro", "13"], 1),
+], ids=["cell-size-10", "macro-0", "macro-minus-1", "kmca-macro-17",
+        "kmca-ind-macro-17", "report-macro-13"])
+def test_bad_map_values_fail_before_training(tmp_path, capsys, argv, code):
+    """A 4x4 map: a cell under 40 pixels or a cut under 1 class is a bad
+    flag; a cut into more classes than the units that can hold weight (16
+    for individuals, kmca's 12 modalities) is a config error before any
+    algorithm trains."""
+    try:
+        got = main([*argv, *MARRIAGE, "--grid", "4x4", "--out", str(tmp_path)])
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert err.startswith("error:config:") if code == 1 else "minimum" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------- tables
 
 def test_tables_outputs_burt_identities(tmp_path, capsys):
@@ -266,12 +290,13 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     )
     assert code == 1
     assert "error:config" in err
+    assert str(cfg) in err
 
 
 @pytest.mark.parametrize("key, value", [
     ("seeds", "two"), ("iters", "many"), ("macro", "few"), ("workers", "all"),
     ("string", "long"), ("eps0", "fast"), ("render", "bogus"), ("iters", 2.7),
-    ("uniform_weights", "no"),
+    ("uniform_weights", "no"), ("cell_size", 10), ("macro", 0),
 ])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -285,6 +310,7 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert code != 0
     assert key in err.replace("-", "_"), err
+    assert str(cfg) in err
     assert not out.exists()
 
 

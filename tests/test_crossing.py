@@ -92,14 +92,6 @@ def test_external_from_csv_inferred(tmp_path):
     assert col.values == {"i1": 0, "i2": 1, "i3": 0}
 
 
-def test_external_from_csv_binned(tmp_path):
-    p = tmp_path / "extra.csv"
-    p.write_text("id,age\ni1,12\ni2,40\ni3,77\n", encoding="utf-8")
-    spec = VariableSpec(name="age", modalities=("lo", "mid", "hi"), breaks=(18.0, 65.0))
-    col = external_from_csv(p, "age", spec=spec)
-    assert col.values == {"i1": 0, "i2": 1, "i3": 2}
-
-
 def test_external_from_csv_rejects_duplicate_ids(tmp_path):
     p = tmp_path / "extra.csv"
     p.write_text("id,region\ni1,north\ni1,south\n", encoding="utf-8")
@@ -140,16 +132,6 @@ def test_external_from_csv_reads_columns_like_ingest(tmp_path):
         col = external_from_csv(p, var.name)
         assert col.name == var.name
         assert col.modalities == var.modalities
-        assert [col.values[i] for i in ds.individuals] == ds.cells[:, k].tolist()
-    specs = [
-        VariableSpec(name="age", modalities=("child", "adult", "senior"),
-                     breaks=(18.0, 65.0)),
-        VariableSpec(name="pet", modalities=("none", "fish", "dog", "cat")),
-    ]
-    ds = ingest_csv(p, schema=specs)
-    for k, spec in enumerate(specs):
-        col = external_from_csv(p, spec.name, spec=spec)
-        assert col.modalities == spec.modalities
         assert [col.values[i] for i in ds.individuals] == ds.cells[:, k].tolist()
 
 

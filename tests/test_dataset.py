@@ -8,7 +8,6 @@ import pytest
 from somcat.dataset import (
     CategoricalDataset,
     VariableSpec,
-    cross_tabulate,
     expand_from_contingency,
     ingest_csv,
     load_schema,
@@ -218,6 +217,15 @@ def test_load_schema_round_trip(tmp_path):
 
 
 # ------------------------------------------------------- contingency expansion
+
+def cross_tabulate(ds: CategoricalDataset, var_a: int, var_b: int) -> np.ndarray:
+    """Count matrix of variable pair (a, b); inverse check for expansion."""
+    ma = len(ds.variables[var_a].modalities)
+    mb = len(ds.variables[var_b].modalities)
+    out = np.zeros((ma, mb), dtype=np.int64)
+    np.add.at(out, (ds.cells[:, var_a], ds.cells[:, var_b]), 1)
+    return out
+
 
 def test_expand_marriage_round_trips_to_table4(marriage):
     counts = cross_tabulate(marriage, 0, 1)

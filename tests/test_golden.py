@@ -9,7 +9,10 @@ on seed 0 of each analysis (k=4) pins the bytes of ``dendrogram.json``,
 and ``ingest``, ``tables`` and ``pies`` (the wife's category crossed with
 kmca-ind seed 0) pin the bytes of the remaining JSON writers.  Seed 0 of
 each analysis with ``--macro 5 --render both`` pins the SVG and text maps,
-and the wife's pies the pie SVG.  A small fixed survey CSV pins the CSV
+and the wife's pies the pie SVG; ``render`` of those stored results pins
+the other ``--labels`` choices (without a cut) and ``--cell-size 57`` (with
+it), and a kmca run on a string of 5 units pins both of its maps.  A small
+fixed survey CSV pins the CSV
 reader: ``ingest`` infers it, and again with a schema that bins one column
 and leaves two out; ``pies --external`` crosses one of its columns with a
 kmca-ind map trained on it.
@@ -40,6 +43,7 @@ REPORT_ARGV = [
 REPORT_FILES = ("marriages.report.json", "marriages.report.csv")
 DENDROGRAM_K = 4
 PIES_VARIABLE = "wife"
+LABEL_CHOICES = ("modalities", "modalities+counts", "none")
 # 24 answers with padded cells and a fractional age; the schema bins age,
 # relabels color in its own order and leaves size and note out.
 SURVEY_CSV = "id,age,color,size,note\n" + "".join(
@@ -115,6 +119,21 @@ RENDER_GOLDEN = {
     "marriages.kdisj.0.svg": "5c7222353055ca346e1d748f1daa470ee555020f04ec90b80081450ad2107844",
     "marriages.kdisj.0.txt": "7a36e7fa64b1747ef4b6093e5a84f39e4827db4f137f794d61fd72257481bf10",
     "marriages.kmca-ind.0.pies.wife.svg": "494b3fc55f50c0937008d9bd8043bc5ab22bbbaa3e80790694a1ee7a3e0afeeb",
+}
+
+RENDER_OPTION_GOLDEN = {
+    "modalities/marriages.kmca.0.svg": "b8dad7a61963ae6e229da5062010bdecc85f1d5fd67845620225c55fdbc8ef3d",
+    "modalities/marriages.kmca-ind.0.svg": "e33b0d4728ed87e05e242ee9fb6c6af4ae411c09cd331649ac6e199f8c007880",
+    "modalities/marriages.kdisj.0.svg": "372da069a904c9ce3c08e14e31c04512f9d4f0f8b5b67615fa3edbabce7968e4",
+    "modalities+counts/marriages.kmca.0.svg": "b8dad7a61963ae6e229da5062010bdecc85f1d5fd67845620225c55fdbc8ef3d",
+    "modalities+counts/marriages.kmca-ind.0.svg": "9394471ca4c8c2c9600f2df611ef7daf32bffd565329e1b41ced8b506a56f280",
+    "modalities+counts/marriages.kdisj.0.svg": "d912c66d775299f78ae9dce390ce6a5b0e80b6690446f51b2725f71b21b5d65a",
+    "none/marriages.kmca.0.svg": "39a112a36abb0ab0eb1b47c25257b42b83e5ef548f34676eaa6bd65ea91b39d2",
+    "none/marriages.kmca-ind.0.svg": "39a112a36abb0ab0eb1b47c25257b42b83e5ef548f34676eaa6bd65ea91b39d2",
+    "none/marriages.kdisj.0.svg": "39a112a36abb0ab0eb1b47c25257b42b83e5ef548f34676eaa6bd65ea91b39d2",
+    "cell-57/marriages.kmca-ind.0.svg": "93f024fb898481775a759fb21f247cf8088ce65bd9b338773e3005a546adc1ca",
+    "string-5/marriages.kmca.0.svg": "7906f8a1e41406f031ae373a125dd8fb2033d74dd4673a867a0e7094613f6790",
+    "string-5/marriages.kmca.0.txt": "8937d064367ede72f8fe888982d64ef5e8750a4b16495c91be2b920054a18808",
 }
 
 CSV_GOLDEN = {
@@ -197,6 +216,25 @@ def render_digests(outdir: Path) -> dict[str, str]:
     return {name: _sha256(outdir / name) for name in RENDER_GOLDEN}
 
 
+def render_option_digests(outdir: Path) -> dict[str, str]:
+    """Seed 0 of each analysis cut at k=5, redrawn by ``render`` under each
+    other ``--labels`` choice without the cut and at ``--cell-size 57`` with
+    it, then ``kmca --string 5 --macro 3 --render both``; sha256 of each
+    drawing, named by its output subdirectory."""
+    data = ["--data", "builtin:marriages"]
+    for algorithm in ALGORITHMS:
+        _run([algorithm, *data, "--macro", "5", "--render", "none"], outdir)
+        result = str(outdir / f"marriages.{algorithm}.0.result.json")
+        for labels in LABEL_CHOICES:
+            _run(["render", "--result", result, "--labels", labels], outdir / labels)
+    base = outdir / "marriages.kmca-ind.0"
+    _run(["render", "--result", f"{base}.result.json", "--macro-file",
+          f"{base}.macro.json", "--cell-size", "57"], outdir / "cell-57")
+    _run(["kmca", *data, "--string", "5", "--macro", "3", "--render", "both"],
+         outdir / "string-5")
+    return {name: _sha256(outdir / name) for name in RENDER_OPTION_GOLDEN}
+
+
 def csv_digests(outdir: Path) -> dict[str, str]:
     """``ingest`` of the survey CSV, inferred and with the schema, and
     ``pies --external`` on one of its columns; sha256 of each file."""
@@ -240,6 +278,10 @@ def test_svg_and_text_bytes_match_golden_digests(tmp_path):
     assert render_digests(tmp_path) == RENDER_GOLDEN
 
 
+def test_render_option_bytes_match_golden_digests(tmp_path):
+    assert render_option_digests(tmp_path) == RENDER_OPTION_GOLDEN
+
+
 def test_csv_ingest_and_external_pies_bytes_match_golden_digests(tmp_path):
     assert csv_digests(tmp_path) == CSV_GOLDEN
 
@@ -253,10 +295,12 @@ if __name__ == "__main__":
         dendrograms = dendrogram_digests(Path(tmp) / "dendrogram")
         data = data_digests(Path(tmp) / "data")
         renders = render_digests(Path(tmp) / "render")
+        options = render_option_digests(Path(tmp) / "options")
         csvs = csv_digests(Path(tmp) / "csv")
     for title, digests_by_name in (
         ("GOLDEN", table), ("DENDROGRAM_GOLDEN", dendrograms), ("DATA_GOLDEN", data),
-        ("RENDER_GOLDEN", renders), ("CSV_GOLDEN", csvs),
+        ("RENDER_GOLDEN", renders), ("RENDER_OPTION_GOLDEN", options),
+        ("CSV_GOLDEN", csvs),
     ):
         print(f"{title} = {{")
         for name, digest in digests_by_name.items():

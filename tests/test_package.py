@@ -1,4 +1,5 @@
-"""The package as shipped: its only runtime dependency, and the README's code."""
+"""The package as shipped: its only runtime dependency, its settable values,
+and the README's code."""
 
 import ast
 import contextlib
@@ -14,6 +15,9 @@ from somcat.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "somcat"
+# Every settable value is one more configuration to test and measure; a change
+# may lower this ceiling, and raises it only with the reason in CHANGES.md.
+SETTABLE_VALUES_CEILING = 95
 
 
 def test_package_imports_only_the_standard_library_and_numpy():
@@ -29,6 +33,49 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 continue
             foreign += [f"{path.name}:{node.lineno} {r}" for r in roots if r not in allowed]
     assert foreign == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _init_false(value) -> bool:
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords
+    )
+
+
+def settable_values() -> list[str]:
+    """Dataclass fields other than ``field(init=False)`` ones, and the
+    defaulted parameters of public functions, methods and ``__init__``s."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found += [
+                    f"{path.stem}.{node.name}.{st.target.id}" for st in node.body
+                    if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+                    and not _init_false(st.value)
+                ]
+            elif isinstance(node, ast.FunctionDef) and (
+                node.name == "__init__" or not node.name.startswith("_")
+            ):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                found += [f"{path.stem}.{node.name}({a.arg})" for a in defaulted]
+    return found
+
+
+def test_settable_values_stay_under_the_ceiling():
+    found = settable_values()
+    assert len(found) <= SETTABLE_VALUES_CEILING, "\n".join(found)
 
 
 def test_readme_python_blocks_run():

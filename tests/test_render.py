@@ -12,7 +12,6 @@ from somcat.crossing import PieGrid
 from somcat.errors import RenderError
 from somcat.macrocluster import cut, unit_weights, ward_cluster
 from somcat.render import (
-    MapRenderSpec,
     display_labels,
     grey_palette,
     render_map,
@@ -159,7 +158,7 @@ def test_display_labels_bare_when_unique():
 
 def test_label_overflow_marker(run_and_macro):
     res, _ = run_and_macro
-    svg = render_map(res, spec=MapRenderSpec(cell_size=40))  # room for 2 lines
+    svg = render_map(res, cell_size=40)  # room for 2 lines
     assert "more" in svg
 
 
@@ -170,9 +169,10 @@ def test_grey_palette_distinct_and_light_to_dark():
     assert values == sorted(values, reverse=True)
 
 
-def test_render_spec_validation():
+def test_render_spec_validation(run_and_macro):
+    res, _ = run_and_macro
     with pytest.raises(RenderError):
-        MapRenderSpec(cell_size=10)
+        render_map(res, cell_size=10)
 
 
 def test_render_text_grid(run_and_macro):
