@@ -79,13 +79,10 @@ def _unit_lines(result, counts: bool) -> list[list[str]]:
     """Each unit's lines: its individual count ("12 ind") when ``counts`` is
     set and the individuals were mapped, then its modalities' short labels."""
     short = display_labels(result.modalities.labels)
-    members = result.modalities.members_by_unit()
-    ind = result.individuals if counts else None
-    return [
-        ([f"{int(ind.counts[u])} ind"] if ind is not None else [])
-        + [short[name] for name in members[u]]
-        for u in range(result.topology.n_units)
-    ]
+    ind = result.individuals
+    n = ind.counts if counts and ind is not None else None
+    return [([f"{int(n[u])} ind"] if n is not None else []) + [short[m] for m in names]
+            for u, names in result.modalities.members_by_unit().items()]
 
 
 def _cells(topo, cell: int):

@@ -73,7 +73,7 @@ def settable_values() -> list[str]:
     return found
 
 
-def test_settable_values_stay_under_the_ceiling():
+def test_settable_values_do_not_exceed_the_ceiling():
     found = settable_values()
     assert len(found) <= SETTABLE_VALUES_CEILING, "\n".join(found)
 
