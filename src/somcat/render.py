@@ -178,11 +178,12 @@ def render_pies(pies: PieGrid) -> str:
     cell = CELL_SIZE
     colors = [PALETTE[i % len(PALETTE)] for i in range(len(pies.labels))]
     radius = 0.38 * cell
+    pops = pies.populations
     body = []
     for u, x, y in _cells(pies.topology, cell):
         cx, cy = x + cell / 2.0, y + cell / 2.0 - 6.0
         body.append(_square(x, y, cell, "none"))
-        pop = int(pies.counts[u].sum())
+        pop = int(pops[u])
         nonzero = np.flatnonzero(pies.counts[u])
         disc = f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius)}" '
         if pop == 0:
