@@ -16,6 +16,11 @@ fixed survey CSV pins the CSV
 reader: ``ingest`` infers it, and again with a schema that bins one column
 and leaves two out; ``pies --external`` crosses one of its columns with a
 kmca-ind map trained on it.
+``STDOUT_GOLDEN`` pins what the commands print: the ``--json`` summary and
+the ``wrote`` lines (the out dir made relative) of ``ingest``, ``tables``,
+each trainer over two seeds cut at k=3 with both maps, ``macro``, ``pies``
+and ``render`` on the stored kdisj seed-0 result (their out dir left to
+default to the result's), and the small ``report``.
 A change that moves a digest on purpose re-issues the table and says why
 in CHANGES.md.  To print the current digests as tables:
 
@@ -26,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -57,6 +63,8 @@ SURVEY_SCHEMA = {"variables": [
     {"name": "color", "modalities": ["green", "red", "blue"]},
 ]}
 EXTERNAL_COLUMN = "color"
+STDOUT_TRAIN = ["--seeds", "2", "--workers", "1", "--iters", "300", "--macro", "3",
+                "--render", "both"]
 
 GOLDEN = {
     "marriages.kmca.0.result.json": "c0b5cfd3c3408ef9eea568214d2502e108bba10df397fc6399e112cadac04f18",
@@ -141,6 +149,27 @@ CSV_GOLDEN = {
     "survey-schema.dataset.json": "f91ced59b650638a5b48a6ab064e1d16dd934e03674030387597d310acc8b89a",
     "survey.kmca-ind.0.pies.color.json": "af8194a634a76f9e894999b3b6e4997580d366a7976eaf30b3786f01b5d6faea",
     "survey.kmca-ind.0.pies.color.svg": "1a07f3238af2514c7bf84089c25ddced0b672abd208189e324b7da327592d069",
+}
+
+STDOUT_GOLDEN = {
+    "ingest": "edd1df5320d229bf2a11a0325f8d0094925abbff496b873f934708251aa53a8d",
+    "ingest --json": "3676f8290feb8a918701fb5dee6090633a1eeb7ea5a2353a60ec30046f002320",
+    "tables": "60af66a66443e749c09c82316d7e6f4dd58059dd5be21d0df30ec1e41e98822f",
+    "tables --json": "f9d7b8ef6ccddcecf67a616869e0f4b00a9e978e93bf1a4f9bf898db144d0c55",
+    "kmca": "421658bfad8c3a56d403b9dd5976d90c551d369130f0f8785a2856068e511675",
+    "kmca --json": "50034beb9fb45c483fe8e187ba0f77e918d837c85436e3b437151c62770aab3b",
+    "kmca-ind": "170fa0b40b572cfbb3ff7c0cbcc4e56086af0151f29d63f933585150c694aaaa",
+    "kmca-ind --json": "6977fb8edf479c2d06dcca1f162e370040c5c6b30a17a54716ac5c888bdf6a40",
+    "kdisj": "5acbdcd7003c4e3d5c5f218b5ddaac97fbabceb9924a70c23ed497b18ab96a19",
+    "kdisj --json": "07a4cf26f88240e6cff5ab7c30df0a7058d0bcceb6511081ccc6376b3810af40",
+    "macro": "e72b303bc866cf709bacdf644155226a70b04a1f29736371296558d42cc0345f",
+    "macro --json": "db0604cbc70f66e816ad544176723df6ee1471302df6493a4de14fe5871328c0",
+    "pies": "d9097cd0c65de4143adcc46d0af441525419a6ddd806eb4ac4045776dba7c1d8",
+    "pies --json": "4d07029021faa43fa7e65dd704ca9a754a3bb38ade322948ba5a7f2f695285b1",
+    "render": "69496acc76d901766cb72f99236628a2182073faa67aeac8f01e8fda6c9ed152",
+    "render --json": "a35148e4649784b612295bb22ea78dbd461478414831c2c10841d94a4a3896b2",
+    "report": "51dd23dd9259bd39d73d5529f05e6988aeb1e780466ee09600a73187ca5bd345",
+    "report --json": "428e4fa4a05a41079a30767ad597e952acb9c6e720ab3d174fe8454912c55025",
 }
 
 
@@ -253,6 +282,37 @@ def csv_digests(outdir: Path) -> dict[str, str]:
     return {name: _sha256(outdir / name) for name in CSV_GOLDEN}
 
 
+def stdout_digests(outdir: Path) -> dict[str, str]:
+    """Each command once with ``--json`` and once without; sha256 of its
+    stdout, with ``outdir`` cut from the front of every path it prints."""
+    data = ["--data", "builtin:marriages"]
+    out = ["--out", str(outdir)]
+    kdisj = str(outdir / "marriages.kdisj.0")
+    commands = {
+        "ingest": ["ingest", *data, *out],
+        "tables": ["tables", *data, *out],
+        **{algorithm: [algorithm, *data, *STDOUT_TRAIN, *out] for algorithm in ALGORITHMS},
+        "macro": ["macro", "--result", f"{kdisj}.result.json", "--macro", "4",
+                  "--render", "both"],
+        "pies": ["pies", *data, "--result", f"{kdisj}.result.json",
+                 "--variable", PIES_VARIABLE],
+        "render": ["render", "--result", f"{kdisj}.result.json", "--macro-file",
+                   f"{kdisj}.macro.json", "--render", "both"],
+        "report": [*REPORT_ARGV, *out],
+    }
+    got = {}
+    for label, argv in commands.items():
+        for flags in ([], ["--json"]):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main([*argv, *flags])
+            if code != 0:
+                raise RuntimeError(f"{label} run exited with {code}")
+            text = stdout.getvalue().replace(f"{outdir}{os.sep}", "")
+            got[" ".join([label, *flags])] = hashlib.sha256(text.encode()).hexdigest()
+    return got
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_artifact_bytes_match_golden_digests(algorithm, tmp_path):
     got = digests(algorithm, tmp_path)
@@ -286,6 +346,10 @@ def test_csv_ingest_and_external_pies_bytes_match_golden_digests(tmp_path):
     assert csv_digests(tmp_path) == CSV_GOLDEN
 
 
+def test_command_stdout_matches_golden_digests(tmp_path):
+    assert stdout_digests(tmp_path) == STDOUT_GOLDEN
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {}
@@ -297,10 +361,11 @@ if __name__ == "__main__":
         renders = render_digests(Path(tmp) / "render")
         options = render_option_digests(Path(tmp) / "options")
         csvs = csv_digests(Path(tmp) / "csv")
+        stdouts = stdout_digests(Path(tmp) / "stdout")
     for title, digests_by_name in (
         ("GOLDEN", table), ("DENDROGRAM_GOLDEN", dendrograms), ("DATA_GOLDEN", data),
         ("RENDER_GOLDEN", renders), ("RENDER_OPTION_GOLDEN", options),
-        ("CSV_GOLDEN", csvs),
+        ("CSV_GOLDEN", csvs), ("STDOUT_GOLDEN", stdouts),
     ):
         print(f"{title} = {{")
         for name, digest in digests_by_name.items():
