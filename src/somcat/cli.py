@@ -6,6 +6,14 @@ second-level clustering, ``pies`` crosses a map with an external variable,
 ``render`` redraws stored results and ``report`` chains everything over
 several seeds and summarizes the stability of the runs.
 
+Every subcommand is one function of the parsed flags that writes its files
+and returns ``(summary, outdir, files)``: its JSON summary, the output
+directory and the names it wrote there, in order.  ``main`` alone prints
+them, and only once the command has succeeded.  The training commands and
+``report`` share one driver that checks, trains and cuts every run before
+it writes any file; ``macro``, ``pies`` and ``render`` share one loader of
+the stored result and, with the driver, one Ward cut.
+
 Conventions shared by all subcommands:
 
 * artifacts land in ``--out``, else ``$SOMCAT_OUTDIR``, else the current
@@ -13,7 +21,8 @@ Conventions shared by all subcommands:
 * run artifacts are named ``<dataset>.<algorithm>.<seed>.<kind>``;
 * ``--config FILE`` loads a JSON object whose keys are parsed as flags after
   the command line, so they override it and are checked like it;
-* ``--json`` prints a machine-readable summary to stdout;
+* ``--json`` prints the summary as JSON to stdout, else each written file
+  is printed as ``wrote <path>``;
 * failures print ``error:<category>: <message>`` to stderr and exit 1
   (argparse keeps its usual exit 2 for malformed arguments).
 """
@@ -35,7 +44,9 @@ from .analyses import ALGORITHMS, AnalysisResult, deviations, run_analysis
 from .crossing import cross, external_from_csv, external_from_dataset
 from .dataset import CategoricalDataset, ingest_csv, load_schema, to_disjunctive
 from .errors import ConfigError, SomcatError
-from .macrocluster import MacroClassing, check_ward_size, cut, unit_weights, ward_cluster
+from .macrocluster import (
+    Dendrogram, MacroClassing, check_ward_size, cut, unit_weights, ward_cluster,
+)
 from .marriages import marriage_dataset
 from .render import (
     CELL_SIZE, LABEL_SOURCES, MIN_CELL_SIZE, render_map, render_pies, render_text,
@@ -111,13 +122,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str],
 
 
 def _outdir(args, fallback: str | None = None) -> Path:
-    out = (
-        getattr(args, "out", None)
-        or os.environ.get(ENV_OUTDIR)
-        or fallback
-        or "."
-    )
-    path = Path(out)
+    path = Path(args.out or os.environ.get(ENV_OUTDIR) or fallback or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -139,22 +144,14 @@ def _load_dataset(args) -> tuple[str, CategoricalDataset]:
     return name, ds
 
 
-def _load_result(result_path: str) -> AnalysisResult:
-    """The stored result alone; only ``macro`` needs the model file."""
-    return AnalysisResult.from_json(jsonio.load(result_path))
-
-
-def _result_base(result_path: str) -> str:
-    name = Path(result_path).name
-    return name.removesuffix(".json").removesuffix(".result")
-
-
-def _emit(args, summary: dict, human_lines: list[str]) -> None:
-    if args.json:
-        sys.stdout.write(jsonio.dumps(summary))
-    else:
-        for line in human_lines:
-            print(line)
+def _load_stored(args) -> tuple[dict, AnalysisResult, Path, str]:
+    """The ``--result`` JSON and its analysis, the output dir (by default the
+    result's own) and the base name of what is derived from it.  Only
+    ``macro`` reads the model file the JSON names."""
+    data = jsonio.load(args.result)
+    path = Path(args.result)
+    base = path.name.removesuffix(".json").removesuffix(".result")
+    return data, AnalysisResult.from_json(data), _outdir(args, str(path.parent)), base
 
 
 def _write(outdir: Path, filename: str, text: str, files: list[str]) -> None:
@@ -167,14 +164,8 @@ def _write_json(outdir: Path, filename: str, obj, files: list[str]) -> None:
     files.append(filename)
 
 
-def _write_maps(
-    outdir: Path,
-    base: str,
-    result: AnalysisResult,
-    macro: MacroClassing | None,
-    args,
-    files: list[str],
-) -> None:
+def _write_maps(outdir: Path, base: str, result: AnalysisResult,
+                macro: MacroClassing | None, args, files: list[str]) -> None:
     """Write the map(s) ``--render`` asks for: svg, text, both or none."""
     if args.render in ("svg", "both"):
         svg = render_map(result, macro, args.cell_size, args.labels)
@@ -192,20 +183,16 @@ def _seeds(args) -> list[int]:
     return [args.seed + i for i in range(args.seeds)]
 
 
-def _run_seeds(
-    algorithm: str,
-    ds: CategoricalDataset,
-    topology: Topology,
-    args,
-    seeds: list[int],
-) -> list[AnalysisResult]:
+def _run_seeds(algorithm: str, ds: CategoricalDataset, topology: Topology, args,
+               seeds: list[int]) -> list[AnalysisResult]:
     configs = [
         TrainConfig(epsilon0=args.eps0, c0=args.c0, t_max=args.iters, seed=seed)
         for seed in seeds
     ]
     n = len(configs)
-    workers = args.workers or min(n, os.cpu_count() or 1, 4)
-    if workers > 1 and n > 1:
+    # the pool starts every worker at once: never more than runs or CPUs
+    workers = min(args.workers or 4, n, os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(
                 run_analysis, [algorithm] * n, [ds] * n, [topology] * n, configs
@@ -213,15 +200,22 @@ def _run_seeds(
     return [run_analysis(algorithm, ds, topology, c) for c in configs]
 
 
-def _write_run(
-    outdir: Path,
-    name: str,
-    result: AnalysisResult,
-    ds: CategoricalDataset,
-    args,
-    macro_k,
-) -> tuple[dict, MacroClassing | None]:
-    """Persist one run's artifacts; returns its summary and macro-classing."""
+def _ward_cut(result: AnalysisResult, k,
+              uniform: bool) -> tuple[Dendrogram, MacroClassing]:
+    """Ward's tree of the trained map's units and its cut into ``k`` classes
+    (``"auto"``: four, or one per leaf of a smaller tree)."""
+    dendro = ward_cluster(result.model, weights=unit_weights(result, uniform=uniform))
+    if k == "auto":
+        k = min(4, dendro.n_leaves)
+    elif k > dendro.n_leaves:
+        raise ConfigError(f"--macro {k} exceeds the {dendro.n_leaves} units the "
+                          f"trained {result.algorithm} map fills")
+    return dendro, cut(dendro, k)
+
+
+def _write_run(outdir: Path, name: str, result: AnalysisResult,
+               macro: MacroClassing | None, ds: CategoricalDataset, args) -> dict:
+    """Persist one run's artifacts; returns its summary."""
     seed = result.provenance["config"]["seed"]
     base = f"{name}.{result.algorithm}.{seed}"
     files: list[str] = []
@@ -230,26 +224,16 @@ def _write_run(
     _write_json(
         outdir, f"{base}.result.json", result.to_json(model_file=model_file), files
     )
-
-    macro = None
-    if macro_k is not None:
-        weights = unit_weights(result, uniform=args.uniform_weights)
-        dendro = ward_cluster(result.model, weights=weights)
-        k = min(4, dendro.n_leaves) if macro_k == "auto" else macro_k
-        macro = cut(dendro, k)
+    if macro is not None:
         _write_json(outdir, f"{base}.macro.json", macro.to_json(), files)
-
     dev = None
     if result.individuals is not None:
         dev = deviations(result, ds)
         _write_json(outdir, f"{base}.deviations.json", dev.to_json(), files)
     _write_maps(outdir, base, result, macro, args, files)
 
-    counts = (
-        result.individuals.counts
-        if result.individuals is not None
-        else result.modalities.counts
-    )
+    counts = (result.modalities if result.individuals is None
+              else result.individuals).counts
     summary = {
         "base": base,
         "algorithm": result.algorithm,
@@ -267,7 +251,7 @@ def _write_run(
             "own_positive": int(np.sum(dev.own_deviation > 0)),
             "modalities": len(dev.modalities),
         }
-    return summary, macro
+    return summary
 
 
 def _check_macro(algorithm: str, ds, topology, args, macro_k) -> None:
@@ -285,34 +269,37 @@ def _check_macro(algorithm: str, ds, topology, args, macro_k) -> None:
                           f"Ward can cluster for {algorithm}")
 
 
-def _train_algorithm(
-    outdir: Path,
-    name: str,
-    algorithm: str,
-    ds: CategoricalDataset,
-    topology: Topology,
-    args,
-    seeds: list[int],
-    macro_k,
-) -> tuple[list[dict], list[str], dict | None]:
-    """Train one algorithm over the seeds and write every run's artifacts.
+def _train(args, algorithms: list[str], macro_k):
+    """Train every algorithm over the seeds and cut every run (``macro_k``
+    None: no cut); only then write each run's artifacts, so a failing cut
+    leaves no file behind.
 
-    Returns the run summaries, the files written and, for two or more
-    seeds, the stability report.
+    Returns the dataset's name and data, the output dir, the files written
+    and, by algorithm, the run summaries and (for two or more seeds) the
+    stability report.
     """
-    results = _run_seeds(algorithm, ds, topology, args, seeds)
-    summaries, macros, files = [], [], []
-    for result in results:
-        summary, macro = _write_run(outdir, name, result, ds, args, macro_k)
-        summaries.append(summary)
-        macros.append(macro)
-        files.extend(summary["files"])
-    stability = None
-    if len(results) > 1:
-        stability = stability_report(
-            results, macros if all(m is not None for m in macros) else None, ds
-        )
-    return summaries, files, stability
+    seeds = _seeds(args)
+    name, ds = _load_dataset(args)
+    outdir = _outdir(args)
+    topology = _topology(args)
+    for algorithm in algorithms:
+        _check_macro(algorithm, ds, topology, args, macro_k)
+    trained = {}
+    for algorithm in algorithms:
+        results = _run_seeds(algorithm, ds, topology, args, seeds)
+        macros = [None if macro_k is None
+                  else _ward_cut(r, macro_k, args.uniform_weights)[1] for r in results]
+        stability = None if len(results) == 1 else stability_report(
+            results, None if macro_k is None else macros, ds)
+        trained[algorithm] = results, macros, stability
+    files: list[str] = []
+    runs = {}
+    for algorithm, (results, macros, stability) in trained.items():
+        summaries = [_write_run(outdir, name, r, m, ds, args)
+                     for r, m in zip(results, macros)]
+        files += [f for s in summaries for f in s["files"]]
+        runs[algorithm] = summaries, stability
+    return name, ds, outdir, files, runs
 
 
 def stability_report(
@@ -395,7 +382,7 @@ def stability_report(
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args):
     name, ds = _load_dataset(args)
     outdir = _outdir(args)
     files: list[str] = []
@@ -408,11 +395,10 @@ def cmd_ingest(args) -> int:
         "sha256": ds.sha256(),
         "files": files,
     }
-    _emit(args, summary, [f"wrote {outdir / f}" for f in files])
-    return 0
+    return summary, outdir, files
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args):
     name, ds = _load_dataset(args)
     outdir = _outdir(args)
     d = to_disjunctive(ds)
@@ -447,31 +433,22 @@ def cmd_tables(args) -> int:
         "expected_burt_total": k * k * n,
         "files": files,
     }
-    _emit(args, summary, [f"wrote {outdir / f}" for f in files])
-    return 0
+    return summary, outdir, files
 
 
-def cmd_train(args, algorithm: str) -> int:
-    seeds = _seeds(args)
-    name, ds = _load_dataset(args)
-    outdir = _outdir(args)
-    topology = _topology(args)
-    _check_macro(algorithm, ds, topology, args, args.macro)
-    summaries, files, stability = _train_algorithm(
-        outdir, name, algorithm, ds, topology, args, seeds, args.macro
-    )
+def cmd_train(args, algorithm: str):
+    name, _, outdir, files, runs = _train(args, [algorithm], args.macro)
+    summaries, stability = runs[algorithm]
     summary = {"dataset": name, "runs": summaries}
     if stability is not None:
         fname = f"{name}.{algorithm}.stability.json"
         _write_json(outdir, fname, stability, files)
         summary["stability_file"] = fname
-    _emit(args, summary, [f"wrote {outdir / f}" for f in files])
-    return 0
+    return summary, outdir, files
 
 
-def cmd_macro(args) -> int:
-    data = jsonio.load(args.result)
-    result = AnalysisResult.from_json(data)
+def cmd_macro(args):
+    data, result, outdir, base = _load_stored(args)
     model_file = args.model or data.get("model_file")
     model_path = Path(args.result).parent / model_file if model_file else None
     if model_path is None or not model_path.exists():
@@ -479,11 +456,7 @@ def cmd_macro(args) -> int:
             raise ConfigError(f"model file {args.model} not found")
         raise ConfigError("macro clustering needs the trained model file")
     result.model = SomModel.load(model_path)
-    outdir = _outdir(args, fallback=str(Path(args.result).parent))
-    base = _result_base(args.result)
-    weights = unit_weights(result, uniform=args.uniform_weights)
-    dendro = ward_cluster(result.model, weights=weights)
-    macro = cut(dendro, args.macro)
+    dendro, macro = _ward_cut(result, args.macro, args.uniform_weights)
     files: list[str] = []
     _write_json(outdir, f"{base}.macro.json", macro.to_json(), files)
     _write_json(outdir, f"{base}.dendrogram.json", dendro.to_json(), files)
@@ -495,16 +468,13 @@ def cmd_macro(args) -> int:
         "connected": macro.connected,
         "files": files,
     }
-    _emit(args, summary, [f"wrote {outdir / f}" for f in files])
-    return 0
+    return summary, outdir, files
 
 
-def cmd_pies(args) -> int:
-    result = _load_result(args.result)
+def cmd_pies(args):
+    _, result, outdir, base = _load_stored(args)
     if result.individuals is None:
         raise ConfigError("pies need an analysis that mapped the individuals")
-    outdir = _outdir(args, fallback=str(Path(args.result).parent))
-    base = _result_base(args.result)
     if args.external:
         if not args.column:
             raise ConfigError("--external needs --column NAME")
@@ -529,14 +499,11 @@ def cmd_pies(args) -> int:
         "populations": pies.populations.tolist(),
         "files": files,
     }
-    _emit(args, summary, [f"wrote {outdir / f}" for f in files])
-    return 0
+    return summary, outdir, files
 
 
-def cmd_render(args) -> int:
-    result = _load_result(args.result)
-    outdir = _outdir(args, fallback=str(Path(args.result).parent))
-    base = _result_base(args.result)
+def cmd_render(args):
+    _, result, outdir, base = _load_stored(args)
     macro = None
     if args.macro_file:
         macro = MacroClassing.from_json(jsonio.load(args.macro_file))
@@ -546,70 +513,53 @@ def cmd_render(args) -> int:
                 f"{args.macro_file} classes {len(macro.labels)} units, not {n}")
     files: list[str] = []
     _write_maps(outdir, base, result, macro, args, files)
-    _emit(
-        args,
-        {"base": base, "files": files},
-        [f"wrote {outdir / f}" for f in files],
-    )
-    return 0
+    return {"base": base, "files": files}, outdir, files
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise ConfigError("--algorithms names no algorithm")
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
-    seeds = _seeds(args)
-    name, ds = _load_dataset(args)
-    outdir = _outdir(args)
-    topology = _topology(args)
-    macro_k = "auto" if args.macro is None else args.macro
-    for algo in algorithms:
-        _check_macro(algo, ds, topology, args, macro_k)
+        if algorithms.count(algo) > 1:
+            raise ConfigError(f"--algorithms names {algo!r} more than once")
+    name, ds, outdir, files, runs = _train(
+        args, algorithms, "auto" if args.macro is None else args.macro)
 
     run_fields = (
         "algorithm", "seed", "t_max", "qe_initial", "qe_final", "occupied_units"
     )
-    per_algo: dict[str, dict] = {}
-    rows: list[dict] = []
-    files_all: list[str] = []
-    for algo in algorithms:
-        summaries, files, stability = _train_algorithm(
-            outdir, name, algo, ds, topology, args, seeds, macro_k
-        )
-        per_algo[algo] = {"runs": summaries, "stability": stability}
-        files_all.extend(files)
-        for run in summaries:
-            macro, dev = run.get("macro", {}), run.get("deviations", {})
-            rows.append(
-                {
-                    **{k: run[k] for k in run_fields},
-                    "macro_k": macro.get("k", ""),
-                    "macro_all_connected": macro.get("all_connected", ""),
-                    "own_positive_deviations": dev.get("own_positive", ""),
-                }
-            )
-
+    rows = [
+        {
+            **{k: run[k] for k in run_fields},
+            "macro_k": run["macro"]["k"],
+            "macro_all_connected": run["macro"]["all_connected"],
+            "own_positive_deviations":
+                run.get("deviations", {}).get("own_positive", ""),
+        }
+        for summaries, _ in runs.values()
+        for run in summaries
+    ]
     report = {
         "dataset": name,
         "dataset_sha256": ds.sha256(),
-        "topology": topology.to_json(),
-        "seeds": seeds,
-        "algorithms": per_algo,
+        "topology": _topology(args).to_json(),
+        "seeds": _seeds(args),
+        "algorithms": {
+            algo: {"runs": summaries, "stability": stability}
+            for algo, (summaries, stability) in runs.items()
+        },
     }
-    files: list[str] = []
     _write_json(outdir, f"{name}.report.json", report, files)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)
     _write(outdir, f"{name}.report.csv", buf.getvalue(), files)
-    files_all.extend(files)
     summary = {"dataset": name, "report": f"{name}.report.json", "runs": rows}
-    _emit(args, summary, [f"wrote {outdir / f}" for f in files_all])
-    return 0
+    return summary, outdir, files
 
 
 # ------------------------------------------------------------------ parser
@@ -636,6 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     io_p.add_argument("--json", action="store_true", help="print a JSON summary")
     io_p.add_argument("--config", default=None, help="JSON file overriding flags")
 
+    result_p = argparse.ArgumentParser(add_help=False)
+    result_p.add_argument("--result", required=True, help="a stored result.json")
+
     render_p = argparse.ArgumentParser(add_help=False)
     render_p.add_argument("--labels", choices=LABEL_SOURCES, default="auto")
     render_p.add_argument(
@@ -649,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--c0", type=float, default=1.0)
     train_p.add_argument("--seed", type=int, default=0)
     train_p.add_argument("--seeds", type=int, default=1, help="run seed..seed+N-1")
-    train_p.add_argument("--workers", type=int, default=None)
+    train_p.add_argument("--workers", type=_int_from(1), default=None)
     train_p.add_argument("--macro", type=_int_from(1), default=None,
                          help="macro-class count")
     train_p.add_argument("--uniform-weights", action="store_true")
@@ -673,10 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(algo, parents=[data_p, io_p, train_p, render_p], help=blurb)
         p.set_defaults(func=lambda a, _algo=algo: cmd_train(a, _algo))
 
-    p = sub.add_parser(
-        "macro", parents=[io_p, render_p], help="cut the code-vector clustering"
-    )
-    p.add_argument("--result", required=True)
+    p = sub.add_parser("macro", parents=[result_p, io_p, render_p],
+                       help="cut the code-vector clustering")
     p.add_argument("--model", default=None)
     p.add_argument(
         "--macro", type=_int_from(1), required=True, help="number of classes")
@@ -687,9 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_macro)
 
     p = sub.add_parser(
-        "pies", parents=[data_p, io_p], help="cross the map with a variable"
+        "pies", parents=[result_p, data_p, io_p], help="cross the map with a variable"
     )
-    p.add_argument("--result", required=True)
     p.add_argument("--variable", default=None, help="dataset variable to cross")
     p.add_argument("--external", default=None, help="CSV with an external column")
     p.add_argument("--column", default=None, help="column name in --external")
@@ -697,9 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pies)
 
     p = sub.add_parser(
-        "render", parents=[io_p, render_p], help="redraw a stored result"
+        "render", parents=[result_p, io_p, render_p], help="redraw a stored result"
     )
-    p.add_argument("--result", required=True)
     p.add_argument("--macro-file", default=None)
     p.add_argument(
         "--render", choices=("svg", "text", "both"), default="svg"
@@ -725,10 +674,16 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _apply_config(parser, argv, args)
-        return args.func(args)
+        summary, outdir, files = args.func(args)
     except SomcatError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        sys.stdout.write(jsonio.dumps(summary))
+    else:
+        for name in files:
+            print(f"wrote {outdir / name}")
+    return 0
 
 
 if __name__ == "__main__":

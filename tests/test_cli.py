@@ -92,11 +92,13 @@ def test_bad_grid_argument_exits_2(tmp_path, capsys):
     (["kmca", "--macro", "17"], 1),
     (["kmca-ind", "--macro", "17"], 1),
     (["report", "--algorithms", "kmca-ind,kmca", "--macro", "13"], 1),
+    (["kmca", "--seeds", "2", "--workers", "0"], 2),
+    (["kmca", "--seeds", "2", "--workers", "-1"], 2),
 ], ids=["cell-size-10", "macro-0", "macro-minus-1", "kmca-macro-17",
-        "kmca-ind-macro-17", "report-macro-13"])
+        "kmca-ind-macro-17", "report-macro-13", "workers-0", "workers-minus-1"])
 def test_bad_map_values_fail_before_training(tmp_path, capsys, argv, code):
-    """A 4x4 map: a cell under 40 pixels or a cut under 1 class is a bad
-    flag; a cut into more classes than the units that can hold weight (16
+    """A 4x4 map: a cell under 40 pixels, a cut under 1 class or fewer than
+    one worker is a bad flag; a cut into more classes than the units that can hold weight (16
     for individuals, kmca's 12 modalities) is a config error before any
     algorithm trains."""
     try:
@@ -107,6 +109,62 @@ def test_bad_map_values_fail_before_training(tmp_path, capsys, argv, code):
     assert got == code, err
     assert err.startswith("error:config:") if code == 1 else "minimum" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, filled", [
+    (["kmca", "--macro", "12"], 6),
+    (["kmca-ind", "--macro", "16"], 9),
+    (["kdisj", "--macro", "16"], 11),
+    (["report", "--algorithms", "kmca-ind,kmca", "--macro", "7"], 6),
+], ids=["kmca-macro-12", "kmca-ind-macro-16", "kdisj-macro-16", "report-macro-7"])
+def test_a_cut_above_the_filled_units_writes_nothing(tmp_path, capsys, argv, filled):
+    """Seed 0 on a 4x4 map fills 6 units with kmca, 9 with kmca-ind and 11
+    with kdisj: each cut passes the check before training and fails on the
+    trained map, before any file of any algorithm is written."""
+    code, _, err = run(capsys, *argv, *MARRIAGE, "--out", str(tmp_path))
+    assert code == 1
+    k = argv[argv.index("--macro") + 1]
+    assert err.startswith(f"error:config: --macro {k} exceeds the {filled} units"), err
+    assert list(tmp_path.iterdir()) == []
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in this process, so no test starts a worker."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        SerialPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("workers, seeds, cpus, started", [
+    (["--workers", "1000"], "2", 8, [2]),
+    (["--workers", "1000"], "3", 2, [2]),
+    ([], "3", 8, [3]),
+    ([], "6", 8, [4]),
+    (["--workers", "1"], "3", 8, []),
+    (["--workers", "5"], "1", 8, []),
+], ids=["seeds-bound", "cpus-bound", "default", "default-cap", "one-worker", "one-seed"])
+def test_workers_never_exceed_seeds_or_cpus(tmp_path, capsys, monkeypatch,
+                                            workers, seeds, cpus, started):
+    monkeypatch.setattr("somcat.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("somcat.cli.os.cpu_count", lambda: cpus)
+    monkeypatch.setattr(SerialPool, "started", [])
+    summary = run_json(capsys, "kmca", *MARRIAGE, "--grid", "2x2", "--iters", "50",
+                       "--render", "none", "--seeds", seeds, *workers,
+                       "--out", str(tmp_path))
+    assert len(summary["runs"]) == int(seeds)
+    assert SerialPool.started == started
 
 
 # --------------------------------------------------------------------- tables
@@ -296,7 +354,7 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("seeds", "two"), ("iters", "many"), ("macro", "few"), ("workers", "all"),
     ("string", "long"), ("eps0", "fast"), ("render", "bogus"), ("iters", 2.7),
-    ("uniform_weights", "no"), ("cell_size", 10), ("macro", 0),
+    ("uniform_weights", "no"), ("cell_size", 10), ("macro", 0), ("workers", 0),
 ])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -552,6 +610,13 @@ def test_report_without_algorithms_is_a_config_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:config:")
 
+
+def test_report_with_a_repeated_algorithm_is_a_config_error(tmp_path, capsys):
+    code, _, err = run(capsys, "report", *MARRIAGE, "--algorithms", "kmca,kdisj,kmca",
+                       "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:config:") and "'kmca'" in err, err
+    assert list(tmp_path.iterdir()) == []
 
 def test_report_with_zero_seeds_is_a_config_error(tmp_path, capsys):
     code, _, err = run(

@@ -1,5 +1,5 @@
 """The package as shipped: its only runtime dependency, its settable values,
-and the README's code."""
+its size and the README's code."""
 
 import ast
 import contextlib
@@ -18,6 +18,8 @@ PACKAGE = ROOT / "src" / "somcat"
 # Every settable value is one more configuration to test and measure; a change
 # may lower this ceiling, and raises it only with the reason in CHANGES.md.
 SETTABLE_VALUES_CEILING = 95
+# Physical lines of src/somcat/*.py, under the same rule.
+SRC_LINES_CEILING = 3252
 
 
 def test_package_imports_only_the_standard_library_and_numpy():
@@ -76,6 +78,12 @@ def settable_values() -> list[str]:
 def test_settable_values_do_not_exceed_the_ceiling():
     found = settable_values()
     assert len(found) <= SETTABLE_VALUES_CEILING, "\n".join(found)
+
+
+def test_source_lines_do_not_exceed_the_ceiling():
+    lines = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(lines.values()) <= SRC_LINES_CEILING, lines
 
 
 def test_readme_python_blocks_run():
