@@ -98,9 +98,9 @@ def test_bad_grid_argument_exits_2(tmp_path, capsys):
         "kmca-ind-macro-17", "report-macro-13", "workers-0", "workers-minus-1"])
 def test_bad_map_values_fail_before_training(tmp_path, capsys, argv, code):
     """A 4x4 map: a cell under 40 pixels, a cut under 1 class or fewer than
-    one worker is a bad flag; a cut into more classes than the units that can hold weight (16
-    for individuals, kmca's 12 modalities) is a config error before any
-    algorithm trains."""
+    one worker is a bad flag; a cut into more classes than the units that
+    can hold weight (16 for individuals, kmca's 12 modalities) is a config
+    error before any algorithm trains."""
     try:
         got = main([*argv, *MARRIAGE, "--grid", "4x4", "--out", str(tmp_path)])
     except SystemExit as exc:
@@ -617,6 +617,7 @@ def test_report_with_a_repeated_algorithm_is_a_config_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:config:") and "'kmca'" in err, err
     assert list(tmp_path.iterdir()) == []
+
 
 def test_report_with_zero_seeds_is_a_config_error(tmp_path, capsys):
     code, _, err = run(
