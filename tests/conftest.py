@@ -35,3 +35,16 @@ def random_dataset(rng, n=40, sizes=(3, 4, 2)):
     ]
     ids = [f"ind{i:03d}" for i in range(n)]
     return CategoricalDataset(individuals=ids, variables=variables, cells=cells)
+
+
+def uniform_survey_csv(seed, n, questions, answers):
+    """CSV text of a survey with every answer independent and uniform, drawn
+    as the benchmark's survey workload draws it: ids p00000.., questions
+    Q01.., answers c0.."""
+    rng = np.random.default_rng([seed, 0x50CA7])
+    cells = rng.integers(0, answers, size=(n, questions))
+    if any(len(np.unique(cells[:, q])) != answers for q in range(questions)):
+        raise ValueError(f"seed {seed}: a question lacks an answer")
+    header = ",".join(["id", *(f"Q{q + 1:02d}" for q in range(questions))])
+    lines = [f"p{i:05d}," + ",".join(f"c{a}" for a in row) for i, row in enumerate(cells)]
+    return "\n".join([header, *lines]) + "\n"

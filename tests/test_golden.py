@@ -16,6 +16,10 @@ fixed survey CSV pins the CSV
 reader: ``ingest`` infers it, and again with a schema that bins one column
 and leaves two out; ``pies --external`` crosses one of its columns with a
 kmca-ind map trained on it.
+``WIDE_GOLDEN`` pins a kdisj run wide enough that every modality step
+searches more than ``som.DISTANCE_BLOCK`` elements on its own: a seeded
+uniform survey of 1,200 individuals and 10 questions of 6 answers on an
+8x8 map (64 x 1,200 components), 400 steps, cut at k=4.
 ``STDOUT_GOLDEN`` pins what the commands print: the ``--json`` summary and
 the ``wrote`` lines (the out dir made relative) of ``ingest``, ``tables``,
 each trainer over two seeds cut at k=3 with both maps, ``macro``, ``pies``
@@ -37,6 +41,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import uniform_survey_csv
 from somcat.cli import main
 
 ALGORITHMS = ("kmca", "kmca-ind", "kdisj")
@@ -63,6 +68,9 @@ SURVEY_SCHEMA = {"variables": [
     {"name": "color", "modalities": ["green", "red", "blue"]},
 ]}
 EXTERNAL_COLUMN = "color"
+WIDE_SURVEY = {"seed": 16, "n": 1200, "questions": 10, "answers": 6}
+WIDE_ARGV = ["kdisj", "--grid", "8x8", "--iters", "400", "--macro", "4",
+             "--render", "none", "--workers", "1"]
 STDOUT_TRAIN = ["--seeds", "2", "--workers", "1", "--iters", "300", "--macro", "3",
                 "--render", "both"]
 
@@ -149,6 +157,13 @@ CSV_GOLDEN = {
     "survey-schema.dataset.json": "f91ced59b650638a5b48a6ab064e1d16dd934e03674030387597d310acc8b89a",
     "survey.kmca-ind.0.pies.color.json": "af8194a634a76f9e894999b3b6e4997580d366a7976eaf30b3786f01b5d6faea",
     "survey.kmca-ind.0.pies.color.svg": "1a07f3238af2514c7bf84089c25ddced0b672abd208189e324b7da327592d069",
+}
+
+WIDE_GOLDEN = {
+    "wide.kdisj.0.result.json": "4806ade2e649afea5e545eeff770558d1bfbcc431fa02c8714cfcf6878757b78",
+    "wide.kdisj.0.model.json": "cb57967bf4b0458bda12437976eacf5a4cb012561a2b7b4368a14b25d69c6fd0",
+    "wide.kdisj.0.macro.json": "b24efd1e82d47536e062961380e60fbb09ba90de9ce7d431ca4f4d39db4aae5a",
+    "wide.kdisj.0.deviations.json": "92a7ebdc7bd458452d6f4ab41776c4936c98b4021363f890068232c09a01e33d",
 }
 
 STDOUT_GOLDEN = {
@@ -282,6 +297,16 @@ def csv_digests(outdir: Path) -> dict[str, str]:
     return {name: _sha256(outdir / name) for name in CSV_GOLDEN}
 
 
+def wide_digests(outdir: Path) -> dict[str, str]:
+    """kdisj on the wide seeded survey; sha256 of each pinned file."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    csv_path = outdir / "wide.csv"
+    csv_path.write_text(uniform_survey_csv(**WIDE_SURVEY), encoding="utf-8")
+    _run([*WIDE_ARGV, "--data", str(csv_path)], outdir)
+    names = [f"wide.kdisj.0.{kind}.json" for kind in KINDS]
+    return {name: _sha256(outdir / name) for name in names}
+
+
 def stdout_digests(outdir: Path) -> dict[str, str]:
     """Each command once with ``--json`` and once without; sha256 of its
     stdout, with ``outdir`` cut from the front of every path it prints."""
@@ -346,6 +371,10 @@ def test_csv_ingest_and_external_pies_bytes_match_golden_digests(tmp_path):
     assert csv_digests(tmp_path) == CSV_GOLDEN
 
 
+def test_wide_kdisj_bytes_match_golden_digests(tmp_path):
+    assert wide_digests(tmp_path) == WIDE_GOLDEN
+
+
 def test_command_stdout_matches_golden_digests(tmp_path):
     assert stdout_digests(tmp_path) == STDOUT_GOLDEN
 
@@ -361,11 +390,12 @@ if __name__ == "__main__":
         renders = render_digests(Path(tmp) / "render")
         options = render_option_digests(Path(tmp) / "options")
         csvs = csv_digests(Path(tmp) / "csv")
+        wides = wide_digests(Path(tmp) / "wide")
         stdouts = stdout_digests(Path(tmp) / "stdout")
     for title, digests_by_name in (
         ("GOLDEN", table), ("DENDROGRAM_GOLDEN", dendrograms), ("DATA_GOLDEN", data),
         ("RENDER_GOLDEN", renders), ("RENDER_OPTION_GOLDEN", options),
-        ("CSV_GOLDEN", csvs), ("STDOUT_GOLDEN", stdouts),
+        ("CSV_GOLDEN", csvs), ("WIDE_GOLDEN", wides), ("STDOUT_GOLDEN", stdouts),
     ):
         print(f"{title} = {{")
         for name, digest in digests_by_name.items():
