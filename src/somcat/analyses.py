@@ -31,19 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
+from . import jsonio, som
 from .dataset import CategoricalDataset
 from .errors import ConfigError, DataError, DimensionError
 from .som import (
-    DistanceMask,
-    MapAssignment,
-    SomModel,
-    Topology,
-    TrainConfig,
-    UniformRowSampler,
-    assign,
-    init_model,
-    train,
+    DistanceMask, MapAssignment, SomModel, Topology, TrainConfig, UniformRowSampler,
+    assign, init_model, train,
 )
 from .tables import _checked_counts, burt, corrected_burt, corrected_disjunctive
 
@@ -100,47 +93,53 @@ def kdisj_associate(row: np.ndarray, rng: np.random.Generator) -> int:
 
 
 class KdisjSampler:
-    """Alternating input source for the simultaneous analysis.
+    """Alternating input source for the simultaneous analysis of ``ds``.
 
     Even t: draw an individual i, pair it with column j(i), search on the
     first M components, update all M + N.  Odd t: draw a modality j, search
     and update the last N components only; the winner must be a unit that
-    holds at least one adopter of j.
+    holds at least one adopter of j.  Either way the last N components move
+    toward column j (``column``); ``draw`` refills one buffer.
 
     A unit holds an individual when it is the individual's best matching
     unit on the first M components.  Training reports these units at each
     checkpoint (``locate``); until the first report a modality step searches
     every unit.  Modality steps never move the first block, so without this
     limit a column could settle on a unit that none of its adopters reach.
+    Above ``som.DISTANCE_BLOCK`` units x N, modality steps search through a
+    GramTable whose Gram matrix is the corrected Burt table.
     """
 
-    def __init__(self, dc: np.ndarray):
+    def __init__(self, ds: CategoricalDataset):
         # One M x N copy: row j holds column j of dc contiguously, for the
         # modality draws, the adopters and the modality assignment; dc's
         # rows are its strided view.
-        self.columns = np.ascontiguousarray(np.asarray(dc, dtype=np.float64).T)
+        self.columns = np.ascontiguousarray(corrected_disjunctive(ds).T)
+        self.gram = corrected_burt(ds)  # <c_j, c_l>
         self.dc = self.columns.T
         self.n, self.m = self.dc.shape
         self.dim = self.m + self.n
         self._search_ind = DistanceMask(0, self.m)
         self._update_all = DistanceMask(0, self.dim)
         self._mod_mask = DistanceMask(self.m, self.dim)
+        self.qe_rows, self.qe_mask = self.dc, self._search_ind
         self._adopters = [np.flatnonzero(col > 0) for col in self.columns]
         self._held: np.ndarray | None = None  # M x U: j has an adopter at u
         self.bmus: np.ndarray | None = None  # each individual's unit, as last located
-        self._drawn = 0  # modality of the last odd draw
+        self.column = 0  # modality of the last draw
+        self._x = np.zeros(self.dim)
 
     def draw(self, t: int, rng: np.random.Generator):
-        x = np.zeros(self.dim)
+        x = self._x
         if t % 2 == 0:
             i = int(rng.integers(0, self.n))
-            j = kdisj_associate(self.dc[i], rng)
+            self.column = kdisj_associate(self.dc[i], rng)
             x[: self.m] = self.dc[i]
-            x[self.m:] = self.columns[j]
+            x[self.m:] = self.columns[self.column]
             return x, self._search_ind, self._update_all
-        j = int(rng.integers(0, self.m))
-        x[self.m:] = self.columns[j]
-        self._drawn = j
+        self.column = int(rng.integers(0, self.m))
+        x[: self.m] = 0.0
+        x[self.m:] = self.columns[self.column]
         return x, self._mod_mask, self._mod_mask
 
     def candidates(self, t: int) -> np.ndarray | None:
@@ -148,7 +147,12 @@ class KdisjSampler:
         hold an adopter of the modality drawn last; None for all units."""
         if t % 2 == 0 or self._held is None:
             return None
-        return self._held[self._drawn]
+        return self._held[self.column]
+
+    def gram_table(self, model: SomModel) -> som.GramTable | None:
+        if model.topology.n_units * self.n <= som.DISTANCE_BLOCK:
+            return None
+        return som.GramTable(model, self._mod_mask, self.columns, self.gram)
 
     def locate(self, bmus: np.ndarray, n_units: int) -> None:
         """Record each individual's unit and which units hold adopters."""
@@ -157,14 +161,6 @@ class KdisjSampler:
             held[j, bmus[rows]] = True
         self._held = held
         self.bmus = bmus
-
-    @property
-    def qe_rows(self) -> np.ndarray:
-        return self.dc
-
-    @property
-    def qe_mask(self) -> DistanceMask:
-        return self._search_ind
 
 
 @dataclass(eq=False)
@@ -309,7 +305,7 @@ def kdisj(
     observer=None,
 ) -> AnalysisResult:
     """Simultaneous analysis of individuals and modalities on one map."""
-    sampler = KdisjSampler(corrected_disjunctive(ds))
+    sampler = KdisjSampler(ds)
     dc = sampler.dc
     lo = np.concatenate([dc.min(axis=0), dc.min(axis=1)])
     hi = np.concatenate([dc.max(axis=0), dc.max(axis=1)])

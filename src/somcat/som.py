@@ -20,7 +20,8 @@ one code vector: the search mask picks which components define the match,
 the update mask picks which components move.  A vector or block of rows
 handed over with a mask holds exactly the mask's components (all ``dim``
 of them when the mask is None).  A sampler may also limit the units a step
-can win; the neighborhood update around the winner is the same.
+can win; the neighborhood update around the winner is the same.  A
+GramTable searches a wide block that every step moves toward fixed columns.
 """
 
 from __future__ import annotations
@@ -181,9 +182,7 @@ class SomModel:
     code_vectors: np.ndarray          # U x dim
     trained_steps: int = 0
     rng: np.random.Generator = None   # type: ignore[assignment]
-    # Set by train() for the length of one run: per searched block (lo, hi),
-    # each unit's ||w_u||^2 and whether an update has touched it since.
-    _norms: dict | None = field(default=None, init=False, repr=False)
+    _table: GramTable | None = field(default=None, init=False, repr=False)  # in train()
 
     def __post_init__(self):
         self.code_vectors = np.ascontiguousarray(self.code_vectors, dtype=np.float64)
@@ -307,43 +306,46 @@ def bmu(
     ``x`` holds the masked components only.  ``units`` (one boolean per
     unit) limits the search to the units marked True.  Ties resolve to the
     lowest unit index.  This is every training step's search, in the
-    difference form sum((x - w)**2), except inside train() on a block of
-    more than DISTANCE_BLOCK elements (kdisj's modality steps on a wide
-    dataset): there the search is _norm_distances, whose last bits differ,
-    so a near tie can resolve otherwise.  Batch passes over many rows use
-    _row_distances.
+    difference form sum((x - w)**2), except on the block of a GramTable
+    that train() holds: there ``x`` is the table's column c_j, searched as
+    ||w||^2 - 2<w, c_j>, whose last bits differ, so a near tie can resolve
+    otherwise.  Batch passes over many rows use _row_distances.
     """
     xm = _masked_input(x, mask, model.dim, 1)
     if not np.isfinite(xm).all():
         raise DimensionError("input vector contains non-finite values")
-    code = _masked_code(model, mask)
-    if code.size > DISTANCE_BLOCK and model._norms is not None:
-        key = (0, model.dim) if mask is None else (mask.lo, mask.hi)
-        d2 = _norm_distances(model._norms, key, code, xm)
+    table = model._table
+    if table is not None and mask == table.mask:
+        d2 = (table.norms - 2.0 * table.proj[..., table.column]).ravel()
     else:
-        diff = code - xm
+        diff = _masked_code(model, mask) - xm
         d2 = np.einsum("ij,ij->i", diff, diff)
     if units is None:
         return int(d2.argmin())
     return int(_best_among(d2, units, model.topology.n_units))
 
 
-def _norm_distances(norms: dict, key, code: np.ndarray, xm: np.ndarray) -> np.ndarray:
-    """||w||^2 - 2<x, w> for every unit, the squared distance less ||x||^2.
+class GramTable:
+    """The search of a run whose every step moves the ``mask`` block toward
+    c_j, number ``column`` of fixed ``columns`` (L x width) whose inner
+    products are ``gram``.  Per grid unit it holds P[u, l] = <w_u, c_l> and
+    ||w_u||^2, summed once (it keeps no reference to the columns) and then
+    updated by recurrence, so a search takes ||w_u||^2 - 2 P[u, j], the
+    squared distance less ||c_j||^2: U numbers instead of U x width."""
 
-    ``norms[key]`` holds each unit's ||w||^2 on this block and the units an
-    update has touched since, which alone are summed again, one einsum each.
-    The cross term gathers the units' components at the input's nonzeros (a
-    corrected modality column holds b_j of N): one einsum, no BLAS.
-    """
-    if key not in norms:
-        norms[key] = (np.empty(len(code)), np.ones(len(code), dtype=bool))
-    w2, stale = norms[key]
-    for u in np.flatnonzero(stale):
-        w2[u] = np.einsum("w,w->", code[u], code[u])
-    stale[:] = False
-    nz = np.flatnonzero(xm)
-    return w2 - 2.0 * np.einsum("un,n->u", code[:, nz], xm[nz])
+    def __init__(self, model: SomModel, mask: DistanceMask, columns, gram):
+        block, topo = _masked_code(model, mask), model.topology
+        self.mask, self.gram, self.column = mask, gram, 0
+        self.proj = np.einsum("uw,lw->ul", block, columns).reshape(topo.rows, topo.cols, -1)
+        self.norms = np.einsum("uw,uw->u", block, block).reshape(topo.rows, topo.cols)
+
+    def move(self, rows: slice, cols: slice, eps: float) -> None:  # eps toward c_j
+        j, proj, norms = self.column, self.proj[rows, cols], self.norms[rows, cols]
+        norms *= (1.0 - eps) ** 2
+        norms += 2.0 * eps * (1.0 - eps) * proj[..., j]
+        norms += eps * eps * self.gram[j, j]
+        proj *= 1.0 - eps
+        proj += eps * self.gram[j]
 
 
 def train_step(
@@ -370,16 +372,15 @@ def train_step(
     eps = cfg.epsilon(t, topo.n_units)
     r, c = divmod(winner, topo.cols)
     lo, hi = (0, model.dim) if update_mask is None else (update_mask.lo, update_mask.hi)
-    r0, c0 = max(r - rho, 0), max(c - rho, 0)
+    rows = slice(max(r - rho, 0), r + rho + 1)
+    cols = slice(max(c - rho, 0), c + rho + 1)
     # Splitting the unit axis is a view for any strides, so the update lands
     # in the model's own array.
     grid = model.code_vectors.reshape(topo.rows, topo.cols, model.dim)
-    block = grid[r0:r + rho + 1, c0:c + rho + 1, lo:hi]
+    block = grid[rows, cols, lo:hi]
     block += eps * (x[lo:hi] - block)
-    if model._norms:
-        for (a, b), (_, stale) in model._norms.items():
-            if a < hi and lo < b:  # the update moved components of a cached block
-                stale.reshape(topo.rows, topo.cols)[r0:r + rho + 1, c0:c + rho + 1] = True
+    if model._table is not None:
+        model._table.move(rows, cols, eps)
     model.trained_steps += 1
     return winner
 
@@ -523,10 +524,9 @@ def quantization_error(
 class UniformRowSampler:
     """Draws data rows uniformly; the plain sampler for single-family maps."""
 
-    qe_mask = None  # rows are searched and updated on every component
-
     def __init__(self, rows: np.ndarray):
-        self.rows = np.asarray(rows, dtype=np.float64)
+        self.rows = self.qe_rows = np.asarray(rows, dtype=np.float64)
+        self.qe_mask = None  # rows are searched and updated on every component
         self.bmus: np.ndarray | None = None  # each row's unit, as last located
 
     def draw(self, t: int, rng: np.random.Generator):
@@ -536,12 +536,11 @@ class UniformRowSampler:
     def candidates(self, t: int) -> None:
         return None
 
+    def gram_table(self, model: SomModel) -> None:
+        return None
+
     def locate(self, bmus: np.ndarray, n_units: int) -> None:
         self.bmus = bmus
-
-    @property
-    def qe_rows(self) -> np.ndarray:
-        return self.rows
 
 
 def train(model, sampler, observer=None):
@@ -554,10 +553,12 @@ def train(model, sampler, observer=None):
     ``sampler.qe_rows`` on ``sampler.qe_mask`` is logged, and
     ``sampler.locate(bmus, n_units)`` receives a new array of each of those
     rows' best matching unit from the same pass; the last, at t_max, holds
-    their units on the trained map.  Returns the model and the log of
-    (steps done, quantization error).  ``observer`` is called as
+    their units on the trained map.  Until train() returns or raises, the
+    model holds the GramTable ``sampler.gram_table(model)`` may hand over,
+    its column ``sampler.column`` after each draw.  Returns the model and
+    the log of (steps done, quantization error).  ``observer`` is called as
     observer(t, x, search_mask, update_mask, model) after each step, for
-    instrumentation.
+    instrumentation; it copies ``x`` to keep it past the step.
     """
     if model.trained_steps != 0:
         raise ConfigError("train() expects a freshly initialized model")
@@ -573,18 +574,20 @@ def train(model, sampler, observer=None):
         qe_log.append((steps, qe))
         sampler.locate(bmus, model.topology.n_units)
 
-    model._norms = {}
+    table = model._table = sampler.gram_table(model)
     try:
         checkpoint(0)
         for t in range(t_max):
             x, smask, umask = sampler.draw(t, model.rng)
+            if table is not None:
+                table.column = sampler.column
             train_step(model, x, t, smask, umask, sampler.candidates(t))
             if observer is not None:
                 observer(t, x, smask, umask, model)
             if (t + 1) in marks:
                 checkpoint(t + 1)
     finally:
-        model._norms = None  # no search after the run reads a norm it held
+        model._table = None  # no search after the run reads the table
     return model, qe_log
 
 

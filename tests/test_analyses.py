@@ -124,7 +124,7 @@ def test_kdisj_associate_tie_frequencies(marriage):
 def test_kdisj_sampler_alternates_phases(marriage):
     dc = corrected_disjunctive(marriage)
     n, m = dc.shape
-    sampler = KdisjSampler(dc)
+    sampler = KdisjSampler(marriage)
     rng = np.random.default_rng(0)
 
     x, smask, umask = sampler.draw(0, rng)  # even: individual step
@@ -138,12 +138,13 @@ def test_kdisj_sampler_alternates_phases(marriage):
     assert smask2 == DistanceMask(m, m + n)
     assert umask2 == DistanceMask(m, m + n)
     assert any(np.array_equal(y[m:], dc[:, j]) for j in range(m))
+    assert not y[:m].any()  # the buffer's individual half is cleared
 
 
 def test_kdisj_sampler_even_pairs_row_with_its_rarest_column(marriage):
     dc = corrected_disjunctive(marriage)
     n, m = dc.shape
-    sampler = KdisjSampler(dc)
+    sampler = KdisjSampler(marriage)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         x, _, _ = sampler.draw(0, rng)
@@ -221,7 +222,7 @@ def test_kdisj_sampler_modality_steps_search_units_holding_adopters():
         ds = random_dataset(rng, n=12, sizes=(2, 3))
         dc = corrected_disjunctive(ds)
         n, m = dc.shape
-        sampler = KdisjSampler(dc)
+        sampler = KdisjSampler(ds)
         sampler.draw(1, rng)
         assert sampler.candidates(1) is None
         bmus = rng.integers(0, 4, size=n)  # units 4 and 5 hold nobody
@@ -294,71 +295,80 @@ def test_every_step_calls_train_step_then_bmu_once(monkeypatch, marriage, algori
     assert calls == {"train_step": 40, "bmu": 40}
 
 
-def test_kdisj_golden_digests_hold_with_the_cached_search_forced_on(monkeypatch,
-                                                                    tmp_path):
-    """With the size gate open to every search, the cached-norm search
-    reproduces every pinned kdisj artifact of the marriage runs."""
+def test_kdisj_golden_digests_hold_with_the_gram_table_forced_on(monkeypatch,
+                                                                 tmp_path):
+    """With the width gate open, every marriage kdisj run searches its
+    modality steps through the Gram table and reproduces every pinned kdisj
+    artifact."""
     import test_golden
 
-    blocks = set()
-    original = som._norm_distances
+    built = []
 
-    def recorded(norms, key, code, xm):
-        blocks.add(key)
-        return original(norms, key, code, xm)
+    class Recorded(som.GramTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.mask)
 
-    monkeypatch.setattr(som, "_norm_distances", recorded)
+    monkeypatch.setattr(som, "GramTable", Recorded)
     monkeypatch.setattr(som, "DISTANCE_BLOCK", 1)
     got = test_golden.digests("kdisj", tmp_path)
     assert got == {k: v for k, v in test_golden.GOLDEN.items() if ".kdisj." in k}
-    assert blocks == {(0, 12), (12, 282)}
+    assert built == [DistanceMask(12, 282)] * test_golden.SEEDS
 
 
 def gated_kdisj_model(marriage, t_max=400):
     """A fresh kdisj model on the marriage data and its sampler; under a
-    DISTANCE_BLOCK of 1000 its modality steps (16 units x 270 components)
-    search above the size gate and its individual steps (16 x 12) below."""
-    sampler = KdisjSampler(corrected_disjunctive(marriage))
+    DISTANCE_BLOCK of 1000 its modality steps (16 units x 270 individuals)
+    pass the width gate and search through the Gram table."""
+    sampler = KdisjSampler(marriage)
     return init_model(TOPO, 282, small_cfg(t_max=t_max)), sampler
 
 
-def test_cached_norms_match_their_units_after_every_step(monkeypatch, marriage):
+def test_gram_table_matches_its_units_after_every_step(monkeypatch, marriage):
+    """After every step of both phases, the table's inner products and norms
+    equal a fresh sum over the individual-space block."""
     monkeypatch.setattr(som, "DISTANCE_BLOCK", 1000)
+    model, sampler = gated_kdisj_model(marriage)
     checked = []
 
     def observer(t, x, smask, umask, model):
-        assert set(model._norms) == ({(12, 282)} if t else set())
-        for (lo, hi), (w2, stale) in model._norms.items():
-            block = model.code_vectors[:, lo:hi]
-            fresh = np.array([np.einsum("w,w->", w, w) for w in block])
-            np.testing.assert_allclose(w2[~stale], fresh[~stale], rtol=1e-12, atol=0)
-            checked.append(int(np.sum(~stale)))
+        table = model._table
+        assert table.mask == DistanceMask(12, 282)
+        block = model.code_vectors[:, 12:]
+        fresh = np.einsum("uw,lw->ul", block, sampler.columns)
+        np.testing.assert_allclose(table.proj.reshape(16, 12), fresh, rtol=1e-12, atol=0)
+        fresh = np.array([np.einsum("w,w->", w, w) for w in block])
+        np.testing.assert_allclose(table.norms.ravel(), fresh, rtol=1e-12, atol=0)
+        checked.append(t)
 
-    som.train(*gated_kdisj_model(marriage), observer=observer)
-    assert len(checked) == 399 and min(checked) > 0
+    som.train(model, sampler, observer=observer)
+    assert checked == list(range(400))
 
 
-def test_bmu_after_training_uses_the_difference_form(monkeypatch, marriage):
-    """Once train() has returned or raised, no search reads its cached norms,
-    even on a model whose code vectors were edited since."""
+def test_no_search_reads_the_gram_table_after_training(monkeypatch, marriage):
+    """Once train() has returned or raised, the model holds no table and no
+    search reads one, even on a model whose code vectors were edited since."""
     monkeypatch.setattr(som, "DISTANCE_BLOCK", 1000)
+    tables = set()
+
+    def keep(t, x, smask, umask, model):
+        tables.add(model._table)
 
     def stop(t, x, smask, umask, model):
+        keep(t, x, smask, umask, model)
         if t == 201:
             raise RuntimeError("stop mid-schedule")
 
     raised, sampler = gated_kdisj_model(marriage)
     with pytest.raises(RuntimeError):
         som.train(raised, sampler, observer=stop)
-    finished, _ = som.train(*gated_kdisj_model(marriage))
-
-    def fail(*args):
-        raise AssertionError("a search read the cached norms after training")
-
-    monkeypatch.setattr(som, "_norm_distances", fail)
+    finished, _ = som.train(*gated_kdisj_model(marriage), observer=keep)
+    assert len(tables) == 2 and None not in tables
+    for table in tables:
+        vars(table).clear()  # a search that read this table would raise
     rng = np.random.default_rng(9)
     for model in (raised, finished):
-        assert model._norms is None
+        assert model._table is None
         model.code_vectors[:, 12:] = rng.random((16, 270)) * 0.1
         for x in sampler.columns:
             d2 = np.einsum("uw,uw->u", model.code_vectors[:, 12:] - x,

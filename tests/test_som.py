@@ -483,10 +483,10 @@ def test_distance_blocks_hold_no_lone_item():
         assert sorted(set().union(*spans)) == list(range(size))
 
 
-def test_cached_search_picks_the_winner_of_the_difference_form():
-    """Inside a training run, a search over more than DISTANCE_BLOCK elements
-    goes through the cached unit norms; on K-hot corrected columns it picks
-    the difference form's winner, with and without a limit on the units."""
+def test_gram_table_search_picks_the_winner_of_the_difference_form():
+    """A search through a GramTable on K-hot corrected columns picks the
+    difference form's winner, with and without a limit on the units, while
+    clipped grid squares move toward the drawn columns between searches."""
     rng = np.random.default_rng(26)
     columns = k_hot_rows(rng, 1200, (6,) * 10).T  # 60 modality columns
     model = init_model(Topology.grid(8, 8), 1200, TrainConfig(t_max=10, seed=0),
@@ -495,15 +495,23 @@ def test_cached_search_picks_the_winner_of_the_difference_form():
     mix = rng.random((64, 60)) ** 8
     model.code_vectors[:] = mix / mix.sum(axis=1, keepdims=True) @ columns
     model.code_vectors += rng.normal(scale=1e-3, size=model.code_vectors.shape)
-    assert model.code_vectors.size > som.DISTANCE_BLOCK
-    model._norms = {}  # as train() sets it for its run
+    mask = DistanceMask(0, 1200)
+    gram = np.einsum("jn,ln->jl", columns, columns)
+    table = model._table = som.GramTable(model, mask, columns, gram)  # as train() does
+    grid = model.code_vectors.reshape(8, 8, 1200)
     for draw in range(1200):
-        x = columns[rng.integers(0, 60)]
+        table.column = int(rng.integers(0, 60))
+        x = columns[table.column]
         units = None if draw % 2 else rng.random(64) < 0.3
         d2 = np.einsum("uw,uw->u", model.code_vectors - x, model.code_vectors - x)
         want = np.argmin(d2 if units is None else np.where(units, d2, np.inf))
-        assert bmu(model, x, units=units) == want
-    assert list(model._norms) == [(0, 1200)]
+        assert bmu(model, x, mask, units=units) == want
+        r, c, rho = *rng.integers(0, 8, size=2), int(rng.integers(0, 3))
+        rows = slice(max(r - rho, 0), r + rho + 1)
+        cols = slice(max(c - rho, 0), c + rho + 1)
+        eps = float(rng.uniform(0.0, 0.1))
+        grid[rows, cols] += eps * (x - grid[rows, cols])
+        table.move(rows, cols, eps)
 
 
 def test_wide_assign_keeps_its_temporaries_small():
