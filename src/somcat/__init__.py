@@ -63,7 +63,6 @@ from .render import (
 )
 from .som import (
     DistanceMask,
-    InitSpec,
     MapAssignment,
     SomModel,
     Topology,
@@ -100,7 +99,6 @@ __all__ = [
     "DeviationTable",
     "DistanceMask",
     "ExternalColumn",
-    "InitSpec",
     "MacroClassing",
     "MapAssignment",
     "PieGrid",

@@ -34,6 +34,7 @@ import numpy as np
 from . import jsonio, som
 from .dataset import CategoricalDataset
 from .errors import ConfigError, DataError, DimensionError
+from .macrocluster import WARD_MAX_LEAVES
 from .som import (
     DistanceMask, MapAssignment, SomModel, Topology, TrainConfig, UniformRowSampler,
     assign, init_model, train,
@@ -163,12 +164,26 @@ class KdisjSampler:
         self.bmus = bmus
 
 
+def _distance_units(topology: Topology, modalities: MapAssignment,
+                    individuals: MapAssignment | None) -> np.ndarray:
+    """The units a result's ``unit_distances`` has a column for: every unit
+    when Ward can cluster them all (at most WARD_MAX_LEAVES), else those
+    that hold a mapped item, the leaves under the default weights."""
+    if topology.n_units <= WARD_MAX_LEAVES:
+        return np.arange(topology.n_units)
+    return np.flatnonzero((modalities if individuals is None else individuals).counts)
+
+
 @dataclass(eq=False)
 class AnalysisResult:
     """A trained model plus the map positions of modalities/individuals.
 
-    The topology is duplicated out of the model so a result stays renderable
-    after deserialization without its model file.
+    The topology and ``unit_distances``, the squared distances between the
+    code vectors (som._squared_distances) from every unit to each unit of
+    ``_distance_units``, are kept apart from the model, so a stored result
+    is all that Ward, pies and maps read: ``model`` is None after
+    deserialization.  The distances grow with U^2, and with U times the
+    mapped items on a map too large for Ward to cluster every unit.
     """
 
     algorithm: str
@@ -178,6 +193,7 @@ class AnalysisResult:
     individuals: MapAssignment | None
     provenance: dict
     qe_log: list[tuple[int, float]]
+    unit_distances: np.ndarray
 
     @staticmethod
     def _pack(a: MapAssignment | None) -> dict | None:
@@ -185,10 +201,9 @@ class AnalysisResult:
             return None
         return {"items": list(a.labels), "units": a.units.tolist()}
 
-    def to_json(self, model_file: str | None = None) -> dict:
+    def to_json(self) -> dict:
         return {
             "algorithm": self.algorithm,
-            "model_file": model_file,
             "topology": self.topology.to_json(),
             "provenance": {
                 "dataset_sha256": self.provenance["dataset_sha256"],
@@ -197,12 +212,16 @@ class AnalysisResult:
             },
             "modalities": self._pack(self.modalities),
             "individuals": self._pack(self.individuals),
+            "unit_distances": self.unit_distances.tolist(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisResult":
-        """The stored result; its ``model`` is None until the caller attaches one."""
-        keys = ("algorithm", "topology", "provenance", "modalities", "individuals")
+        """The stored result, without its model (None).  Its unit distances
+        must be U x L numbers for its topology and assignments (U x U on a
+        map of at most WARD_MAX_LEAVES units), else it fails as a DataError."""
+        keys = ("algorithm", "topology", "provenance", "modalities", "individuals",
+                "unit_distances")
         jsonio.require_keys(data, keys, "an analysis result")
         topo = Topology.from_json(data["topology"])
         n_units = topo.n_units
@@ -220,25 +239,34 @@ class AnalysisResult:
         prov = data["provenance"]
         keys = ("dataset_sha256", "config", "qe_log")
         jsonio.require_keys(prov, keys, "a result provenance")
+        modalities, individuals = unpack(data["modalities"]), unpack(data["individuals"])
+        shape = (n_units, len(_distance_units(topo, modalities, individuals)))
+        try:
+            d2 = np.asarray(data["unit_distances"], dtype=np.float64)
+        except (TypeError, ValueError):
+            d2 = None
+        if d2 is None or d2.shape != shape:
+            raise DataError("not an analysis result: unit_distances is not "
+                            "{} x {} numbers for its map".format(*shape))
         return cls(
             algorithm=data["algorithm"],
             topology=topo,
             model=None,
-            modalities=unpack(data["modalities"]),
-            individuals=unpack(data["individuals"]),
+            modalities=modalities,
+            individuals=individuals,
             provenance={
                 "dataset_sha256": prov["dataset_sha256"],
                 "config": prov["config"],
             },
             qe_log=[(int(t), float(q)) for t, q in prov["qe_log"]],
+            unit_distances=d2,
         )
 
 
 def _train(algorithm: str, ds: CategoricalDataset, topology: Topology,
-           config: TrainConfig | None, sampler, dim: int, labels, data=None,
-           ranges=None, observer=None
+           config: TrainConfig | None, sampler, labels, lo, hi, observer=None
            ) -> tuple[SomModel, list[tuple[int, float]], MapAssignment]:
-    """Initialize a map of ``dim`` components from ``data`` or ``ranges`` and
+    """Initialize a map uniformly over the per-component range [lo, hi] and
     train it on ``sampler``; an unset t_max takes the algorithm's default
     budget for ``ds``.  Returns the model, its QE log and the units of the
     sampler's QE rows, named by ``labels``, from the last checkpoint."""
@@ -248,7 +276,7 @@ def _train(algorithm: str, ds: CategoricalDataset, topology: Topology,
             algorithm, ds.n_individuals, ds.n_modalities, ds.n_variables
         )
         config = dataclasses.replace(config, t_max=steps)
-    model = init_model(topology, dim, config, data=data, ranges=ranges)
+    model = init_model(topology, config, lo, hi)
     model, qe_log = train(model, sampler, observer=observer)
     rows = MapAssignment(labels=tuple(labels), units=sampler.bmus,
                          n_units=topology.n_units)
@@ -257,6 +285,8 @@ def _train(algorithm: str, ds: CategoricalDataset, topology: Topology,
 
 def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
             modalities: MapAssignment, individuals=None) -> AnalysisResult:
+    code = model.code_vectors
+    columns = code[_distance_units(model.topology, modalities, individuals)]
     return AnalysisResult(
         algorithm=algorithm,
         topology=model.topology,
@@ -265,6 +295,7 @@ def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
         individuals=individuals,
         provenance={"dataset_sha256": ds.sha256(), "config": model.config.to_json()},
         qe_log=qe_log,
+        unit_distances=som._squared_distances(code, columns),
     )
 
 
@@ -276,8 +307,8 @@ def kmca(
     """Train on the corrected Burt rows; map positions for modalities only."""
     rows = corrected_burt(ds)
     model, qe_log, modalities = _train(
-        "kmca", ds, topology, config, UniformRowSampler(rows), rows.shape[1],
-        ds.global_modality_names, data=rows,
+        "kmca", ds, topology, config, UniformRowSampler(rows),
+        ds.global_modality_names, rows.min(axis=0), rows.max(axis=0),
     )
     return _result("kmca", ds, model, qe_log, modalities)
 
@@ -290,8 +321,8 @@ def kmca_ind(
     """Train on corrected disjunctive rows; modalities placed by mean vector."""
     rows = corrected_disjunctive(ds)
     model, qe_log, individuals = _train(
-        "kmca-ind", ds, topology, config, UniformRowSampler(rows), rows.shape[1],
-        ds.individuals, data=rows,
+        "kmca-ind", ds, topology, config, UniformRowSampler(rows),
+        ds.individuals, rows.min(axis=0), rows.max(axis=0),
     )
     modalities = assign(model, modality_mean_vectors(ds),
                         labels=ds.global_modality_names)
@@ -310,8 +341,8 @@ def kdisj(
     lo = np.concatenate([dc.min(axis=0), dc.min(axis=1)])
     hi = np.concatenate([dc.max(axis=0), dc.max(axis=1)])
     model, qe_log, individuals = _train(
-        "kdisj", ds, topology, config, sampler, sampler.dim, ds.individuals,
-        ranges=(lo, hi), observer=observer,
+        "kdisj", ds, topology, config, sampler, ds.individuals, lo, hi,
+        observer=observer,
     )
     modalities = assign(
         model,

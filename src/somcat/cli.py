@@ -51,7 +51,7 @@ from .marriages import marriage_dataset
 from .render import (
     CELL_SIZE, LABEL_SOURCES, MIN_CELL_SIZE, render_map, render_pies, render_text,
 )
-from .som import SomModel, Topology, TrainConfig
+from .som import Topology, TrainConfig
 from .tables import burt, corrected_burt, corrected_disjunctive
 
 ENV_OUTDIR = "SOMCAT_OUTDIR"
@@ -144,14 +144,15 @@ def _load_dataset(args) -> tuple[str, CategoricalDataset]:
     return name, ds
 
 
-def _load_stored(args) -> tuple[dict, AnalysisResult, Path, str]:
-    """The ``--result`` JSON and its analysis, the output dir (by default the
-    result's own) and the base name of what is derived from it.  Only
-    ``macro`` reads the model file the JSON names."""
-    data = jsonio.load(args.result)
+def _load_stored(args) -> tuple[AnalysisResult, Path, str]:
+    """The ``--result`` analysis, the output dir (by default the result's
+    own) and the base name of what is derived from it.  The result holds
+    all that ``macro``, ``pies`` and ``render`` read: none of them opens a
+    model file."""
+    result = AnalysisResult.from_json(jsonio.load(args.result))
     path = Path(args.result)
     base = path.name.removesuffix(".json").removesuffix(".result")
-    return data, AnalysisResult.from_json(data), _outdir(args, str(path.parent)), base
+    return result, _outdir(args, str(path.parent)), base
 
 
 def _write(outdir: Path, filename: str, text: str, files: list[str]) -> None:
@@ -202,9 +203,11 @@ def _run_seeds(algorithm: str, ds: CategoricalDataset, topology: Topology, args,
 
 def _ward_cut(result: AnalysisResult, k,
               uniform: bool) -> tuple[Dendrogram, MacroClassing]:
-    """Ward's tree of the trained map's units and its cut into ``k`` classes
-    (``"auto"``: four, or one per leaf of a smaller tree)."""
-    dendro = ward_cluster(result.model, weights=unit_weights(result, uniform=uniform))
+    """Ward's tree of the trained map's units, from the result's unit
+    distances, and its cut into ``k`` classes (``"auto"``: four, or one per
+    leaf of a smaller tree)."""
+    dendro = ward_cluster(result.unit_distances, unit_weights(result, uniform=uniform),
+                          result.topology)
     if k == "auto":
         k = min(4, dendro.n_leaves)
     elif k > dendro.n_leaves:
@@ -219,11 +222,8 @@ def _write_run(outdir: Path, name: str, result: AnalysisResult,
     seed = result.provenance["config"]["seed"]
     base = f"{name}.{result.algorithm}.{seed}"
     files: list[str] = []
-    model_file = f"{base}.model.json"
-    _write_json(outdir, model_file, result.model.to_json(), files)
-    _write_json(
-        outdir, f"{base}.result.json", result.to_json(model_file=model_file), files
-    )
+    _write_json(outdir, f"{base}.model.json", result.model.to_json(), files)
+    _write_json(outdir, f"{base}.result.json", result.to_json(), files)
     if macro is not None:
         _write_json(outdir, f"{base}.macro.json", macro.to_json(), files)
     dev = None
@@ -448,14 +448,7 @@ def cmd_train(args, algorithm: str):
 
 
 def cmd_macro(args):
-    data, result, outdir, base = _load_stored(args)
-    model_file = args.model or data.get("model_file")
-    model_path = Path(args.result).parent / model_file if model_file else None
-    if model_path is None or not model_path.exists():
-        if args.model:
-            raise ConfigError(f"model file {args.model} not found")
-        raise ConfigError("macro clustering needs the trained model file")
-    result.model = SomModel.load(model_path)
+    result, outdir, base = _load_stored(args)
     dendro, macro = _ward_cut(result, args.macro, args.uniform_weights)
     files: list[str] = []
     _write_json(outdir, f"{base}.macro.json", macro.to_json(), files)
@@ -472,7 +465,7 @@ def cmd_macro(args):
 
 
 def cmd_pies(args):
-    _, result, outdir, base = _load_stored(args)
+    result, outdir, base = _load_stored(args)
     if result.individuals is None:
         raise ConfigError("pies need an analysis that mapped the individuals")
     if args.external:
@@ -503,7 +496,7 @@ def cmd_pies(args):
 
 
 def cmd_render(args):
-    _, result, outdir, base = _load_stored(args)
+    result, outdir, base = _load_stored(args)
     macro = None
     if args.macro_file:
         macro = MacroClassing.from_json(jsonio.load(args.macro_file))
@@ -628,7 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("macro", parents=[result_p, io_p, render_p],
                        help="cut the code-vector clustering")
-    p.add_argument("--model", default=None)
     p.add_argument(
         "--macro", type=_int_from(1), required=True, help="number of classes")
     p.add_argument("--uniform-weights", action="store_true")

@@ -1,7 +1,7 @@
-"""Second-level clustering: Ward agglomeration of the trained code vectors.
+"""Second-level clustering: Ward agglomeration of the trained map's units.
 
-The map gives a fine partition (one micro-class per unit); merging the code
-vectors bottom-up with Ward's criterion yields a nested family of coarser
+The map gives a fine partition (one micro-class per unit); merging the units
+bottom-up with Ward's criterion yields a nested family of coarser
 macro-classes.  Each unit is weighted by the mass it represents (individuals
 mapped there, or modalities for a modality-only analysis).  Merging clusters
 A and B costs
@@ -13,29 +13,38 @@ cost merges first, and equal costs resolve to the lexicographically smallest
 node pair.  Grid adjacency is never enforced, only reported, so a cut shows
 whether macro-classes happen to form connected map regions.
 
+Ward needs only the squared distances between the units' code vectors,
+never the vectors: the initial costs are those distances weighted, and the
+Lance-Williams recurrence (Lance & Williams, 1967) gives every later cost
+from earlier ones.  Attaching empty units at a cut reads the same
+distances.  A result stores them as its ``unit_distances`` (U x U, or from
+every unit to the units that hold weight on a map too large for Ward to
+cluster every unit), computed by som._squared_distances, the
+difference-form code-vs-code kernel; it calls no BLAS routine, so the
+merge costs do not depend on how many threads a BLAS library runs.
+
 The costs live in one node-indexed matrix in which only entry [a, b] with
 a < b of two active nodes is finite; every other entry is inf.  argmin
 scans it row-major and returns the first minimum, which is the
 lexicographically smallest cheapest pair, so the tie rule needs no code of
-its own.  Squared distances, for the initial costs and for attaching empty
-units at a cut, come from som._squared_distances, the difference-form
-code-vs-code kernel; it calls no BLAS routine, so the merge costs do not
-depend on how many threads a BLAS library runs.
+its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jsonio
-from .errors import ConfigError, DimensionError
-from .som import SomModel, Topology, _squared_distances
+from .errors import ConfigError, DataError, DimensionError
+from .som import Topology
 
-# Ward's (2L - 1)^2 float64 cost matrix over L leaves is the one object that
-# grows with the square of the map; this caps it (L = 5,793 at most).
+# Ward's (2L - 1)^2 float64 cost matrix over L leaves grows with the square
+# of the map; this caps it, at WARD_MAX_LEAVES = 5,793 leaves.
 WARD_MAX_BYTES = 1 << 30
+WARD_MAX_LEAVES = (math.isqrt(WARD_MAX_BYTES // 8) + 1) // 2
 
 
 def check_ward_size(n_leaves: int) -> None:
@@ -51,22 +60,23 @@ def check_ward_size(n_leaves: int) -> None:
 
 
 def ward_linkage(
-    vectors: np.ndarray, weights: np.ndarray
+    d2: np.ndarray, weights: np.ndarray
 ) -> list[tuple[int, int, float]]:
-    """Full Ward merge sequence for weighted points.
+    """Full Ward merge sequence for L weighted points, from ``d2``, their
+    L x L squared distances.
 
     Node ids: point i is node i; the j-th merge creates node L + j.  Returns
     (a, b, cost) triples with a < b.  Costs are maintained with the
     Lance-Williams recurrence, so they equal the direct weighted-centroid
     cost of each merge.
     """
-    x = np.asarray(vectors, dtype=np.float64)
+    d2 = np.asarray(d2, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if x.ndim != 2 or w.shape != (x.shape[0],):
-        raise DimensionError("need one weight per vector")
+    if w.ndim != 1 or d2.shape != (len(w), len(w)):
+        raise DimensionError("need one weight per point and their L x L distances")
+    n = len(w)
     if np.any(w <= 0):
         raise ConfigError("ward_linkage weights must be positive")
-    n = x.shape[0]
     if n < 2:
         raise ConfigError("clustering needs at least 2 points")
     check_ward_size(n)
@@ -75,9 +85,7 @@ def ward_linkage(
     node_w = np.concatenate([w, np.zeros(n - 1)])
     cost = np.full((size, size), np.inf)
     upper = np.triu_indices(n, 1)
-    cost[upper] = (
-        np.outer(w, w) / np.add.outer(w, w) * _squared_distances(x, x)
-    )[upper]
+    cost[upper] = (np.outer(w, w) / np.add.outer(w, w) * d2)[upper]
     active = np.arange(size) < n
 
     merges: list[tuple[int, int, float]] = []
@@ -106,16 +114,16 @@ class Dendrogram:
     """Merge tree over the map units that carry weight.
 
     ``leaves`` lists those unit ids ascending; node i stands for leaves[i]
-    and merge j creates node len(leaves) + j.  ``unit_vectors`` holds the
-    code vectors of all units, not just the leaves, for attaching empty
-    units at cut time; it is not serialized.
+    and merge j creates node len(leaves) + j.  ``unit_distances`` holds the
+    squared distances from every unit, not just the leaves, to each leaf
+    (U x L), for attaching empty units at cut time; it is not serialized.
     """
 
     topology: Topology
     leaves: tuple[int, ...]
     weights: np.ndarray
     merges: list[tuple[int, int, float]]
-    unit_vectors: np.ndarray
+    unit_distances: np.ndarray
 
     @property
     def n_leaves(self) -> int:
@@ -130,10 +138,14 @@ class Dendrogram:
         }
 
 
-def ward_cluster(model: SomModel, weights: np.ndarray) -> Dendrogram:
-    """Cluster a trained map's code vectors; zero-weight units sit out."""
-    code = model.code_vectors
-    u = model.topology.n_units
+def ward_cluster(d2: np.ndarray, weights: np.ndarray,
+                 topology: Topology) -> Dendrogram:
+    """Cluster the units of a map of ``topology`` from ``d2``, the squared
+    distances between their code vectors (a result's ``unit_distances``):
+    from every unit to every unit (U x U), or to each unit of positive
+    weight (U x L).  Zero-weight units sit out."""
+    u = topology.n_units
+    d2 = np.asarray(d2, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (u,):
         raise DimensionError("need one weight per map unit")
@@ -142,14 +154,20 @@ def ward_cluster(model: SomModel, weights: np.ndarray) -> Dendrogram:
     leaves = tuple(int(i) for i in np.flatnonzero(weights > 0))
     if len(leaves) < 2:
         raise ConfigError("clustering needs at least 2 units with weight")
+    check_ward_size(len(leaves))
+    if d2.shape == (u, u):
+        d2 = d2[:, leaves]
+    if d2.shape != (u, len(leaves)):
+        raise DimensionError("need the distances from every unit to every unit "
+                             "or to each unit of positive weight")
     leaf_w = weights[list(leaves)]
-    merges = ward_linkage(code[list(leaves)], leaf_w)
+    merges = ward_linkage(d2[list(leaves)], leaf_w)
     return Dendrogram(
-        topology=model.topology,
+        topology=topology,
         leaves=leaves,
         weights=leaf_w,
         merges=merges,
-        unit_vectors=code.copy(),
+        unit_distances=d2,
     )
 
 
@@ -177,14 +195,24 @@ class MacroClassing:
 
     @classmethod
     def from_json(cls, data: dict) -> "MacroClassing":
+        """The stored cut; its labels must lie in [0, k), and ``classes`` and
+        ``connected`` hold k entries each, else it fails as a DataError."""
         jsonio.require_keys(data, ("k", "labels", "classes", "connected"),
                             "a macro-classing")
-        return cls(
-            k=int(data["k"]),
-            labels=np.asarray(data["labels"], dtype=np.int64),
-            classes=[[int(u) for u in c] for c in data["classes"]],
-            connected=[bool(b) for b in data["connected"]],
-        )
+        try:
+            k, labels = int(data["k"]), np.asarray(data["labels"], dtype=np.int64)
+            classes = [[int(u) for u in c] for c in data["classes"]]
+            connected = [bool(b) for b in data["connected"]]
+        except (TypeError, ValueError):
+            raise DataError("not a macro-classing: k, labels and classes "
+                            "must hold integers") from None
+        if labels.ndim != 1 or np.any((labels < 0) | (labels >= k)):
+            raise DataError(f"not a macro-classing: a label lies outside [0, {k})")
+        for key, entries in (("classes", classes), ("connected", connected)):
+            if len(entries) != k:
+                raise DataError(f"not a macro-classing: {key} holds "
+                                f"{len(entries)} entries, not k = {k}")
+        return cls(k=k, labels=labels, classes=classes, connected=connected)
 
     def class_of(self, unit: int) -> int:
         return int(self.labels[unit])
@@ -212,8 +240,8 @@ def cut(dendrogram: Dendrogram, k: int) -> MacroClassing:
     """Undo the last k - 1 merges, leaving k clusters of the leaves.
 
     Units that sat out the clustering (zero weight) inherit the class of the
-    nearest clustered unit by the distance between the dendrogram's unit
-    vectors, lowest unit id on ties.
+    nearest clustered unit by the dendrogram's unit distances, lowest unit
+    id on ties.
     """
     n_leaves = dendrogram.n_leaves
     if not 1 <= k <= n_leaves:
@@ -230,10 +258,8 @@ def cut(dendrogram: Dendrogram, k: int) -> MacroClassing:
 
     orphan = np.flatnonzero(labels < 0)
     if orphan.size:
-        code = dendrogram.unit_vectors
-        clustered = np.asarray(dendrogram.leaves)
-        nearest = _squared_distances(code[orphan], code[clustered]).argmin(axis=1)
-        labels[orphan] = labels[clustered[nearest]]
+        nearest = dendrogram.unit_distances[orphan].argmin(axis=1)
+        labels[orphan] = labels[np.asarray(dendrogram.leaves)[nearest]]
 
     tags = sorted(
         set(labels.tolist()),

@@ -79,34 +79,6 @@ class Topology:
 
 
 @dataclass(frozen=True)
-class InitSpec:
-    """How to draw initial code vectors.
-
-    "random-uniform" draws each component uniformly over the data's
-    per-component range (or an explicit one); "sample-rows" copies randomly
-    chosen data rows.
-    """
-
-    kind: str = "random-uniform"
-    lo: float = 0.0
-    hi: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("random-uniform", "sample-rows"):
-            raise ConfigError(f"unknown init kind {self.kind!r}")
-        if self.hi < self.lo:
-            raise ConfigError("init range must satisfy lo <= hi")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "InitSpec":
-        jsonio.require_keys(data, ("kind", "lo", "hi"), "an init spec")
-        return cls(kind=data["kind"], lo=data["lo"], hi=data["hi"])
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Training schedule parameters; ``t_max`` may stay None until resolved
     by the calling analysis (which knows the dataset size)."""
@@ -115,7 +87,6 @@ class TrainConfig:
     c0: float = 1.0
     t_max: int | None = None
     seed: int = 0
-    init: InitSpec = field(default_factory=InitSpec)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon0 <= 1.0:
@@ -142,19 +113,17 @@ class TrainConfig:
             "c0": self.c0,
             "t_max": self.t_max,
             "seed": self.seed,
-            "init": self.init.to_json(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
-        keys = ("epsilon0", "c0", "t_max", "seed", "init")
+        keys = ("epsilon0", "c0", "t_max", "seed")
         jsonio.require_keys(data, keys, "a training config")
         return cls(
             epsilon0=data["epsilon0"],
             c0=data["c0"],
             t_max=data["t_max"],
             seed=data["seed"],
-            init=InitSpec.from_json(data["init"]),
         )
 
 
@@ -215,56 +184,26 @@ class SomModel:
             trained_steps=data["trained_steps"],
         )
 
-    @classmethod
-    def load(cls, path) -> "SomModel":
-        return cls.from_json(jsonio.load(path))
 
+def init_model(topology: Topology, config: TrainConfig, lo, hi) -> SomModel:
+    """Create a model whose code vectors are drawn uniformly over the
+    per-component range [lo, hi] (one bound per component, so ``lo`` fixes
+    the width).
 
-def init_model(
-    topology: Topology,
-    dim: int,
-    config: TrainConfig,
-    data: np.ndarray | None = None,
-    ranges: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SomModel:
-    """Create a model with freshly drawn code vectors.
-
-    The model's RNG is seeded from the config and used first for the init
-    draw, then handed to training, so a (config, data) pair fixes the whole
-    run.  Range precedence for uniform init: explicit ``ranges``, then the
-    data's per-component min/max, then the InitSpec scalar (lo, hi).
+    The model's RNG is seeded from the config and used first for this draw,
+    then handed to training, so a (config, ranges) pair fixes the whole run.
     """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if lo.ndim != 1 or hi.shape != lo.shape:
+        raise DimensionError("init ranges must have one (lo, hi) per component")
+    if np.any(hi < lo):
+        raise ConfigError("init ranges must satisfy lo <= hi")
     rng = np.random.default_rng(config.seed)
-    u = topology.n_units
-    if config.init.kind == "sample-rows":
-        if data is None:
-            raise ConfigError("sample-rows init requires data")
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape[1] != dim:
-            raise DimensionError("init data width does not match dim")
-        idx = rng.integers(0, data.shape[0], size=u)
-        code = data[idx].copy()
-    else:
-        if ranges is not None:
-            lo = np.asarray(ranges[0], dtype=np.float64)
-            hi = np.asarray(ranges[1], dtype=np.float64)
-        elif data is not None:
-            data = np.asarray(data, dtype=np.float64)
-            if data.shape[1] != dim:
-                raise DimensionError("init data width does not match dim")
-            lo, hi = data.min(axis=0), data.max(axis=0)
-        else:
-            lo = np.full(dim, config.init.lo)
-            hi = np.full(dim, config.init.hi)
-        if lo.shape != (dim,) or hi.shape != (dim,):
-            raise DimensionError("init ranges must have one (lo, hi) per component")
-        if np.any(hi < lo):
-            raise ConfigError("init ranges must satisfy lo <= hi")
-        code = rng.uniform(lo, hi, size=(u, dim))
-    model = SomModel(
-        topology=topology, dim=dim, config=config, code_vectors=code, rng=rng
+    code = rng.uniform(lo, hi, size=(topology.n_units, lo.size))
+    return SomModel(
+        topology=topology, dim=lo.size, config=config, code_vectors=code, rng=rng
     )
-    return model
 
 
 def _masked_code(model: SomModel, mask: DistanceMask | None) -> np.ndarray:
@@ -401,11 +340,12 @@ def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     """Squared distance from every row to every code vector, n x U, in the
     difference form sum((x - w)**2).
 
-    This kernel serves code-vs-code distances (Ward, neighbour statistics,
-    orphan placement): both sides are dense, two code vectors can lie far
-    closer together than their norms, where the expanded form would lose
-    the distance to cancellation, and the pinned dendrogram bytes rest on
-    this arithmetic.  Data rows go through _row_distances instead.
+    This kernel serves code-vs-code distances (a result's unit distances,
+    which Ward and orphan placement read, and neighbour statistics): both
+    sides are dense, two code vectors can lie far closer together than
+    their norms, where the expanded form would lose the distance to
+    cancellation, and the pinned dendrogram bytes rest on this arithmetic.
+    Data rows go through _row_distances instead.
 
     The difference and its einsum reduction run one block at a time: as
     many rows as fit DISTANCE_BLOCK elements with all units, and when two rows

@@ -28,7 +28,6 @@ from somcat import (
     cut,
     deviations,
     external_from_dataset,
-    init_model,
     kdisj,
     kdisj_associate,
     kmca,
@@ -43,6 +42,7 @@ from somcat import (
     ward_cluster,
     ward_linkage,
 )
+from somcat.som import _squared_distances
 
 GRID = Topology.grid(4, 4)
 
@@ -217,7 +217,7 @@ def test_criterion_06_farm_couple_shares_macro_class(marriage):
     hits = 0
     for seed in range(10):
         res = kmca(marriage, GRID, TrainConfig(t_max=200, seed=seed))
-        macro = cut(ward_cluster(res.model, weights=unit_weights(res)), 6)
+        macro = cut(ward_cluster(res.unit_distances, unit_weights(res), GRID), 6)
         a = macro.class_of(res.modalities.unit_of("husband.MFARM"))
         b = macro.class_of(res.modalities.unit_of("wife.FFARM"))
         hits += a == b
@@ -319,17 +319,14 @@ def test_criterion_10_ward_matches_exhaustive_oracle():
         n = int(rng.integers(2, 7))
         vectors = rng.normal(size=(n, int(rng.integers(1, 4))))
         weights = rng.integers(1, 5, size=n).astype(np.float64)
-        got = ward_linkage(vectors, weights)
+        d2 = _squared_distances(vectors, vectors)
+        got = ward_linkage(d2, weights)
         want = oracle(vectors, weights)
         for (ga, gb, gc), (wa, wb, wc) in zip(got, want):
             pairs_ok = pairs_ok and (ga, gb) == (wa, wb)
             worst = max(worst, abs(gc - wc))
-        model = init_model(
-            Topology.grid(1, n), vectors.shape[1],
-            TrainConfig(t_max=1, seed=0), data=np.zeros((2, vectors.shape[1])),
-        )
-        model.code_vectors[:] = vectors
-        refine_ok = refine_ok and refines(ward_cluster(model, weights=weights))
+        refine_ok = refine_ok and refines(
+            ward_cluster(d2, weights, Topology.grid(1, n)))
 
     ok = pairs_ok and worst <= 1e-9 and refine_ok
     report(10, ok, f"merge partners and costs match exhaustive search on 20 "

@@ -11,7 +11,7 @@ from conftest import random_dataset
 from somcat.analyses import AnalysisResult
 from somcat.cli import main, stability_report
 from somcat.jsonio import load
-from somcat.som import MapAssignment, Topology
+from somcat.som import MapAssignment, Topology, _squared_distances
 
 MARRIAGE = ["--data", "builtin:marriages"]
 
@@ -201,7 +201,8 @@ def test_kdisj_run_writes_artifacts(tmp_path, capsys):
     assert runs[0]["qe_final"] < runs[0]["qe_initial"]
     result = load(tmp_path / f"{base}.result.json")
     assert result["algorithm"] == "kdisj"
-    assert result["model_file"] == f"{base}.model.json"
+    assert "model_file" not in result
+    assert np.asarray(result["unit_distances"]).shape == (9, 9)
 
 
 def test_kmca_run_has_no_individuals(tmp_path, capsys):
@@ -256,6 +257,7 @@ def random_runs(rng, ds, n_runs, n_units):
             ),
             provenance={"dataset_sha256": "x", "config": {}},
             qe_log=[],
+            unit_distances=np.zeros((n_units, n_units)),
         )
         for _ in range(n_runs)
     ]
@@ -489,9 +491,26 @@ def test_pies_and_render_read_only_the_result(trained, capsys):
     (outdir / "marriages.kdisj.0.model.json").write_text("{not json", encoding="utf-8")
     run_json(capsys, "pies", "--result", str(result), *MARRIAGE, "--variable", "wife")
     run_json(capsys, "render", "--result", str(result), "--render", "both")
-    code, _, err = run(capsys, "macro", "--result", str(result), "--macro", "3")
-    assert code == 1
-    assert err.startswith("error:io:")
+    run_json(capsys, "macro", "--result", str(result), "--macro", "3")
+
+
+@pytest.mark.parametrize("algorithm", ["kmca", "kmca-ind", "kdisj"])
+def test_macro_reads_the_result_alone(tmp_path, capsys, algorithm):
+    """``macro`` on a stored result whose model file is gone writes the cut
+    the training run wrote, byte for byte; the result's unit distances are
+    those of the saved model's code vectors, bit for bit."""
+    trained, recut = tmp_path / "trained", tmp_path / "recut"
+    run_json(capsys, algorithm, *MARRIAGE, "--grid", "3x3", "--iters", "300",
+             "--macro", "4", "--render", "none", "--out", str(trained))
+    base = trained / f"marriages.{algorithm}.0"
+    code = np.asarray(load(f"{base}.model.json")["code_vectors"])
+    stored = np.asarray(load(f"{base}.result.json")["unit_distances"])
+    assert np.array_equal(stored, _squared_distances(code, code))
+    os.remove(f"{base}.model.json")
+    run_json(capsys, "macro", "--result", f"{base}.result.json", "--macro", "4",
+             "--out", str(recut))
+    written = recut / f"marriages.{algorithm}.0.macro.json"
+    assert written.read_bytes() == (trained / written.name).read_bytes()
 
 
 def test_render_with_macro_file(trained, capsys):
@@ -517,6 +536,29 @@ def test_render_rejects_a_model_file_given_as_result(trained, capsys):
     assert err.startswith("error:data:")
 
 
+def test_a_map_too_large_for_ward_stores_distances_to_its_leaves(tmp_path, capsys):
+    """Above WARD_MAX_LEAVES units a result holds the distances from every
+    unit to the units that hold a modality only, and ``macro`` still re-cuts
+    it byte for byte; uniform weights fail on Ward's size limit."""
+    run_json(capsys, "kmca", *MARRIAGE, "--grid", "80x80", "--iters", "10",
+             "--macro", "3", "--render", "none", "--out", str(tmp_path))
+    base = tmp_path / "marriages.kmca.0"
+    stored = load(f"{base}.result.json")
+    held = np.unique(stored["modalities"]["units"])
+    vectors = np.asarray(load(f"{base}.model.json")["code_vectors"])
+    assert np.array_equal(np.asarray(stored["unit_distances"]),
+                          _squared_distances(vectors, vectors[held]))
+    recut = tmp_path / "recut"
+    run_json(capsys, "macro", "--result", f"{base}.result.json", "--macro", "3",
+             "--out", str(recut))
+    name = "marriages.kmca.0.macro.json"
+    assert (recut / name).read_bytes() == (tmp_path / name).read_bytes()
+    code, _, err = run(capsys, "macro", "--result", f"{base}.result.json",
+                       "--macro", "3", "--uniform-weights", "--out", str(recut))
+    assert code == 1
+    assert err.startswith("error:config: Ward clustering of 6400 units")
+
+
 def without(path, *keys):
     """The JSON file at ``path`` with its entry at ``keys`` deleted."""
     data = load(path)
@@ -527,10 +569,27 @@ def without(path, *keys):
     return json.dumps(data)
 
 
+def with_label(label):
+    """A 3-class cut of the 3x3 map whose unit 4 carries ``label``."""
+    labels = [0, 0, 0, 1, label, 1, 2, 2, 2]
+    return json.dumps({"k": 3, "labels": labels,
+                       "classes": [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+                       "connected": [True, True, True]})
+
+
+def with_distances_cut(path):
+    """The result at ``path`` with the last row of its unit distances cut."""
+    data = load(path)
+    data["unit_distances"] = data["unit_distances"][:-1]
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("case", ["macro-list", "render-macro-file", "train-data",
-                                  "pies-data", "macro-model", "unnamed-variable",
-                                  "topology-kind", "provenance-qe-log",
-                                  "packed-units", "config-init"])
+                                  "pies-data", "result-no-distances",
+                                  "unnamed-variable", "topology-kind",
+                                  "provenance-qe-log", "packed-units",
+                                  "result-distances-shape", "macro-label-above-k",
+                                  "macro-label-negative", "macro-label-list"])
 def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
     outdir, result = trained
     listing = outdir / "list.json"
@@ -538,13 +597,16 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
     unnamed = outdir / "unnamed.dataset.json"
     unnamed.write_text(json.dumps({"individuals": ["a"], "cells": [[0]],
                                    "variables": [{"modalities": ["x", "y"]}]}))
-    model = outdir / "marriages.kdisj.0.model.json"
     broken = outdir / "broken.json"
     broken.write_text({
         "topology-kind": without(result, "topology", "kind"),
         "provenance-qe-log": without(result, "provenance", "qe_log"),
         "packed-units": without(result, "modalities", "units"),
-        "config-init": without(model, "config", "init"),
+        "result-no-distances": without(result, "unit_distances"),
+        "result-distances-shape": with_distances_cut(result),
+        "macro-label-above-k": with_label(7),
+        "macro-label-negative": with_label(-1),
+        "macro-label-list": with_label([1]),
     }.get(case, ""), encoding="utf-8")
     before = sorted(outdir.iterdir())
     argv = {
@@ -554,18 +616,24 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "train-data": ["kmca", "--data", str(result), "--out", str(outdir)],
         "pies-data": ["pies", "--result", str(result), "--variable", "wife",
                       "--data", str(result)],
-        "macro-model": ["macro", "--result", str(result), "--model", str(result),
-                        "--macro", "2"],
+        "result-no-distances": ["macro", "--result", str(broken), "--macro", "2"],
         "unnamed-variable": ["kmca", "--data", str(unnamed), "--out", str(outdir)],
         "topology-kind": ["render", "--result", str(broken)],
         "provenance-qe-log": ["render", "--result", str(broken)],
         "packed-units": ["render", "--result", str(broken)],
-        "config-init": ["macro", "--result", str(result), "--model", str(broken),
-                        "--macro", "2"],
+        "result-distances-shape": ["macro", "--result", str(broken), "--macro", "2"],
+        "macro-label-above-k": ["render", "--result", str(result),
+                                "--macro-file", str(broken)],
+        "macro-label-negative": ["render", "--result", str(result),
+                                 "--macro-file", str(broken)],
+        "macro-label-list": ["render", "--result", str(result),
+                             "--macro-file", str(broken)],
     }[case]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:data: not a"), err
+    if case.startswith("result-"):
+        assert "unit_distances" in err
     assert sorted(outdir.iterdir()) == before
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from somcat.errors import ConfigError
+from somcat.errors import ConfigError, DimensionError
 from somcat.macrocluster import (
     WARD_MAX_BYTES,
     MacroClassing,
@@ -19,7 +19,7 @@ from somcat.macrocluster import (
     ward_cluster,
     ward_linkage,
 )
-from somcat.som import Topology, TrainConfig, init_model
+from somcat.som import Topology, TrainConfig, _squared_distances
 
 
 def ward_oracle(vectors, weights):
@@ -54,27 +54,23 @@ def ward_oracle(vectors, weights):
     return merges
 
 
-def make_model(topology, vectors):
-    model = init_model(
-        topology, vectors.shape[1], TrainConfig(t_max=1, seed=0),
-        data=np.zeros((2, vectors.shape[1])),
-    )
-    model.code_vectors[:] = vectors
-    return model
+def sq(vectors):
+    """Squared distances between the rows of ``vectors``, as a result stores
+    them for its units."""
+    vectors = np.asarray(vectors, dtype=float)
+    return _squared_distances(vectors, vectors)
 
 
 # --------------------------------------------------------------- ward linkage
 
 def test_ward_two_points_hand_computed():
-    merges = ward_linkage(np.array([[0.0], [3.0]]), np.array([1.0, 2.0]))
+    merges = ward_linkage(sq([[0.0], [3.0]]), np.array([1.0, 2.0]))
     # cost = w_a*w_b/(w_a+w_b) * 9 = 2/3 * 9
     assert merges == [(0, 1, pytest.approx(6.0))]
 
 
 def test_ward_three_points_hand_computed():
-    merges = ward_linkage(
-        np.array([[0.0], [1.0], [10.0]]), np.array([1.0, 1.0, 1.0])
-    )
+    merges = ward_linkage(sq([[0.0], [1.0], [10.0]]), np.array([1.0, 1.0, 1.0]))
     (a1, b1, c1), (a2, b2, c2) = merges
     assert (a1, b1) == (0, 1)
     assert c1 == pytest.approx(0.5)
@@ -84,8 +80,8 @@ def test_ward_three_points_hand_computed():
 
 
 def test_ward_weight_equals_duplicated_point():
-    a = ward_linkage(np.array([[0.0], [0.0], [9.0]]), np.ones(3))
-    b = ward_linkage(np.array([[0.0], [9.0]]), np.array([2.0, 1.0]))
+    a = ward_linkage(sq([[0.0], [0.0], [9.0]]), np.ones(3))
+    b = ward_linkage(sq([[0.0], [9.0]]), np.array([2.0, 1.0]))
     assert a[1][2] == pytest.approx(b[0][2])
 
 
@@ -96,7 +92,7 @@ def test_ward_matches_exhaustive_oracle():
         dim = int(rng.integers(1, 4))
         vectors = rng.normal(size=(n, dim))
         weights = rng.uniform(0.5, 3.0, size=n)
-        got = ward_linkage(vectors, weights)
+        got = ward_linkage(sq(vectors), weights)
         want = ward_oracle(vectors, weights)
         assert len(got) == len(want) == n - 1
         for (ga, gb, gc), (wa, wb, wc) in zip(got, want):
@@ -107,19 +103,21 @@ def test_ward_matches_exhaustive_oracle():
 def test_ward_costs_monotone_nondecreasing():
     rng = np.random.default_rng(32)
     vectors = rng.normal(size=(8, 3))
-    merges = ward_linkage(vectors, np.ones(8))
+    merges = ward_linkage(sq(vectors), np.ones(8))
     costs = [c for _, _, c in merges]
     assert all(b >= a - 1e-12 for a, b in zip(costs, costs[1:]))
 
 
 def test_ward_merges_do_not_depend_on_blas_threads():
     # OpenBLAS splits dot products of rows wider than about 10^4 over its
-    # threads, which reorders the sum; Ward's costs must not go through it.
+    # threads, which reorders the sum; Ward's costs, and the unit distances
+    # they start from, must not go through it.
     script = (
         "import numpy as np\n"
         "from somcat.macrocluster import ward_linkage\n"
+        "from somcat.som import _squared_distances\n"
         "x = np.random.default_rng(33).normal(size=(64, 12000))\n"
-        "print(ward_linkage(x, np.ones(64)))\n"
+        "print(ward_linkage(_squared_distances(x, x), np.ones(64)))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
@@ -135,9 +133,11 @@ def test_ward_merges_do_not_depend_on_blas_threads():
 
 def test_ward_input_validation():
     with pytest.raises(ConfigError):
-        ward_linkage(np.zeros((3, 2)), np.array([1.0, 0.0, 1.0]))
+        ward_linkage(np.zeros((3, 3)), np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ConfigError):
-        ward_linkage(np.zeros((1, 2)), np.ones(1))
+        ward_linkage(np.zeros((1, 1)), np.ones(1))
+    with pytest.raises(DimensionError):
+        ward_linkage(np.zeros((3, 2)), np.ones(3))
 
 
 
@@ -169,7 +169,7 @@ def test_oversized_ward_fails_as_config_error_under_an_address_space_limit(tmp_p
         "    big = main([*argv, '--uniform-weights', '--out', out + '/big'])\n"
         "    small = main([*argv, '--out', out + '/small'])\n"
         "try:\n"
-        "    ward_linkage(np.zeros((10000, 1)), np.ones(10000))\n"
+        "    ward_linkage(np.broadcast_to(0.0, (10000, 10000)), np.ones(10000))\n"
         "    linkage = 'no error'\n"
         "except ConfigError as exc:\n"
         "    linkage = exc.category\n"
@@ -197,8 +197,7 @@ def test_oversized_ward_fails_as_config_error_under_an_address_space_limit(tmp_p
 def test_cut_extremes_and_validation():
     rng = np.random.default_rng(33)
     topo = Topology.grid(2, 3)
-    model = make_model(topo, rng.normal(size=(6, 2)))
-    dendro = ward_cluster(model, np.ones(model.topology.n_units))
+    dendro = ward_cluster(sq(rng.normal(size=(6, 2))), np.ones(6), topo)
     assert cut(dendro, 6).k == 6
     assert all(len(c) == 1 for c in cut(dendro, 6).classes)
     one = cut(dendro, 1)
@@ -214,8 +213,7 @@ def test_cut_refinement_chain():
     """cut(k) merges exactly two classes of cut(k+1), for every k."""
     rng = np.random.default_rng(34)
     topo = Topology.grid(3, 3)
-    model = make_model(topo, rng.normal(size=(9, 4)))
-    dendro = ward_cluster(model, np.ones(model.topology.n_units))
+    dendro = ward_cluster(sq(rng.normal(size=(9, 4))), np.ones(9), topo)
 
     def blocks(mc):
         return {frozenset(c) for c in mc.classes}
@@ -233,8 +231,7 @@ def test_cut_refinement_chain():
 def test_cut_class_numbering_by_smallest_unit():
     rng = np.random.default_rng(35)
     topo = Topology.grid(2, 2)
-    model = make_model(topo, rng.normal(size=(4, 2)))
-    mc = cut(ward_cluster(model, np.ones(model.topology.n_units)), 2)
+    mc = cut(ward_cluster(sq(rng.normal(size=(4, 2))), np.ones(4), topo), 2)
     assert mc.class_of(0) == 0
     assert min(mc.classes[0]) < min(mc.classes[1])
 
@@ -242,9 +239,8 @@ def test_cut_class_numbering_by_smallest_unit():
 def test_cut_orphans_inherit_nearest_class():
     topo = Topology.grid(1, 4)
     vectors = np.array([[0.0], [0.2], [10.0], [10.3]])
-    model = make_model(topo, vectors)
     weights = np.array([1.0, 0.0, 0.0, 1.0])  # units 1 and 2 sit out
-    dendro = ward_cluster(model, weights=weights)
+    dendro = ward_cluster(sq(vectors), weights, topo)
     assert dendro.leaves == (0, 3)
     mc = cut(dendro, 2)
     assert mc.labels.tolist() == [0, 0, 1, 1]
@@ -255,8 +251,7 @@ def test_connected_flag_detects_split_class():
     # outer pair similar, inner pair similar
     topo = Topology.grid(1, 4)
     vectors = np.array([[0.0], [5.0], [5.1], [0.1]])
-    model = make_model(topo, vectors)
-    mc = cut(ward_cluster(model, np.ones(model.topology.n_units)), 2)
+    mc = cut(ward_cluster(sq(vectors), np.ones(4), topo), 2)
     by_units = {tuple(c): conn for c, conn in zip(mc.classes, mc.connected)}
     assert by_units[(0, 3)] is False
     assert by_units[(1, 2)] is True
@@ -264,8 +259,8 @@ def test_connected_flag_detects_split_class():
 
 def test_macro_classing_json_round_trip():
     rng = np.random.default_rng(37)
-    model = make_model(Topology.grid(2, 3), rng.normal(size=(6, 3)))
-    mc = cut(ward_cluster(model, np.ones(model.topology.n_units)), 3)
+    mc = cut(ward_cluster(sq(rng.normal(size=(6, 3))), np.ones(6),
+                          Topology.grid(2, 3)), 3)
     clone = MacroClassing.from_json(mc.to_json())
     assert clone.k == mc.k
     assert np.array_equal(clone.labels, mc.labels)

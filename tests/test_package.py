@@ -17,9 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "somcat"
 # Every settable value is one more configuration to test and measure; a change
 # may lower this ceiling, and raises it only with the reason in CHANGES.md.
-SETTABLE_VALUES_CEILING = 95
+SETTABLE_VALUES_CEILING = 89
 # Physical lines of src/somcat/*.py, under the same rule.
-SRC_LINES_CEILING = 3251
+SRC_LINES_CEILING = 3238
 
 
 def test_package_imports_only_the_standard_library_and_numpy():

@@ -110,7 +110,7 @@ def test_pie_svg_is_well_formed_and_deterministic():
 @pytest.fixture(scope="module")
 def run_and_macro(marriage):
     res = kdisj(marriage, Topology.grid(3, 3), TrainConfig(seed=0, t_max=400))
-    dendro = ward_cluster(res.model, weights=unit_weights(res))
+    dendro = ward_cluster(res.unit_distances, unit_weights(res), res.topology)
     return res, cut(dendro, min(4, dendro.n_leaves))
 
 

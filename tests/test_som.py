@@ -8,10 +8,9 @@ import pytest
 
 from somcat import som
 from somcat.errors import ConfigError, DimensionError
-from somcat.jsonio import dumps, write_json
+from somcat.jsonio import dumps
 from somcat.som import (
     DistanceMask,
-    InitSpec,
     SomModel,
     Topology,
     TrainConfig,
@@ -135,8 +134,6 @@ def test_config_validation():
             TrainConfig(c0=c0)
     with pytest.raises(ConfigError):
         TrainConfig(seed=-1)
-    with pytest.raises(ConfigError):
-        InitSpec(kind="bogus")
 
 
 def test_config_json_round_trip():
@@ -146,11 +143,18 @@ def test_config_json_round_trip():
 
 # ----------------------------------------------------------------------- init
 
+def init_on(topology, config, data):
+    """A fresh model drawn over the per-component range of ``data``'s rows,
+    as kmca and kmca-ind draw theirs."""
+    data = np.asarray(data, dtype=np.float64)
+    return init_model(topology, config, data.min(axis=0), data.max(axis=0))
+
+
 def test_init_uniform_respects_data_ranges():
     topo = Topology.grid(3, 3)
     cfg = TrainConfig(t_max=10, seed=4)
     data = np.array([[0.0, 10.0], [2.0, 20.0], [1.0, 12.0]])
-    model = init_model(topo, 2, cfg, data=data)
+    model = init_on(topo, cfg, data)
     assert model.code_vectors.shape == (9, 2)
     assert np.all(model.code_vectors[:, 0] >= 0.0)
     assert np.all(model.code_vectors[:, 0] <= 2.0)
@@ -161,32 +165,29 @@ def test_init_uniform_respects_data_ranges():
 def test_init_same_seed_same_vectors():
     topo = Topology.grid(2, 2)
     data = np.random.default_rng(0).normal(size=(5, 3))
-    a = init_model(topo, 3, TrainConfig(t_max=10, seed=7), data=data)
-    b = init_model(topo, 3, TrainConfig(t_max=10, seed=7), data=data)
+    a = init_on(topo, TrainConfig(t_max=10, seed=7), data)
+    b = init_on(topo, TrainConfig(t_max=10, seed=7), data)
     assert np.array_equal(a.code_vectors, b.code_vectors)
-    c = init_model(topo, 3, TrainConfig(t_max=10, seed=8), data=data)
+    c = init_on(topo, TrainConfig(t_max=10, seed=8), data)
     assert not np.array_equal(a.code_vectors, c.code_vectors)
 
 
-def test_init_sample_rows_copies_data_rows():
-    topo = Topology.grid(2, 3)
-    cfg = TrainConfig(t_max=10, seed=1, init=InitSpec(kind="sample-rows"))
-    data = np.arange(8.0).reshape(4, 2)
-    model = init_model(topo, 2, cfg, data=data)
-    rows = {tuple(r) for r in data}
-    assert all(tuple(c) in rows for c in model.code_vectors)
-    with pytest.raises(ConfigError):
-        init_model(topo, 2, cfg)  # no data to sample from
-
-
 def test_init_explicit_ranges_override_data():
+    """The explicit ranges alone bound the draw: one uniform draw of U x dim
+    from the config's seed, whatever data the map is later trained on; bad
+    ranges fail before any draw."""
     topo = Topology.grid(2, 2)
     cfg = TrainConfig(t_max=10, seed=2)
     lo, hi = np.array([5.0, 5.0]), np.array([6.0, 6.0])
-    data = np.zeros((3, 2))
-    model = init_model(topo, 2, cfg, data=data, ranges=(lo, hi))
+    model = init_model(topo, cfg, lo, hi)
     assert np.all(model.code_vectors >= 5.0)
     assert np.all(model.code_vectors <= 6.0)
+    want = np.random.default_rng(2).uniform(lo, hi, size=(4, 2))
+    assert np.array_equal(model.code_vectors, want)
+    with pytest.raises(ConfigError):
+        init_model(topo, cfg, hi, lo)
+    with pytest.raises(DimensionError):
+        init_model(topo, cfg, lo, hi[:1])
 
 
 # ------------------------------------------------------------------ bmu/steps
@@ -194,8 +195,7 @@ def test_init_explicit_ranges_override_data():
 def test_bmu_matches_brute_force():
     rng = np.random.default_rng(21)
     topo = Topology.grid(3, 4)
-    model = init_model(topo, 5, TrainConfig(t_max=10, seed=3),
-                       data=rng.normal(size=(20, 5)))
+    model = init_on(topo, TrainConfig(t_max=10, seed=3), rng.normal(size=(20, 5)))
     for _ in range(50):
         x = rng.normal(size=5)
         dists = [np.sum((c - x) ** 2) for c in model.code_vectors]
@@ -204,8 +204,7 @@ def test_bmu_matches_brute_force():
 
 def test_bmu_tie_breaks_to_lowest_index():
     topo = Topology.grid(2, 2)
-    model = init_model(topo, 2, TrainConfig(t_max=10, seed=0),
-                       data=np.zeros((2, 2)))
+    model = init_on(topo, TrainConfig(t_max=10, seed=0), np.zeros((2, 2)))
     model.code_vectors[:] = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
     # units 0 and 2 are equidistant from x; the lower index wins
     assert bmu(model, np.array([1.0, 0.0])) == 0
@@ -213,8 +212,7 @@ def test_bmu_tie_breaks_to_lowest_index():
 
 def test_bmu_masked_search():
     topo = Topology.grid(2, 2)
-    model = init_model(topo, 4, TrainConfig(t_max=10, seed=0),
-                       data=np.zeros((2, 4)))
+    model = init_on(topo, TrainConfig(t_max=10, seed=0), np.zeros((2, 4)))
     model.code_vectors[:] = 9.0
     model.code_vectors[3, 2:] = 0.0
     mask = DistanceMask(2, 4)
@@ -228,7 +226,7 @@ def test_bmu_masked_search():
 def test_train_step_update_arithmetic():
     topo = Topology.grid(1, 3)  # string of 3; side 3
     cfg = TrainConfig(epsilon0=0.5, c0=1.0, t_max=100, seed=0)
-    model = init_model(topo, 2, cfg, data=np.zeros((2, 2)))
+    model = init_on(topo, cfg, np.zeros((2, 2)))
     model.code_vectors[:] = [[0.0, 0.0], [4.0, 4.0], [9.0, 9.0]]
     before = model.code_vectors.copy()
     x = np.array([1.0, 1.0])
@@ -248,7 +246,7 @@ def test_train_step_update_arithmetic():
 def test_train_step_masked_update_leaves_rest_untouched():
     topo = Topology.grid(2, 2)
     cfg = TrainConfig(t_max=100, seed=0)
-    model = init_model(topo, 4, cfg, data=np.zeros((2, 4)))
+    model = init_on(topo, cfg, np.zeros((2, 4)))
     model.code_vectors[:] = np.arange(16.0).reshape(4, 4)
     before = model.code_vectors.copy()
     x = np.array([0.0, 0.0, 3.5, 3.5])
@@ -270,8 +268,7 @@ def test_train_step_moves_exactly_the_chebyshev_ball(monkeypatch, topo, winners,
                                                      update_mask, order):
     rng = np.random.default_rng(17)
     dim, t = 6, 3
-    model = init_model(topo, dim, TrainConfig(t_max=10, seed=2),
-                       data=rng.normal(size=(5, dim)))
+    model = init_on(topo, TrainConfig(t_max=10, seed=2), rng.normal(size=(5, dim)))
     model.code_vectors = np.asarray(model.code_vectors, order=order)
     eps = model.config.epsilon(t, topo.n_units)
     lo, hi = (0, dim) if update_mask is None else (update_mask.lo, update_mask.hi)
@@ -294,10 +291,12 @@ def test_train_step_moves_exactly_the_chebyshev_ball(monkeypatch, topo, winners,
 def test_checks_hold_without_masks():
     rows = np.random.default_rng(5).normal(size=(6, 3))
     rows[:, 1] = np.nan
-    model = init_model(Topology.grid(2, 2), 3, TrainConfig(t_max=20, seed=0))
+    model = init_model(Topology.grid(2, 2), TrainConfig(t_max=20, seed=0),
+                       np.zeros(3), np.ones(3))
     with pytest.raises(DimensionError):
         train(model, UniformRowSampler(rows))
-    model = init_model(Topology.grid(2, 2), 3, TrainConfig(t_max=20, seed=0))
+    model = init_model(Topology.grid(2, 2), TrainConfig(t_max=20, seed=0),
+                       np.zeros(3), np.ones(3))
     for bad in (np.zeros(2), np.zeros(4), np.zeros((1, 3))):
         with pytest.raises(DimensionError):
             train_step(model, bad, 0, search_mask=None)
@@ -308,8 +307,7 @@ def test_checks_hold_without_masks():
 
 def test_train_step_rejects_out_of_schedule_time():
     topo = Topology.grid(2, 2)
-    model = init_model(topo, 2, TrainConfig(t_max=5, seed=0),
-                       data=np.zeros((2, 2)))
+    model = init_on(topo, TrainConfig(t_max=5, seed=0), np.zeros((2, 2)))
     with pytest.raises(ConfigError):
         train_step(model, np.zeros(2), 5)
     with pytest.raises(ConfigError):
@@ -318,8 +316,7 @@ def test_train_step_rejects_out_of_schedule_time():
 
 def test_quantization_error_is_mean_squared_distance():
     topo = Topology.grid(2, 2)
-    model = init_model(topo, 2, TrainConfig(t_max=5, seed=0),
-                       data=np.zeros((2, 2)))
+    model = init_on(topo, TrainConfig(t_max=5, seed=0), np.zeros((2, 2)))
     model.code_vectors[:] = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]]
     rows = np.array([[1.0, 0.0], [10.0, 2.0]])
     # squared distances to the nearest unit: 1 and 4
@@ -332,7 +329,7 @@ def test_train_runs_schedule_and_logs_qe():
     rng = np.random.default_rng(2)
     rows = rng.normal(size=(30, 3))
     topo = Topology.grid(3, 3)
-    model = init_model(topo, 3, TrainConfig(t_max=40, seed=5), data=rows)
+    model = init_on(topo, TrainConfig(t_max=40, seed=5), rows)
     model, qe_log = train(model, UniformRowSampler(rows))
     assert model.trained_steps == 40
     steps = [s for s, _ in qe_log]
@@ -342,8 +339,7 @@ def test_train_runs_schedule_and_logs_qe():
 
 def test_train_calls_observer_every_step():
     rows = np.random.default_rng(3).normal(size=(10, 2))
-    model = init_model(Topology.grid(2, 2), 2, TrainConfig(t_max=25, seed=0),
-                       data=rows)
+    model = init_on(Topology.grid(2, 2), TrainConfig(t_max=25, seed=0), rows)
     seen = []
     train(model, UniformRowSampler(rows), observer=lambda t, *rest: seen.append(t))
     assert seen == list(range(25))
@@ -351,8 +347,7 @@ def test_train_calls_observer_every_step():
 
 def test_train_rejects_reuse():
     rows = np.random.default_rng(4).normal(size=(10, 2))
-    model = init_model(Topology.grid(2, 2), 2, TrainConfig(t_max=5, seed=0),
-                       data=rows)
+    model = init_on(Topology.grid(2, 2), TrainConfig(t_max=5, seed=0), rows)
     train(model, UniformRowSampler(rows))
     with pytest.raises(ConfigError):
         train(model, UniformRowSampler(rows))
@@ -362,8 +357,7 @@ def test_same_seed_reproduces_training_exactly():
     rows = np.random.default_rng(6).normal(size=(40, 4))
     out = []
     for _ in range(2):
-        model = init_model(Topology.grid(3, 3), 4,
-                           TrainConfig(t_max=200, seed=11), data=rows)
+        model = init_on(Topology.grid(3, 3), TrainConfig(t_max=200, seed=11), rows)
         model, _ = train(model, UniformRowSampler(rows))
         out.append(model.code_vectors.copy())
     assert np.array_equal(out[0], out[1])
@@ -374,8 +368,7 @@ def test_same_seed_reproduces_training_exactly():
 def test_assign_matches_per_row_bmu():
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(50, 3))
-    model = init_model(Topology.grid(3, 3), 3, TrainConfig(t_max=10, seed=0),
-                       data=rows)
+    model = init_on(Topology.grid(3, 3), TrainConfig(t_max=10, seed=0), rows)
     a = assign(model, rows)
     for i, row in enumerate(rows):
         assert a.units[i] == bmu(model, row)
@@ -385,8 +378,7 @@ def test_assign_matches_per_row_bmu():
 
 def test_assign_respects_mask_and_labels():
     rows = np.array([[0.0, 5.0], [0.0, -5.0]])
-    model = init_model(Topology.grid(2, 2), 2, TrainConfig(t_max=10, seed=0),
-                       data=rows)
+    model = init_on(Topology.grid(2, 2), TrainConfig(t_max=10, seed=0), rows)
     model.code_vectors[:] = [[9.0, 4.9], [9.0, -4.9], [9.0, 0.0], [9.0, 1.0]]
     a = assign(model, rows[:, 1:], mask=DistanceMask(1, 2), labels=["up", "down"])
     with pytest.raises(DimensionError):
@@ -489,8 +481,7 @@ def test_gram_table_search_picks_the_winner_of_the_difference_form():
     clipped grid squares move toward the drawn columns between searches."""
     rng = np.random.default_rng(26)
     columns = k_hot_rows(rng, 1200, (6,) * 10).T  # 60 modality columns
-    model = init_model(Topology.grid(8, 8), 1200, TrainConfig(t_max=10, seed=0),
-                       data=columns[:2])
+    model = init_on(Topology.grid(8, 8), TrainConfig(t_max=10, seed=0), columns[:2])
     # Units near mixtures of a few columns, as training leaves them.
     mix = rng.random((64, 60)) ** 8
     model.code_vectors[:] = mix / mix.sum(axis=1, keepdims=True) @ columns
@@ -517,8 +508,7 @@ def test_gram_table_search_picks_the_winner_of_the_difference_form():
 def test_wide_assign_keeps_its_temporaries_small():
     rng = np.random.default_rng(22)
     rows = rng.random((40, 4000))  # a whole-input temporary: 82 MB
-    model = init_model(Topology.grid(8, 8), 4000, TrainConfig(t_max=10, seed=0),
-                       data=rows[:2])
+    model = init_on(Topology.grid(8, 8), TrainConfig(t_max=10, seed=0), rows[:2])
     tracemalloc.start()
     try:
         a = assign(model, rows)
@@ -531,8 +521,7 @@ def test_wide_assign_keeps_its_temporaries_small():
 
 def test_bmu_and_assign_search_only_marked_units():
     rows = np.array([[0.0], [2.0]])
-    model = init_model(Topology.grid(1, 3), 1, TrainConfig(t_max=10, seed=0),
-                       data=rows)
+    model = init_on(Topology.grid(1, 3), TrainConfig(t_max=10, seed=0), rows)
     model.code_vectors[:, 0] = [0.0, 1.0, 3.0]
     units = np.array([False, True, True])
     # row 0 loses its exact match at unit 0; row 1 ties units 1 and 2
@@ -547,8 +536,8 @@ def test_bmu_and_assign_search_only_marked_units():
 
 
 def test_train_step_limits_only_the_search():
-    model = init_model(Topology.grid(1, 3), 1, TrainConfig(t_max=10, seed=0),
-                       data=np.zeros((2, 1)))
+    model = init_on(Topology.grid(1, 3), TrainConfig(t_max=10, seed=0),
+                    np.zeros((2, 1)))
     model.code_vectors[:, 0] = [0.0, 1.0, 3.0]
     # t = 9: radius 0, so only the winner moves; unit 0 is nearest but barred
     won = train_step(model, np.array([0.0]), 9, units=np.array([False, True, True]))
@@ -558,8 +547,7 @@ def test_train_step_limits_only_the_search():
 
 def test_train_locates_qe_rows_at_every_checkpoint():
     rows = np.random.default_rng(8).normal(size=(20, 2))
-    model = init_model(Topology.grid(2, 3), 2, TrainConfig(t_max=30, seed=1),
-                       data=rows)
+    model = init_on(Topology.grid(2, 3), TrainConfig(t_max=30, seed=1), rows)
 
     class Recorder(UniformRowSampler):
         def __init__(self, rows):
@@ -579,8 +567,7 @@ def test_train_locates_qe_rows_at_every_checkpoint():
 
 
 def test_neighbor_distance_stats_small_case():
-    model = init_model(Topology.grid(1, 3), 1, TrainConfig(t_max=5, seed=0),
-                       data=np.zeros((2, 1)))
+    model = init_on(Topology.grid(1, 3), TrainConfig(t_max=5, seed=0), np.zeros((2, 1)))
     model.code_vectors[:, 0] = [0.0, 1.0, 10.0]
     stats = neighbor_distance_stats(model)
     # adjacent pairs (0,1), (1,2): mean of 1 and 9; non-adjacent (0,2): 10
@@ -593,8 +580,7 @@ def test_neighbor_distance_stats_small_case():
 def test_model_json_round_trip_bytes_and_assignments():
     rng = np.random.default_rng(12)
     rows = rng.normal(size=(30, 3))
-    model = init_model(Topology.grid(3, 3), 3, TrainConfig(t_max=60, seed=2),
-                       data=rows)
+    model = init_on(Topology.grid(3, 3), TrainConfig(t_max=60, seed=2), rows)
     model, _ = train(model, UniformRowSampler(rows))
     blob = dumps(model.to_json())
     clone = SomModel.from_json(model.to_json())
@@ -602,15 +588,3 @@ def test_model_json_round_trip_bytes_and_assignments():
     before = assign(model, rows).units
     after = assign(clone, rows).units
     assert np.array_equal(before, after)
-
-
-def test_model_save_load(tmp_path):
-    rows = np.random.default_rng(13).normal(size=(10, 2))
-    model = init_model(Topology.grid(2, 2), 2, TrainConfig(t_max=5, seed=0),
-                       data=rows)
-    path = tmp_path / "model.json"
-    write_json(path, model.to_json())
-    clone = SomModel.load(path)
-    assert np.array_equal(clone.code_vectors, model.code_vectors)
-    assert clone.config == model.config
-    assert clone.topology == model.topology
