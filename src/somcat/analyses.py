@@ -34,7 +34,7 @@ import numpy as np
 from . import jsonio, som
 from .dataset import CategoricalDataset
 from .errors import ConfigError, DataError, DimensionError
-from .macrocluster import WARD_MAX_LEAVES
+from .macrocluster import unit_weights
 from .som import (
     DistanceMask, MapAssignment, SomModel, Topology, TrainConfig, UniformRowSampler,
     assign, init_model, train,
@@ -164,26 +164,16 @@ class KdisjSampler:
         self.bmus = bmus
 
 
-def _distance_units(topology: Topology, modalities: MapAssignment,
-                    individuals: MapAssignment | None) -> np.ndarray:
-    """The units a result's ``unit_distances`` has a column for: every unit
-    when Ward can cluster them all (at most WARD_MAX_LEAVES), else those
-    that hold a mapped item, the leaves under the default weights."""
-    if topology.n_units <= WARD_MAX_LEAVES:
-        return np.arange(topology.n_units)
-    return np.flatnonzero((modalities if individuals is None else individuals).counts)
-
-
 @dataclass(eq=False)
 class AnalysisResult:
     """A trained model plus the map positions of modalities/individuals.
 
     The topology and ``unit_distances``, the squared distances between the
     code vectors (som._squared_distances) from every unit to each unit of
-    ``_distance_units``, are kept apart from the model, so a stored result
-    is all that Ward, pies and maps read: ``model`` is None after
-    deserialization.  The distances grow with U^2, and with U times the
-    mapped items on a map too large for Ward to cluster every unit.
+    positive ``unit_weights``, are kept apart from the model, so a stored
+    result is all that Ward, pies and maps read: ``model`` is None after
+    deserialization.  The distances grow with U times the occupied units,
+    at most U times the mapped items.
     """
 
     algorithm: str
@@ -218,8 +208,9 @@ class AnalysisResult:
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisResult":
         """The stored result, without its model (None).  Its unit distances
-        must be U x L numbers for its topology and assignments (U x U on a
-        map of at most WARD_MAX_LEAVES units), else it fails as a DataError."""
+        must be U x L nonnegative finite numbers for the U units of its
+        topology and the L units its assignments occupy (those of positive
+        ``unit_weights``), else it fails as a DataError."""
         keys = ("algorithm", "topology", "provenance", "modalities", "individuals",
                 "unit_distances")
         jsonio.require_keys(data, keys, "an analysis result")
@@ -227,33 +218,32 @@ class AnalysisResult:
         n_units = topo.n_units
 
         def unpack(packed):
-            if packed is None:
-                return None
             jsonio.require_keys(packed, ("items", "units"), "a packed assignment")
+            try:
+                units = np.asarray(packed["units"])
+            except ValueError:
+                units = np.empty((0, 0))
+            if units.ndim != 1 or units.size and not (
+                    units.dtype.kind == "i" and 0 <= units.min() <= units.max() < n_units):
+                raise DataError("not an analysis result: its packed units are "
+                                f"not integers in [0, {n_units})")
             return MapAssignment(
-                labels=tuple(packed["items"]),
-                units=np.asarray(packed["units"], dtype=np.int64),
-                n_units=n_units,
-            )
+                labels=tuple(packed["items"]), units=units, n_units=n_units)
 
         prov = data["provenance"]
         keys = ("dataset_sha256", "config", "qe_log")
         jsonio.require_keys(prov, keys, "a result provenance")
-        modalities, individuals = unpack(data["modalities"]), unpack(data["individuals"])
-        shape = (n_units, len(_distance_units(topo, modalities, individuals)))
         try:
             d2 = np.asarray(data["unit_distances"], dtype=np.float64)
         except (TypeError, ValueError):
-            d2 = None
-        if d2 is None or d2.shape != shape:
-            raise DataError("not an analysis result: unit_distances is not "
-                            "{} x {} numbers for its map".format(*shape))
-        return cls(
+            d2 = np.empty(0)
+        mapped = data["individuals"]
+        result = cls(
             algorithm=data["algorithm"],
             topology=topo,
             model=None,
-            modalities=modalities,
-            individuals=individuals,
+            modalities=unpack(data["modalities"]),
+            individuals=None if mapped is None else unpack(mapped),
             provenance={
                 "dataset_sha256": prov["dataset_sha256"],
                 "config": prov["config"],
@@ -261,6 +251,12 @@ class AnalysisResult:
             qe_log=[(int(t), float(q)) for t, q in prov["qe_log"]],
             unit_distances=d2,
         )
+        shape = (n_units, np.count_nonzero(unit_weights(result)))
+        if d2.shape != shape or not np.all(np.isfinite(d2) & (d2 >= 0)):
+            raise DataError("not an analysis result: unit_distances is not "
+                            "{} x {} nonnegative finite numbers for its map"
+                            .format(*shape))
+        return result
 
 
 def _train(algorithm: str, ds: CategoricalDataset, topology: Topology,
@@ -285,9 +281,7 @@ def _train(algorithm: str, ds: CategoricalDataset, topology: Topology,
 
 def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
             modalities: MapAssignment, individuals=None) -> AnalysisResult:
-    code = model.code_vectors
-    columns = code[_distance_units(model.topology, modalities, individuals)]
-    return AnalysisResult(
+    result = AnalysisResult(
         algorithm=algorithm,
         topology=model.topology,
         model=model,
@@ -295,8 +289,12 @@ def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
         individuals=individuals,
         provenance={"dataset_sha256": ds.sha256(), "config": model.config.to_json()},
         qe_log=qe_log,
-        unit_distances=som._squared_distances(code, columns),
+        unit_distances=np.empty(0),
     )
+    code = model.code_vectors
+    result.unit_distances = som._squared_distances(
+        code, code[np.flatnonzero(unit_weights(result))])
+    return result
 
 
 def kmca(

@@ -51,7 +51,7 @@ from .marriages import marriage_dataset
 from .render import (
     CELL_SIZE, LABEL_SOURCES, MIN_CELL_SIZE, render_map, render_pies, render_text,
 )
-from .som import Topology, TrainConfig
+from .som import Topology, TrainConfig, _squared_distances
 from .tables import burt, corrected_burt, corrected_disjunctive
 
 ENV_OUTDIR = "SOMCAT_OUTDIR"
@@ -202,12 +202,14 @@ def _run_seeds(algorithm: str, ds: CategoricalDataset, topology: Topology, args,
 
 
 def _ward_cut(result: AnalysisResult, k,
-              uniform: bool) -> tuple[Dendrogram, MacroClassing]:
+              uniform: bool = False) -> tuple[Dendrogram, MacroClassing]:
     """Ward's tree of the trained map's units, from the result's unit
     distances, and its cut into ``k`` classes (``"auto"``: four, or one per
-    leaf of a smaller tree)."""
-    dendro = ward_cluster(result.unit_distances, unit_weights(result, uniform=uniform),
-                          result.topology)
+    leaf of a smaller tree).  A ``uniform`` cut clusters every unit, not
+    only the occupied ones a result stores, so it reads the model's."""
+    code = result.model.code_vectors if uniform else None
+    d2 = _squared_distances(code, code) if uniform else result.unit_distances
+    dendro = ward_cluster(d2, unit_weights(result, uniform=uniform), result.topology)
     if k == "auto":
         k = min(4, dendro.n_leaves)
     elif k > dendro.n_leaves:
@@ -232,8 +234,6 @@ def _write_run(outdir: Path, name: str, result: AnalysisResult,
         _write_json(outdir, f"{base}.deviations.json", dev.to_json(), files)
     _write_maps(outdir, base, result, macro, args, files)
 
-    counts = (result.modalities if result.individuals is None
-              else result.individuals).counts
     summary = {
         "base": base,
         "algorithm": result.algorithm,
@@ -241,7 +241,7 @@ def _write_run(outdir: Path, name: str, result: AnalysisResult,
         "t_max": result.provenance["config"]["t_max"],
         "qe_initial": result.qe_log[0][1],
         "qe_final": result.qe_log[-1][1],
-        "occupied_units": int(np.count_nonzero(counts)),
+        "occupied_units": int(np.count_nonzero(unit_weights(result))),
         "files": files,
     }
     if macro is not None:
@@ -449,7 +449,7 @@ def cmd_train(args, algorithm: str):
 
 def cmd_macro(args):
     result, outdir, base = _load_stored(args)
-    dendro, macro = _ward_cut(result, args.macro, args.uniform_weights)
+    dendro, macro = _ward_cut(result, args.macro)
     files: list[str] = []
     _write_json(outdir, f"{base}.macro.json", macro.to_json(), files)
     _write_json(outdir, f"{base}.dendrogram.json", dendro.to_json(), files)
@@ -623,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cut the code-vector clustering")
     p.add_argument(
         "--macro", type=_int_from(1), required=True, help="number of classes")
-    p.add_argument("--uniform-weights", action="store_true")
     p.add_argument(
         "--render", choices=("svg", "text", "both", "none"), default="none"
     )

@@ -17,11 +17,11 @@ Ward needs only the squared distances between the units' code vectors,
 never the vectors: the initial costs are those distances weighted, and the
 Lance-Williams recurrence (Lance & Williams, 1967) gives every later cost
 from earlier ones.  Attaching empty units at a cut reads the same
-distances.  A result stores them as its ``unit_distances`` (U x U, or from
-every unit to the units that hold weight on a map too large for Ward to
-cluster every unit), computed by som._squared_distances, the
-difference-form code-vs-code kernel; it calls no BLAS routine, so the
-merge costs do not depend on how many threads a BLAS library runs.
+distances.  A result stores them as its ``unit_distances``, from every
+unit to each unit that holds weight (U x L), computed by
+som._squared_distances, the difference-form code-vs-code kernel; it calls
+no BLAS routine, so the merge costs do not depend on how many threads a
+BLAS library runs.
 
 The costs live in one node-indexed matrix in which only entry [a, b] with
 a < b of two active nodes is finite; every other entry is inf.  argmin
@@ -32,7 +32,6 @@ its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +41,8 @@ from .errors import ConfigError, DataError, DimensionError
 from .som import Topology
 
 # Ward's (2L - 1)^2 float64 cost matrix over L leaves grows with the square
-# of the map; this caps it, at WARD_MAX_LEAVES = 5,793 leaves.
+# of the map; this caps it (L = 5,793 at most).
 WARD_MAX_BYTES = 1 << 30
-WARD_MAX_LEAVES = (math.isqrt(WARD_MAX_BYTES // 8) + 1) // 2
 
 
 def check_ward_size(n_leaves: int) -> None:
@@ -141,9 +139,8 @@ class Dendrogram:
 def ward_cluster(d2: np.ndarray, weights: np.ndarray,
                  topology: Topology) -> Dendrogram:
     """Cluster the units of a map of ``topology`` from ``d2``, the squared
-    distances between their code vectors (a result's ``unit_distances``):
-    from every unit to every unit (U x U), or to each unit of positive
-    weight (U x L).  Zero-weight units sit out."""
+    distances from every unit's code vector to each of positive weight
+    (U x L, a result's ``unit_distances``).  Zero-weight units sit out."""
     u = topology.n_units
     d2 = np.asarray(d2, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -155,11 +152,9 @@ def ward_cluster(d2: np.ndarray, weights: np.ndarray,
     if len(leaves) < 2:
         raise ConfigError("clustering needs at least 2 units with weight")
     check_ward_size(len(leaves))
-    if d2.shape == (u, u):
-        d2 = d2[:, leaves]
     if d2.shape != (u, len(leaves)):
-        raise DimensionError("need the distances from every unit to every unit "
-                             "or to each unit of positive weight")
+        raise DimensionError("need the distances from every unit to each unit "
+                             "of positive weight")
     leaf_w = weights[list(leaves)]
     merges = ward_linkage(d2[list(leaves)], leaf_w)
     return Dendrogram(
@@ -195,17 +190,24 @@ class MacroClassing:
 
     @classmethod
     def from_json(cls, data: dict) -> "MacroClassing":
-        """The stored cut; its labels must lie in [0, k), and ``classes`` and
-        ``connected`` hold k entries each, else it fails as a DataError."""
+        """The stored cut; k, its labels and classes must be integers and
+        ``connected`` true or false, its labels must lie in [0, k), and
+        ``classes`` and ``connected`` hold k entries each, else it fails as a
+        DataError."""
         jsonio.require_keys(data, ("k", "labels", "classes", "connected"),
                             "a macro-classing")
+        k = data["k"]
         try:
-            k, labels = int(data["k"]), np.asarray(data["labels"], dtype=np.int64)
-            classes = [[int(u) for u in c] for c in data["classes"]]
-            connected = [bool(b) for b in data["connected"]]
+            labels = np.asarray(data["labels"])
+            classes = [list(c) for c in data["classes"]]
+            connected = list(data["connected"])
         except (TypeError, ValueError):
-            raise DataError("not a macro-classing: k, labels and classes "
-                            "must hold integers") from None
+            labels, classes, connected = np.empty(0), [], []
+        if type(k) is not int or labels.dtype.kind != "i" or any(
+                type(u) is not int for c in classes for u in c) or any(
+                type(b) is not bool for b in connected):
+            raise DataError("not a macro-classing: k, labels and classes must "
+                            "hold integers, connected true or false")
         if labels.ndim != 1 or np.any((labels < 0) | (labels >= k)):
             raise DataError(f"not a macro-classing: a label lies outside [0, {k})")
         for key, entries in (("classes", classes), ("connected", connected)):

@@ -11,6 +11,7 @@ from conftest import random_dataset
 from somcat.analyses import AnalysisResult
 from somcat.cli import main, stability_report
 from somcat.jsonio import load
+from somcat.macrocluster import cut, ward_cluster
 from somcat.som import MapAssignment, Topology, _squared_distances
 
 MARRIAGE = ["--data", "builtin:marriages"]
@@ -202,7 +203,9 @@ def test_kdisj_run_writes_artifacts(tmp_path, capsys):
     result = load(tmp_path / f"{base}.result.json")
     assert result["algorithm"] == "kdisj"
     assert "model_file" not in result
-    assert np.asarray(result["unit_distances"]).shape == (9, 9)
+    occupied = np.unique(result["individuals"]["units"]).size
+    assert np.asarray(result["unit_distances"]).shape == (9, occupied)
+    assert runs[0]["occupied_units"] == occupied
 
 
 def test_kmca_run_has_no_individuals(tmp_path, capsys):
@@ -498,14 +501,17 @@ def test_pies_and_render_read_only_the_result(trained, capsys):
 def test_macro_reads_the_result_alone(tmp_path, capsys, algorithm):
     """``macro`` on a stored result whose model file is gone writes the cut
     the training run wrote, byte for byte; the result's unit distances are
-    those of the saved model's code vectors, bit for bit."""
+    those from the saved model's code vectors to the occupied units' (the
+    individuals' units when mapped, else the modalities'), bit for bit."""
     trained, recut = tmp_path / "trained", tmp_path / "recut"
     run_json(capsys, algorithm, *MARRIAGE, "--grid", "3x3", "--iters", "300",
              "--macro", "4", "--render", "none", "--out", str(trained))
     base = trained / f"marriages.{algorithm}.0"
     code = np.asarray(load(f"{base}.model.json")["code_vectors"])
-    stored = np.asarray(load(f"{base}.result.json")["unit_distances"])
-    assert np.array_equal(stored, _squared_distances(code, code))
+    result = load(f"{base}.result.json")
+    held = np.unique((result["individuals"] or result["modalities"])["units"])
+    stored = np.asarray(result["unit_distances"])
+    assert np.array_equal(stored, _squared_distances(code, code[held]))
     os.remove(f"{base}.model.json")
     run_json(capsys, "macro", "--result", f"{base}.result.json", "--macro", "4",
              "--out", str(recut))
@@ -536,16 +542,19 @@ def test_render_rejects_a_model_file_given_as_result(trained, capsys):
     assert err.startswith("error:data:")
 
 
-def test_a_map_too_large_for_ward_stores_distances_to_its_leaves(tmp_path, capsys):
-    """Above WARD_MAX_LEAVES units a result holds the distances from every
-    unit to the units that hold a modality only, and ``macro`` still re-cuts
-    it byte for byte; uniform weights fail on Ward's size limit."""
-    run_json(capsys, "kmca", *MARRIAGE, "--grid", "80x80", "--iters", "10",
+def test_a_result_stores_distances_to_its_occupied_units_only(tmp_path, capsys):
+    """On a map of 100 units kmca's 12 modalities occupy at most 12, and
+    the result holds the distances from every unit to those alone: U x L,
+    not U x U.  ``macro`` re-cuts it byte for byte.  A uniform-weight cut
+    clusters every unit, so only the training run, which still holds the
+    code vectors, makes it; ``macro`` has no such flag."""
+    run_json(capsys, "kmca", *MARRIAGE, "--grid", "10x10", "--iters", "200",
              "--macro", "3", "--render", "none", "--out", str(tmp_path))
     base = tmp_path / "marriages.kmca.0"
     stored = load(f"{base}.result.json")
     held = np.unique(stored["modalities"]["units"])
     vectors = np.asarray(load(f"{base}.model.json")["code_vectors"])
+    assert held.size <= 12
     assert np.array_equal(np.asarray(stored["unit_distances"]),
                           _squared_distances(vectors, vectors[held]))
     recut = tmp_path / "recut"
@@ -553,10 +562,18 @@ def test_a_map_too_large_for_ward_stores_distances_to_its_leaves(tmp_path, capsy
              "--out", str(recut))
     name = "marriages.kmca.0.macro.json"
     assert (recut / name).read_bytes() == (tmp_path / name).read_bytes()
-    code, _, err = run(capsys, "macro", "--result", f"{base}.result.json",
-                       "--macro", "3", "--uniform-weights", "--out", str(recut))
-    assert code == 1
-    assert err.startswith("error:config: Ward clustering of 6400 units")
+
+    uniform = tmp_path / "uniform"
+    run_json(capsys, "kmca", *MARRIAGE, "--grid", "10x10", "--iters", "200",
+             "--macro", "3", "--uniform-weights", "--render", "none",
+             "--out", str(uniform))
+    want = cut(ward_cluster(_squared_distances(vectors, vectors), np.ones(100),
+                            Topology.grid(10, 10)), 3)
+    assert load(uniform / name) == want.to_json()
+    with pytest.raises(SystemExit) as exc:
+        main(["macro", "--result", f"{base}.result.json", "--macro", "3",
+              "--uniform-weights"])
+    assert exc.value.code == 2
 
 
 def without(path, *keys):
@@ -569,12 +586,24 @@ def without(path, *keys):
     return json.dumps(data)
 
 
-def with_label(label):
-    """A 3-class cut of the 3x3 map whose unit 4 carries ``label``."""
+def a_cut(label=1, **changes):
+    """A 3-class cut of the 3x3 map whose unit 4 carries ``label``, with
+    ``changes`` to its other keys."""
     labels = [0, 0, 0, 1, label, 1, 2, 2, 2]
     return json.dumps({"k": 3, "labels": labels,
                        "classes": [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
-                       "connected": [True, True, True]})
+                       "connected": [True, True, True], **changes})
+
+
+def with_entry(path, value, *keys):
+    """The JSON file at ``path`` with its entry at ``keys`` set to ``value``
+    (a NaN is written as json writes it, ``NaN``)."""
+    data = load(path)
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return json.dumps(data)
 
 
 def with_distances_cut(path):
@@ -588,8 +617,13 @@ def with_distances_cut(path):
                                   "pies-data", "result-no-distances",
                                   "unnamed-variable", "topology-kind",
                                   "provenance-qe-log", "packed-units",
-                                  "result-distances-shape", "macro-label-above-k",
-                                  "macro-label-negative", "macro-label-list"])
+                                  "result-distances-shape",
+                                  "result-distances-negative", "result-distances-nan",
+                                  "result-distances-null", "packed-units-range",
+                                  "packed-units-str", "macro-label-above-k",
+                                  "macro-label-negative", "macro-label-list",
+                                  "macro-label-float", "macro-k-float",
+                                  "macro-connected-number"])
 def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
     outdir, result = trained
     listing = outdir / "list.json"
@@ -604,9 +638,17 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "packed-units": without(result, "modalities", "units"),
         "result-no-distances": without(result, "unit_distances"),
         "result-distances-shape": with_distances_cut(result),
-        "macro-label-above-k": with_label(7),
-        "macro-label-negative": with_label(-1),
-        "macro-label-list": with_label([1]),
+        "result-distances-negative": with_entry(result, -1.0, "unit_distances", 0, 1),
+        "result-distances-nan": with_entry(result, float("nan"), "unit_distances", 0, 1),
+        "result-distances-null": with_entry(result, None, "unit_distances", 0, 1),
+        "packed-units-range": with_entry(result, 99, "individuals", "units", 0),
+        "packed-units-str": with_entry(result, "0", "individuals", "units", 0),
+        "macro-label-above-k": a_cut(7),
+        "macro-label-negative": a_cut(-1),
+        "macro-label-list": a_cut([1]),
+        "macro-label-float": a_cut(1.5),
+        "macro-k-float": a_cut(k=2.9),
+        "macro-connected-number": a_cut(connected=[True, 1, True]),
     }.get(case, ""), encoding="utf-8")
     before = sorted(outdir.iterdir())
     argv = {
@@ -622,13 +664,12 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "provenance-qe-log": ["render", "--result", str(broken)],
         "packed-units": ["render", "--result", str(broken)],
         "result-distances-shape": ["macro", "--result", str(broken), "--macro", "2"],
-        "macro-label-above-k": ["render", "--result", str(result),
-                                "--macro-file", str(broken)],
-        "macro-label-negative": ["render", "--result", str(result),
-                                 "--macro-file", str(broken)],
-        "macro-label-list": ["render", "--result", str(result),
-                             "--macro-file", str(broken)],
-    }[case]
+        "result-distances-negative": ["macro", "--result", str(broken), "--macro", "2"],
+        "result-distances-nan": ["macro", "--result", str(broken), "--macro", "2"],
+        "result-distances-null": ["macro", "--result", str(broken), "--macro", "2"],
+        "packed-units-range": ["render", "--result", str(broken)],
+        "packed-units-str": ["render", "--result", str(broken)],
+    }.get(case, ["render", "--result", str(result), "--macro-file", str(broken)])
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:data: not a"), err

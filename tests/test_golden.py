@@ -75,38 +75,38 @@ STDOUT_TRAIN = ["--seeds", "2", "--workers", "1", "--iters", "300", "--macro", "
                 "--render", "both"]
 
 GOLDEN = {
-    "marriages.kmca.0.result.json": "917a0d5ff101ac50e95d762eb05c5ba116cbffb777c73daddf13613d77556586",
+    "marriages.kmca.0.result.json": "b8e643818e6d174b5cbdc0575dd0e6e6ee19a3677ad138f7f1e245610f1342cd",
     "marriages.kmca.0.model.json": "9877405b497d2c5c6ab0c60840bb55f723ce9cb4408a9112f6a6a105f6e08677",
     "marriages.kmca.0.macro.json": "f684fd56edaeff22630231a5d6c7a1582bb7b7b12f3726fb4d5fbd631c5aa912",
-    "marriages.kmca.1.result.json": "b07f2cda99ed536234f49e830da89f7e2c13f053ade2a9a2165f8231c09f02ee",
+    "marriages.kmca.1.result.json": "c311a82381c5a8459e25bce41cdd0a34fade86a0a39bc91a2fabcd4d4388f126",
     "marriages.kmca.1.model.json": "f3915d6ccfbd58175d5f652bab3b6da2e52e05b69e68dc5e2d4bdacc44f4b6c3",
     "marriages.kmca.1.macro.json": "59797c11e9e2ae22165ffef7358d7068f9b31baa67617f5359c0ad0bc677d928",
-    "marriages.kmca.2.result.json": "d65d83e13624d7208b6de14c5f582608c49e9b803e8917331b5ef39b50b4f185",
+    "marriages.kmca.2.result.json": "c51aeca38f816f3c5e9b8e1d3618c0b57e0d5701be9a59c06f6771ad79b1ce7c",
     "marriages.kmca.2.model.json": "b1563e45b15b36edb1b5b03a04b36322833821995af5d12a2cea1ca809afa0b8",
     "marriages.kmca.2.macro.json": "c61fa91bd585c99fafb6574fcaf1ceb68fb0c8b9545b390c5f42d29115c5a123",
     "marriages.kmca.stability.json": "edbf37c195554ebc762db02a1b266df033e8acd0a06ec6f7ca6e4f0eb37a2005",
-    "marriages.kmca-ind.0.result.json": "d2969c77e40225dad59f283ed16929a734844bff2e052026410176162e1742b7",
+    "marriages.kmca-ind.0.result.json": "b80fd1edf2ba2bfd0f21dc3b1b3d654a635a4fc45656e5b75419a097645a04d4",
     "marriages.kmca-ind.0.model.json": "029097404128c881a20e3998fa2643e87001bbfe311cd21a34027c85f3d6c644",
     "marriages.kmca-ind.0.macro.json": "59cba41751181539ead05000c4a31d657d1ef9fb743cef68b42f8244c88c1081",
     "marriages.kmca-ind.0.deviations.json": "8caf570e727525bfbf8b78b560bb4202487254bbb29af492f658fd091d643a5e",
-    "marriages.kmca-ind.1.result.json": "43a223f6a743af4f7d654a0f1928903ab9dc4e1589df3b9b101533a8fbebbe58",
+    "marriages.kmca-ind.1.result.json": "c4eb1dd2e056d7819a77adb26131050284ff75fe1bd4e592b7618d55e328d822",
     "marriages.kmca-ind.1.model.json": "08bc96c0b2d2b84070ef9cb4388c69edea2cb6b070f633e40690ba5474e4fd01",
     "marriages.kmca-ind.1.macro.json": "94758100fdd99e4467e83d0ed7e71790c83b7f1bcb79f1bef4ea810b4e38c660",
     "marriages.kmca-ind.1.deviations.json": "4978b6437e5b96faf5d51ac531ce9a6b373183db19787e24e2468290196bd384",
-    "marriages.kmca-ind.2.result.json": "22d21e068f02534a0a3f6ffbdbea70143be4c65000e51b0203510a50ff55685d",
+    "marriages.kmca-ind.2.result.json": "5806c79a8b495b3b3a594586cda2a1cb4024da40109169ac0d95af43aa55ac51",
     "marriages.kmca-ind.2.model.json": "2fbfa5778f06b3bd82f74a708d70af8302d73a5a16f506d31355e0fc09757fd1",
     "marriages.kmca-ind.2.macro.json": "339c39b382a6163972698584d23a91d807a002f683bece0770d9deaf94086f0a",
     "marriages.kmca-ind.2.deviations.json": "adfb73ccf12ee8cada45541de64501db0f1f979e24cb0cb7198ee26badfc3c03",
     "marriages.kmca-ind.stability.json": "b4dc271d0eb2d36280b08bfc4c39bf7758aaf5c99443fb63287010544919f503",
-    "marriages.kdisj.0.result.json": "0de1047b25cca6a8c96491434f7f363541fa8602f0db68f3b2eef393f2d9bd6c",
+    "marriages.kdisj.0.result.json": "abd8b3fc7814faf82d4eaf813176cef3d45c168a048ed505cf5af5ef79ba7f1a",
     "marriages.kdisj.0.model.json": "7a1006f3e2b8fb6e5e970687e8d5c5b9ac33cd509141ae8b0ebcf073ebe2e7cc",
     "marriages.kdisj.0.macro.json": "35d384107dd2cac0ef175a1ddd445207d2ef787394a2ae6af0dcf621f9105087",
     "marriages.kdisj.0.deviations.json": "89ef02346cb1b72ddd3f785289d4f43291a9ceaa11892b3e6fcf121266287fa2",
-    "marriages.kdisj.1.result.json": "1569b43cc17161fe02dda66ad2870e86685f6d72e86f35202e05fa94a4129b51",
+    "marriages.kdisj.1.result.json": "c941d4b70a0eb2554eba08d5cda3fa0d53ad387623cd1748ccfe3d8917f73ce5",
     "marriages.kdisj.1.model.json": "dbdce7a997221832070f143c9cec7fa5b941c304e076d96fda78bdeede893601",
     "marriages.kdisj.1.macro.json": "00599b0ba1a9cda2f48d899ce46c7a5f7bb7a68b50a619238875745725743fff",
     "marriages.kdisj.1.deviations.json": "30962128b5ef7e7c0f389548d95bfd2ed56ae51b5a90786e9ec8b4ddd7d8fd33",
-    "marriages.kdisj.2.result.json": "92d0219a0875c4d228c800b513d69571cdfe0999d3305de99141e74177ad5d8f",
+    "marriages.kdisj.2.result.json": "3ad16a5457af7d4ee089b0e485839ee6d54c089afda5530ba35b736fe03a0a3e",
     "marriages.kdisj.2.model.json": "a06beb41583e4710b834ee44c3c59faf8d9964390169b950051bd64a6b390f1d",
     "marriages.kdisj.2.macro.json": "413a1bba6b14d3db52488b149dd62711ea20e7630331fbed68401706b69929fc",
     "marriages.kdisj.2.deviations.json": "acbc2273b16b624a3802e8a460985aff758c8eed4c600d77d7d5461f6295ec1b",
@@ -160,7 +160,7 @@ CSV_GOLDEN = {
 }
 
 WIDE_GOLDEN = {
-    "wide.kdisj.0.result.json": "574d0a4cc2097da37fa1c818f06bd3505891aa49b62ce1acc079b0d4154d6c57",
+    "wide.kdisj.0.result.json": "48c648635f6fb1ef56b3fbeef608e4a86f839d59c23844b497171f1ff7bc2320",
     "wide.kdisj.0.model.json": "250dd7fd676f7b5480024c55e76173731f3585da640ebcd11dbc0b9abd23b948",
     "wide.kdisj.0.macro.json": "b24efd1e82d47536e062961380e60fbb09ba90de9ce7d431ca4f4d39db4aae5a",
     "wide.kdisj.0.deviations.json": "92a7ebdc7bd458452d6f4ab41776c4936c98b4021363f890068232c09a01e33d",
