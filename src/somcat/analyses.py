@@ -292,8 +292,7 @@ def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
         unit_distances=np.empty(0),
     )
     code = model.code_vectors
-    result.unit_distances = som._squared_distances(
-        code, code[np.flatnonzero(unit_weights(result))])
+    result.unit_distances = som._squared_distances(code, code[unit_weights(result) > 0])
     return result
 
 

@@ -278,7 +278,8 @@ def unit_weights(result, uniform: bool = False) -> np.ndarray:
     """Weights for second-level clustering from an analysis result.
 
     Individuals per unit when the analysis mapped individuals, modalities
-    per unit otherwise; ``uniform`` forces weight 1 everywhere.
+    per unit otherwise; a result's ``unit_distances`` hold one column per
+    unit of positive weight.  ``uniform`` forces weight 1 everywhere.
     """
     n_units = result.modalities.n_units
     if uniform:
