@@ -19,7 +19,9 @@ kmca-ind map trained on it.
 ``WIDE_GOLDEN`` pins a kdisj run wide enough that every modality step
 searches more than ``som.DISTANCE_BLOCK`` elements on its own: a seeded
 uniform survey of 1,200 individuals and 10 questions of 6 answers on an
-8x8 map (64 x 1,200 components), 400 steps, cut at k=4.
+8x8 map (64 x 1,200 components), 400 steps, cut at k=4.  A kmca-ind run
+on the same survey and map pins quantization-error passes over 1,200
+individuals, more rows than one distance block holds.
 ``STDOUT_GOLDEN`` pins what the commands print: the ``--json`` summary and
 the ``wrote`` lines (the out dir made relative) of ``ingest``, ``tables``,
 each trainer over two seeds cut at k=3 with both maps, ``macro``, ``pies``
@@ -69,8 +71,9 @@ SURVEY_SCHEMA = {"variables": [
 ]}
 EXTERNAL_COLUMN = "color"
 WIDE_SURVEY = {"seed": 16, "n": 1200, "questions": 10, "answers": 6}
-WIDE_ARGV = ["kdisj", "--grid", "8x8", "--iters", "400", "--macro", "4",
-             "--render", "none", "--workers", "1"]
+WIDE_ALGORITHMS = ("kdisj", "kmca-ind")
+WIDE_ARGV = ["--grid", "8x8", "--iters", "400", "--macro", "4", "--render", "none",
+             "--workers", "1"]
 STDOUT_TRAIN = ["--seeds", "2", "--workers", "1", "--iters", "300", "--macro", "3",
                 "--render", "both"]
 
@@ -164,6 +167,10 @@ WIDE_GOLDEN = {
     "wide.kdisj.0.model.json": "250dd7fd676f7b5480024c55e76173731f3585da640ebcd11dbc0b9abd23b948",
     "wide.kdisj.0.macro.json": "b24efd1e82d47536e062961380e60fbb09ba90de9ce7d431ca4f4d39db4aae5a",
     "wide.kdisj.0.deviations.json": "92a7ebdc7bd458452d6f4ab41776c4936c98b4021363f890068232c09a01e33d",
+    "wide.kmca-ind.0.result.json": "5258c1dbbd518b7b5009d16278c0778df29bf47b7f1928a8dcc4b4e03273f993",
+    "wide.kmca-ind.0.model.json": "fb52ccf571c59dfcdc3cc8039d6df69df1d6a77359d7aa134404c05e0402f393",
+    "wide.kmca-ind.0.macro.json": "22a22ad44e69cf1531a3c23d31cff3a6d192e4ce22265b39c1cbc4e7349be2d8",
+    "wide.kmca-ind.0.deviations.json": "b3a1fd0d22093f028db5a33e3874c30846d4d579e548eebf01d639f95f8efba5",
 }
 
 STDOUT_GOLDEN = {
@@ -297,13 +304,13 @@ def csv_digests(outdir: Path) -> dict[str, str]:
     return {name: _sha256(outdir / name) for name in CSV_GOLDEN}
 
 
-def wide_digests(outdir: Path) -> dict[str, str]:
-    """kdisj on the wide seeded survey; sha256 of each pinned file."""
+def wide_digests(algorithm: str, outdir: Path) -> dict[str, str]:
+    """``algorithm`` on the wide seeded survey; sha256 of each pinned file."""
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "wide.csv"
     csv_path.write_text(uniform_survey_csv(**WIDE_SURVEY), encoding="utf-8")
-    _run([*WIDE_ARGV, "--data", str(csv_path)], outdir)
-    names = [f"wide.kdisj.0.{kind}.json" for kind in KINDS]
+    _run([algorithm, *WIDE_ARGV, "--data", str(csv_path)], outdir)
+    names = [f"wide.{algorithm}.0.{kind}.json" for kind in KINDS]
     return {name: _sha256(outdir / name) for name in names}
 
 
@@ -372,7 +379,13 @@ def test_csv_ingest_and_external_pies_bytes_match_golden_digests(tmp_path):
 
 
 def test_wide_kdisj_bytes_match_golden_digests(tmp_path):
-    assert wide_digests(tmp_path) == WIDE_GOLDEN
+    want = {k: v for k, v in WIDE_GOLDEN.items() if ".kdisj." in k}
+    assert wide_digests("kdisj", tmp_path) == want
+
+
+def test_wide_kmca_ind_bytes_match_golden_digests(tmp_path):
+    want = {k: v for k, v in WIDE_GOLDEN.items() if ".kmca-ind." in k}
+    assert wide_digests("kmca-ind", tmp_path) == want
 
 
 def test_command_stdout_matches_golden_digests(tmp_path):
@@ -390,7 +403,9 @@ if __name__ == "__main__":
         renders = render_digests(Path(tmp) / "render")
         options = render_option_digests(Path(tmp) / "options")
         csvs = csv_digests(Path(tmp) / "csv")
-        wides = wide_digests(Path(tmp) / "wide")
+        wides = {}
+        for algorithm in WIDE_ALGORITHMS:
+            wides.update(wide_digests(algorithm, Path(tmp) / "wide"))
         stdouts = stdout_digests(Path(tmp) / "stdout")
     for title, digests_by_name in (
         ("GOLDEN", table), ("DENDROGRAM_GOLDEN", dendrograms), ("DATA_GOLDEN", data),
