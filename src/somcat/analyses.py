@@ -39,7 +39,7 @@ from .som import (
     DistanceMask, MapAssignment, SomModel, Topology, TrainConfig, UniformRowSampler,
     assign, init_model, train,
 )
-from .tables import _checked_counts, burt, corrected_burt, corrected_disjunctive
+from .tables import _checked_counts, burt, corrected_burt, disjunctive_index
 
 ALGORITHMS = ("kmca", "kmca-ind", "kdisj")
 ITERATION_CAP = 100_000
@@ -113,9 +113,10 @@ class KdisjSampler:
 
     def __init__(self, ds: CategoricalDataset):
         # One M x N copy: row j holds column j of dc contiguously, for the
-        # modality draws, the adopters and the modality assignment; dc's
-        # rows are its strided view.
-        self.columns = np.ascontiguousarray(corrected_disjunctive(ds).T)
+        # modality draws and the modality assignment; dc's rows are its
+        # strided view, and the index form gives the adopters.
+        index = disjunctive_index(ds)
+        self.columns = np.ascontiguousarray(index.dense().T)
         self.gram = corrected_burt(ds)  # <c_j, c_l>
         self.dc = self.columns.T
         self.n, self.m = self.dc.shape
@@ -123,8 +124,11 @@ class KdisjSampler:
         self._search_ind = DistanceMask(0, self.m)
         self._update_all = DistanceMask(0, self.dim)
         self._mod_mask = DistanceMask(self.m, self.dim)
-        self.qe_rows, self.qe_mask = self.dc, self._search_ind
-        self._adopters = [np.flatnonzero(col > 0) for col in self.columns]
+        self.qe_rows, self.qe_mask = index, self._search_ind
+        # kdisj_associate's answer for rows whose largest entry is unique.
+        values = index.scale[index.cols]
+        self._rarest = index.cols[values.argmax(axis=0), np.arange(self.n)]
+        self._tied = np.count_nonzero(values == values.max(axis=0), axis=0) > 1
         self._held: np.ndarray | None = None  # M x U: j has an adopter at u
         self.bmus: np.ndarray | None = None  # each individual's unit, as last located
         self.column = 0  # modality of the last draw
@@ -134,7 +138,8 @@ class KdisjSampler:
         x = self._x
         if t % 2 == 0:
             i = int(rng.integers(0, self.n))
-            self.column = kdisj_associate(self.dc[i], rng)
+            self.column = (kdisj_associate(self.dc[i], rng) if self._tied[i]
+                           else int(self._rarest[i]))
             x[: self.m] = self.dc[i]
             x[self.m:] = self.columns[self.column]
             return x, self._search_ind, self._update_all
@@ -158,8 +163,7 @@ class KdisjSampler:
     def locate(self, bmus: np.ndarray, n_units: int) -> None:
         """Record each individual's unit and which units hold adopters."""
         held = np.zeros((self.m, n_units), dtype=bool)
-        for j, rows in enumerate(self._adopters):
-            held[j, bmus[rows]] = True
+        held[self.qe_rows.cols, bmus] = True  # modality cols[k, i] at unit bmus[i]
         self._held = held
         self.bmus = bmus
 
@@ -316,9 +320,10 @@ def kmca_ind(
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on corrected disjunctive rows; modalities placed by mean vector."""
-    rows = corrected_disjunctive(ds)
+    sampler = UniformRowSampler(disjunctive_index(ds))
+    rows = sampler.rows
     model, qe_log, individuals = _train(
-        "kmca-ind", ds, topology, config, UniformRowSampler(rows),
+        "kmca-ind", ds, topology, config, sampler,
         ds.individuals, rows.min(axis=0), rows.max(axis=0),
     )
     modalities = assign(model, modality_mean_vectors(ds),

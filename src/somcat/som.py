@@ -248,7 +248,8 @@ def bmu(
     difference form sum((x - w)**2), except on the block of a GramTable
     that train() holds: there ``x`` is the table's column c_j, searched as
     ||w||^2 - 2<w, c_j>, whose last bits differ, so a near tie can resolve
-    otherwise.  Batch passes over many rows use _row_distances.
+    otherwise.  Batch passes over many rows use _row_distances or
+    OneHotRows.distances.
     """
     xm = _masked_input(x, mask, model.dim, 1)
     if not np.isfinite(xm).all():
@@ -345,7 +346,7 @@ def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     sides are dense, two code vectors can lie far closer together than
     their norms, where the expanded form would lose the distance to
     cancellation, and the pinned dendrogram bytes rest on this arithmetic.
-    Data rows go through _row_distances instead.
+    Data rows go through _row_distances or OneHotRows.distances instead.
 
     The difference and its einsum reduction run one block at a time: as
     many rows as fit DISTANCE_BLOCK elements with all units, and when two rows
@@ -372,36 +373,26 @@ def _row_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     """Squared distance from every data row to every code vector, n x U, as
     ||x||^2 - 2<x, w> + ||w||^2 over the nonzero entries of each row.
 
-    This kernel serves the batch passes over data: the quantization-error
-    checkpoints and assign().  A corrected disjunctive row holds K nonzeros
-    out of M columns, so the cross term gathers K code columns where the
-    difference form would subtract across all M.  bmu() and train_step()
-    keep the difference form, so training trajectories do not depend on
-    this kernel (except where a checkpoint's argmin feeds a sampler).
+    This kernel serves the batch passes over rows of any form but
+    OneHotRows: assign() (Burt rows, mean vectors, kdisj's modality
+    columns) and the checkpoints of kmca.  bmu() and train_step() keep the
+    difference form, so training trajectories do not depend on it (except
+    where a checkpoint's argmin feeds a sampler).
 
     ||x||^2 and the cross term add the row's nonzero entries one at a time
     in column order, with element-wise numpy multiply-adds, and ||w||^2 is
     one einsum per code vector; nothing calls BLAS or starts a thread.  So
     a row's distances have the same bits whatever other rows or units
     share the call, whatever the block size, and whether the rows are a
-    strided view or a contiguous copy.  The rows go one block at a time, as
-    many as keep their number times the larger of the unit count and their
-    largest nonzero count within DISTANCE_BLOCK, which bounds the block's
-    padded arrays and gathers; rows wider than the unit count are counted
-    first, DISTANCE_BLOCK elements at a time.  So no temporary grows with
-    the product of rows, units and width.  A distance far below the norms
-    loses relative precision to cancellation and can round to a small
-    negative.
+    strided view or a contiguous copy.  A block holds as many rows as keep
+    their number times the larger of the unit count and their largest
+    nonzero count within DISTANCE_BLOCK, which bounds its padded arrays and
+    gathers, so no temporary grows with the product of rows, units and
+    width.  A distance far below the norms can round to a small negative.
     """
-    n, width = rows.shape
-    u = code.shape[0]
+    n, u = rows.shape[0], code.shape[0]
     w2 = np.einsum("uw,uw->u", code, code)
-    cost = np.full(n, u, dtype=np.intp)  # a row's nonzeros, or u if more
-    if width > u:
-        scan = max(1, DISTANCE_BLOCK // width)
-        for s in range(0, n, scan):
-            counts = np.count_nonzero(rows[s:s + scan], axis=1)
-            np.maximum(counts, u, out=cost[s:s + scan])
+    cost = np.maximum(np.count_nonzero(rows, axis=1), u)  # nonzeros, or u if more
     out = np.empty((n, u))
     start = 0
     while start < n:
@@ -417,8 +408,7 @@ def _row_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
 def _block_row_distances(block, by_column, w2, out) -> None:
     """_row_distances of one block of rows into ``out``; ``by_column`` is
     the code transposed (a view), so row c holds component c of every unit.
-    A call of its own, so the block's temporaries are freed before the next
-    block's scan."""
+    A call of its own, so the block's temporaries are freed with it."""
     size = block.shape[0]
     # The k-th nonzero of each row in its column order, padded with zero
     # values at column 0 up to the block's largest count.
@@ -443,29 +433,77 @@ def _block_row_distances(block, by_column, w2, out) -> None:
     out += w2
 
 
+class OneHotRows:
+    """n rows of M values in index form, as corrected disjunctive rows are:
+    row i holds ``scale[c]`` at the K columns c = ``cols[:, i]`` (K x n,
+    increasing down each column) and zeros elsewhere."""
+
+    def __init__(self, cols: np.ndarray, scale: np.ndarray):
+        self.cols, self.scale = cols, scale
+
+    def __len__(self) -> int:
+        return self.cols.shape[1]
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((len(self), len(self.scale)))
+        np.put_along_axis(out, self.cols.T, self.scale[self.cols.T], axis=1)
+        return out
+
+    def distances(self, code: np.ndarray) -> np.ndarray:
+        """_row_distances(self.dense(), code) bit for bit, without its scan:
+        the cross term adds rows cols[k] of the M x U table code.T * scale
+        (each product the one _row_distances forms, as IEEE multiplication
+        commutes) and ||x||^2 the squares of scale[cols[k]], both in column
+        order, and the rest keeps its order, as many rows at a time as keep
+        a gather within DISTANCE_BLOCK elements."""
+        n, u = len(self), code.shape[0]
+        table, w2 = code.T * self.scale[:, np.newaxis], np.einsum("uw,uw->u", code, code)
+        out = np.empty((n, u))
+        step = max(1, DISTANCE_BLOCK // u)
+        for start in range(0, n, step):
+            block, x2 = out[start:start + step], np.zeros(min(step, n - start))
+            block[:] = 0.0
+            for c in self.cols[:, start:start + step]:
+                x2 += self.scale[c] * self.scale[c]
+                block += table[c]
+            block *= -2.0
+            block += x2[:, np.newaxis]
+            block += w2
+        return out
+
+
 def quantization_error(
     model: SomModel,
-    rows: np.ndarray,
+    rows: np.ndarray | OneHotRows,
     mask: DistanceMask | None = None,
     bmus: np.ndarray | None = None,
 ) -> float:
     """Mean squared distance from each row to its best matching unit.
 
+    ``rows`` is an array, measured by _row_distances, or a OneHotRows,
+    measured by its own kernel with the same bits as its dense form.
     ``bmus``, an integer array with one slot per row, receives each row's
-    best matching unit from the same distances (_row_distances).
+    best matching unit from the same distances.
     """
-    rows = _masked_input(rows, mask, model.dim, 2)
-    d2 = _row_distances(rows, _masked_code(model, mask))
+    code = _masked_code(model, mask)
+    if isinstance(rows, OneHotRows):
+        _masked_input(rows.scale, mask, model.dim, 1)  # one scale per column
+        d2 = rows.distances(code)
+    else:
+        d2 = _row_distances(_masked_input(rows, mask, model.dim, 2), code)
     if bmus is not None:
         bmus[:] = np.argmin(d2, axis=1)
     return float(np.mean(np.maximum(d2.min(axis=1), 0.0)))
 
 
 class UniformRowSampler:
-    """Draws data rows uniformly; the plain sampler for single-family maps."""
+    """Draws data rows uniformly; the plain sampler for single-family maps.
+    Rows given as OneHotRows are drawn dense and checkpointed as given."""
 
-    def __init__(self, rows: np.ndarray):
-        self.rows = self.qe_rows = np.asarray(rows, dtype=np.float64)
+    def __init__(self, rows: np.ndarray | OneHotRows):
+        one_hot = isinstance(rows, OneHotRows)
+        self.rows = rows.dense() if one_hot else np.asarray(rows, dtype=np.float64)
+        self.qe_rows = rows if one_hot else self.rows
         self.qe_mask = None  # rows are searched and updated on every component
         self.bmus: np.ndarray | None = None  # each row's unit, as last located
 
@@ -490,7 +528,8 @@ def train(model, sampler, observer=None):
     step from the model's own RNG stream, and ``sampler.candidates(t)`` the
     units that step may win (one boolean per unit, or None for all).  At
     step 0 and every tenth of t_max the quantization error of
-    ``sampler.qe_rows`` on ``sampler.qe_mask`` is logged, and
+    ``sampler.qe_rows`` (an array, or a OneHotRows of the same rows, as
+    quantization_error takes them) on ``sampler.qe_mask`` is logged, and
     ``sampler.locate(bmus, n_units)`` receives a new array of each of those
     rows' best matching unit from the same pass; the last, at t_max, holds
     their units on the trained map.  Until train() returns or raises, the

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CategoricalDataset, to_disjunctive
+from .dataset import CategoricalDataset
 from .errors import DataError, DimensionError, ZeroModalityError
+from .som import OneHotRows
 
 
 def burt(ds: CategoricalDataset) -> np.ndarray:
@@ -27,22 +28,13 @@ def burt(ds: CategoricalDataset) -> np.ndarray:
     Row and column j are modality ``ds.global_modality_names[j]``.  B is
     symmetric with the modality counts b_j (the column sums of D) on its
     diagonal and zeros elsewhere in its diagonal blocks; row j sums to
-    K * b_j, and the whole table to K^2 * N.
-
-    numpy runs an int64 matrix product in its own loop, without BLAS.  Every
-    partial sum of D'D is a count below 2**53, so the float64 products and
-    their sum are exact whatever order BLAS sums in.  The rows are converted
-    and multiplied in blocks of at most 2**16 entries, so no float copy of
-    the whole table is made.
+    K * b_j, and the whole table to K^2 * N.  Entry (j, l) counts the
+    individuals whose columns ``ds.cells + ds.block_offsets`` hold j and l:
+    one integer bincount of column pairs per variable, without D itself.
     """
-    d = to_disjunctive(ds)
-    n, m = d.shape
-    step = max(1, (1 << 16) // m)
-    entries = np.zeros((m, m))
-    for start in range(0, n, step):
-        block = d[start:start + step].astype(np.float64)
-        entries += block.T @ block
-    return entries.astype(np.int64)
+    cols, m = ds.cells + np.asarray(ds.block_offsets), ds.n_modalities
+    pairs = (np.bincount((col[:, None] * m + cols).ravel(), minlength=m * m) for col in cols.T)
+    return sum(pairs).reshape(m, m)
 
 
 def _checked_counts(counts: np.ndarray, ds: CategoricalDataset) -> np.ndarray:
@@ -64,15 +56,23 @@ def corrected_burt(ds: CategoricalDataset) -> np.ndarray:
     return b / (ds.n_variables * np.outer(root, root))
 
 
+def disjunctive_index(ds: CategoricalDataset) -> OneHotRows:
+    """The corrected disjunctive table in index form: individual i's K
+    columns ``ds.cells[i] + ds.block_offsets``, and 1 / (sqrt(K) * sqrt(b_j))
+    for each column j, from the counts b_j of those columns."""
+    cols = np.ascontiguousarray((ds.cells + np.asarray(ds.block_offsets)).T, dtype=np.intp)
+    counts = _checked_counts(np.bincount(cols.ravel(), minlength=ds.n_modalities), ds)
+    return OneHotRows(cols, 1.0 / (np.sqrt(float(ds.n_variables)) * np.sqrt(counts)))
+
+
 def corrected_disjunctive(ds: CategoricalDataset) -> np.ndarray:
     """Disjunctive correction: entry (i, j) becomes d_ij / (sqrt(K) * sqrt(b_j)).
 
     Row i is individual ``ds.individuals[i]``, column j modality
-    ``ds.global_modality_names[j]``.
+    ``ds.global_modality_names[j]``: the dense expansion of
+    ``disjunctive_index(ds)``.
     """
-    d = to_disjunctive(ds)
-    root = np.sqrt(_checked_counts(d.sum(axis=0), ds))
-    return d / (np.sqrt(float(ds.n_variables)) * root)[np.newaxis, :]
+    return disjunctive_index(ds).dense()
 
 
 @dataclass(eq=False)

@@ -153,6 +153,24 @@ def test_kdisj_sampler_even_pairs_row_with_its_rarest_column(marriage):
         assert any(np.array_equal(x[m:], dc[:, j]) for j in ties)
 
 
+@pytest.mark.parametrize("which", ["marriage", "random"])
+def test_kdisj_sampler_draws_what_kdisj_associate_draws(which, marriage):
+    """Even steps look up the rarest column of rows without a tie and call
+    kdisj_associate only on ties: the same columns and the same RNG stream
+    as calling it on every drawn row."""
+    ds = marriage if which == "marriage" else random_dataset(
+        np.random.default_rng(31), n=40, sizes=(2, 3, 2, 4))
+    sampler = KdisjSampler(ds)
+    dc = corrected_disjunctive(ds)
+    assert sampler._tied.any() and not sampler._tied.all()
+    ours, theirs = np.random.default_rng(32), np.random.default_rng(32)
+    for t in range(0, 4000, 2):
+        sampler.draw(t, ours)
+        i = int(theirs.integers(0, ds.n_individuals))
+        assert sampler.column == kdisj_associate(dc[i], theirs)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 # ------------------------------------------------------------------ pipelines
 
 def test_kmca_maps_modalities_only(marriage):

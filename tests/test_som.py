@@ -1,12 +1,17 @@
 """Topology, schedules, training mechanics and persistence."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from somcat import som
+from somcat.dataset import CategoricalDataset, VariableSpec
 from somcat.errors import ConfigError, DimensionError
 from somcat.jsonio import dumps
 from somcat.som import (
@@ -23,6 +28,7 @@ from somcat.som import (
     train,
     train_step,
 )
+from somcat.tables import corrected_disjunctive, disjunctive_index
 
 
 # ------------------------------------------------------------------- topology
@@ -466,6 +472,77 @@ def test_row_distances_of_a_strided_view_equal_those_of_its_copy():
     got = som._row_distances(view, code[:, 12:])
     assert np.array_equal(got, som._row_distances(copy, code[:, 12:]))
     assert np.array_equal(got, som._row_distances(copy, code[:, 12:].copy()))
+
+
+def one_hot_survey(rng, n, sizes):
+    """A seeded survey of ``n`` individuals, one question per size."""
+    cells = np.column_stack([np.arange(n) % size for size in sizes])
+    cells = rng.permuted(cells, axis=0)  # every answer chosen, in random rows
+    variables = [VariableSpec(name=f"q{v}", modalities=tuple(map(str, range(size))))
+                 for v, size in enumerate(sizes)]
+    return CategoricalDataset([f"p{i}" for i in range(n)], variables, cells)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_one_hot_distances_equal_the_dense_kernel(block, monkeypatch):
+    rng = np.random.default_rng(27)
+    ds = one_hot_survey(rng, 1200, (6,) * 10)
+    index, rows = disjunctive_index(ds), corrected_disjunctive(ds)
+    m = rows.shape[1]
+    # kdisj's search mask: the first M components of wider code vectors
+    code = (rng.random((64, m + 40)) * rows.max())[:, :m]
+    want = som._row_distances(rows, code)
+    monkeypatch.setattr(som, "DISTANCE_BLOCK", block)
+    assert np.array_equal(index.distances(code), want)
+    assert np.array_equal(index.distances(code.copy()), want)
+    for pick in (slice(None, None, -1), slice(1, None, 3), slice(600, 601)):
+        part = som.OneHotRows(index.cols[:, pick], index.scale)
+        assert np.array_equal(part.distances(code), want[pick])
+        assert np.array_equal(part.distances(code[5:9]), want[pick, 5:9])
+
+
+def test_quantization_error_reads_one_hot_rows_as_their_dense_form():
+    rng = np.random.default_rng(29)
+    ds = one_hot_survey(rng, 300, (5, 4, 3))
+    index, rows = disjunctive_index(ds), corrected_disjunctive(ds)
+    model = init_on(Topology.grid(4, 4), TrainConfig(t_max=10, seed=0),
+                    np.hstack([rows, rng.random((300, 30))]))
+    mask = DistanceMask(0, 12)
+    got, want = np.empty(300, dtype=np.int64), np.empty(300, dtype=np.int64)
+    assert quantization_error(model, index, mask, got) == quantization_error(
+        model, rows, mask, want)
+    assert np.array_equal(got, want)
+    with pytest.raises(DimensionError):
+        quantization_error(model, index, DistanceMask(0, 13))
+    sampler = UniformRowSampler(index)
+    assert sampler.qe_rows is index and np.array_equal(sampler.rows, rows)
+
+
+def test_one_hot_distances_do_not_depend_on_blas_threads():
+    script = (
+        "import hashlib, numpy as np\n"
+        "from somcat import som\n"
+        "rng = np.random.default_rng(30)\n"
+        "cols = rng.integers(0, 6, size=(10, 20000)) + 6 * np.arange(10)[:, None]\n"
+        "scale = 1 / np.sqrt(10.0 * np.bincount(cols.ravel(), minlength=60))\n"
+        "rows = som.OneHotRows(cols, scale)\n"
+        "model = som.init_model(som.Topology.grid(8, 8), som.TrainConfig(),\n"
+        "                       np.zeros(60), scale)\n"
+        "bmus = np.empty(20000, dtype=np.int64)\n"
+        "qe = som.quantization_error(model, rows, None, bmus)\n"
+        "d2 = rows.distances(model.code_vectors)\n"
+        "print(repr(qe), hashlib.sha256(d2.tobytes() + bmus.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_distance_blocks_hold_no_lone_item():

@@ -12,6 +12,7 @@ from somcat.tables import (
     chi2_distance,
     corrected_burt,
     corrected_disjunctive,
+    disjunctive_index,
     profiles,
     total_inertia,
 )
@@ -116,6 +117,22 @@ def test_corrected_disjunctive_direct_formula(marriage, marriage_disj):
         for j in range(12):
             expect = d[i, j] / (np.sqrt(2.0) * np.sqrt(counts[j]))
             assert dc[i, j] == pytest.approx(expect, abs=1e-15)
+
+
+@pytest.mark.parametrize("which", ["marriage", "survey"])
+def test_disjunctive_index_is_the_corrected_table_bit_for_bit(which):
+    ds = (marriage_dataset() if which == "marriage"
+          else random_dataset(np.random.default_rng(18), n=1200, sizes=(6,) * 10))
+    n, k = ds.n_individuals, ds.n_variables
+    d = to_disjunctive(ds)
+    want = d / (np.sqrt(float(k)) * np.sqrt(d.sum(axis=0).astype(np.float64)))
+    index = disjunctive_index(ds)
+    assert index.cols.shape == (k, n) and len(index) == n
+    assert np.all(np.diff(index.cols, axis=0) > 0)  # column order down each row
+    assert np.array_equal(index.cols.T, np.nonzero(d)[1].reshape(n, k))
+    assert np.array_equal(index.dense(), want)
+    assert np.array_equal(corrected_disjunctive(ds), want)
+    assert np.all(np.count_nonzero(want, axis=1) == k)
 
 
 def chi2_case(which):
