@@ -112,11 +112,11 @@ class KdisjSampler:
     """
 
     def __init__(self, ds: CategoricalDataset):
-        # One M x N copy: row j holds column j of dc contiguously, for the
+        # One M x N array: row j holds column j of dc contiguously, for the
         # modality draws and the modality assignment; dc's rows are its
         # strided view, and the index form gives the adopters.
         index = disjunctive_index(ds)
-        self.columns = np.ascontiguousarray(index.dense().T)
+        self.columns = index.dense().T
         self.gram = corrected_burt(ds)  # <c_j, c_l>
         self.dc = self.columns.T
         self.n, self.m = self.dc.shape

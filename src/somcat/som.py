@@ -445,9 +445,10 @@ class OneHotRows:
         return self.cols.shape[1]
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((len(self), len(self.scale)))
-        np.put_along_axis(out, self.cols.T, self.scale[self.cols.T], axis=1)
-        return out
+        """The n x M rows, as the transpose of a contiguous M x n array."""
+        out = np.zeros((len(self.scale), len(self)))
+        out[self.cols, np.arange(len(self))] = self.scale[self.cols]
+        return out.T
 
     def distances(self, code: np.ndarray) -> np.ndarray:
         """_row_distances(self.dense(), code) bit for bit, without its scan:
