@@ -112,11 +112,13 @@ class KdisjSampler:
     """
 
     def __init__(self, ds: CategoricalDataset):
-        # One M x N array: row j holds column j of dc contiguously, for the
-        # modality draws and the modality assignment; dc's rows are its
-        # strided view, and the index form gives the adopters.
+        # The M x N columns, expanded from the index form in place (a copy
+        # of an N x M expansion leaves a hole in the heap): row j holds
+        # column j of dc contiguously, for the modality draws and the
+        # modality assignment, and dc's rows are its strided view.
         index = disjunctive_index(ds)
-        self.columns = index.dense().T
+        self.columns = np.zeros((len(index.scale), len(index)))
+        self.columns[index.cols, np.arange(len(index))] = index.scale[index.cols]
         self.gram = corrected_burt(ds)  # <c_j, c_l>
         self.dc = self.columns.T
         self.n, self.m = self.dc.shape

@@ -445,10 +445,9 @@ class OneHotRows:
         return self.cols.shape[1]
 
     def dense(self) -> np.ndarray:
-        """The n x M rows, as the transpose of a contiguous M x n array."""
-        out = np.zeros((len(self.scale), len(self)))
-        out[self.cols, np.arange(len(self))] = self.scale[self.cols]
-        return out.T
+        out = np.zeros((len(self), len(self.scale)))
+        out[np.arange(len(self)), self.cols] = self.scale[self.cols]
+        return out
 
     def distances(self, code: np.ndarray) -> np.ndarray:
         """_row_distances(self.dense(), code) bit for bit, without its scan:
@@ -492,9 +491,10 @@ def quantization_error(
         d2 = rows.distances(code)
     else:
         d2 = _row_distances(_masked_input(rows, mask, model.dim, 2), code)
+    best = np.argmin(d2, axis=1)
     if bmus is not None:
-        bmus[:] = np.argmin(d2, axis=1)
-    return float(np.mean(np.maximum(d2.min(axis=1), 0.0)))
+        bmus[:] = best
+    return float(np.mean(np.maximum(d2[np.arange(len(best)), best], 0.0)))  # the minima
 
 
 class UniformRowSampler:
