@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from somcat import som
-from somcat.dataset import CategoricalDataset, VariableSpec
 from somcat.errors import ConfigError, DimensionError
 from somcat.jsonio import dumps
 from somcat.som import (
@@ -29,6 +28,8 @@ from somcat.som import (
     train_step,
 )
 from somcat.tables import corrected_disjunctive, disjunctive_index
+
+from conftest import random_dataset
 
 
 # ------------------------------------------------------------------- topology
@@ -474,19 +475,10 @@ def test_row_distances_of_a_strided_view_equal_those_of_its_copy():
     assert np.array_equal(got, som._row_distances(copy, code[:, 12:].copy()))
 
 
-def one_hot_survey(rng, n, sizes):
-    """A seeded survey of ``n`` individuals, one question per size."""
-    cells = np.column_stack([np.arange(n) % size for size in sizes])
-    cells = rng.permuted(cells, axis=0)  # every answer chosen, in random rows
-    variables = [VariableSpec(name=f"q{v}", modalities=tuple(map(str, range(size))))
-                 for v, size in enumerate(sizes)]
-    return CategoricalDataset([f"p{i}" for i in range(n)], variables, cells)
-
-
 @pytest.mark.parametrize("block", BLOCKS)
 def test_one_hot_distances_equal_the_dense_kernel(block, monkeypatch):
     rng = np.random.default_rng(27)
-    ds = one_hot_survey(rng, 1200, (6,) * 10)
+    ds = random_dataset(rng, n=1200, sizes=(6,) * 10)
     index, rows = disjunctive_index(ds), corrected_disjunctive(ds)
     m = rows.shape[1]
     # kdisj's search mask: the first M components of wider code vectors
@@ -503,7 +495,7 @@ def test_one_hot_distances_equal_the_dense_kernel(block, monkeypatch):
 
 def test_quantization_error_reads_one_hot_rows_as_their_dense_form():
     rng = np.random.default_rng(29)
-    ds = one_hot_survey(rng, 300, (5, 4, 3))
+    ds = random_dataset(rng, n=300, sizes=(5, 4, 3))
     index, rows = disjunctive_index(ds), corrected_disjunctive(ds)
     model = init_on(Topology.grid(4, 4), TrainConfig(t_max=10, seed=0),
                     np.hstack([rows, rng.random((300, 30))]))
