@@ -160,7 +160,7 @@ class KdisjSampler:
     def gram_table(self, model: SomModel) -> som.GramTable | None:
         if model.topology.n_units * self.n <= som.DISTANCE_BLOCK:
             return None
-        return som.GramTable(model, self._mod_mask, self.columns, self.gram)
+        return som.GramTable(model, self._mod_mask, self.columns, self.qe_rows, self.gram)
 
     def locate(self, bmus: np.ndarray, n_units: int) -> None:
         """Record each individual's unit and which units hold adopters."""

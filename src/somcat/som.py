@@ -21,7 +21,9 @@ the update mask picks which components move.  A vector or block of rows
 handed over with a mask holds exactly the mask's components (all ``dim``
 of them when the mask is None).  A sampler may also limit the units a step
 can win; the neighborhood update around the winner is the same.  A
-GramTable searches a wide block that every step moves toward fixed columns.
+GramTable searches a wide block that every step moves toward fixed columns
+and moves it as coefficients of those columns, writing the block back into
+the model when training ends.
 """
 
 from __future__ import annotations
@@ -266,26 +268,45 @@ def bmu(
 
 
 class GramTable:
-    """The search of a run whose every step moves the ``mask`` block toward
-    c_j, number ``column`` of fixed ``columns`` (L x width) whose inner
-    products are ``gram``.  Per grid unit it holds P[u, l] = <w_u, c_l> and
-    ||w_u||^2, summed once (it keeps no reference to the columns) and then
-    updated by recurrence, so a search takes ||w_u||^2 - 2 P[u, j], the
-    squared distance less ||c_j||^2: U numbers instead of U x width."""
+    """The search and the ``mask`` block of a run whose every step moves
+    that block toward c_j, number ``column`` of fixed ``columns`` (L x
+    width, in index form ``rows``: ``rows.dense()`` is ``columns.T``) whose
+    inner products are ``gram``.  Per grid unit it holds P[u, l] = <w_u,
+    c_l> and ||w_u||^2, summed once and then updated by recurrence, so a
+    search takes ||w_u||^2 - 2 P[u, j], the squared distance less
+    ||c_j||^2: U numbers instead of U x width.  It holds the block as w_u =
+    sum_l coef[u, l] c_l + coef[u, L] w_u(0), moved with P, so the model's
+    block stays w(0) until settle() writes it, which train() does when it
+    returns or raises: an observer during train() reads w(0) there."""
 
-    def __init__(self, model: SomModel, mask: DistanceMask, columns, gram):
-        block, topo = _masked_code(model, mask), model.topology
-        self.mask, self.gram, self.column = mask, gram, 0
-        self.proj = np.einsum("uw,lw->ul", block, columns).reshape(topo.rows, topo.cols, -1)
+    def __init__(self, model: SomModel, mask: DistanceMask, columns, rows, gram):
+        block, topo, n = _masked_code(model, mask), model.topology, len(gram)
+        self.mask, self.rows, self.start, self.column = mask, rows, block, 0
+        # P[u, :], then coef[u, :]; a step scales both and adds row j of [G | I | 0].
+        self.state = np.zeros((topo.rows, topo.cols, 2 * n + 1))
+        self.proj, self.coef = self.state[..., :n], self.state[..., n:]
+        self.proj[:] = np.einsum("uw,lw->ul", block, columns).reshape(self.proj.shape)
+        self.coef[..., n] = 1.0
         self.norms = np.einsum("uw,uw->u", block, block).reshape(topo.rows, topo.cols)
+        self.toward = np.hstack([gram, np.eye(n), np.zeros((n, 1))])
 
     def move(self, rows: slice, cols: slice, eps: float) -> None:  # eps toward c_j
-        j, proj, norms = self.column, self.proj[rows, cols], self.norms[rows, cols]
+        j, state, norms = self.column, self.state[rows, cols], self.norms[rows, cols]
         norms *= (1.0 - eps) ** 2
-        norms += 2.0 * eps * (1.0 - eps) * proj[..., j]
-        norms += eps * eps * self.gram[j, j]
-        proj *= 1.0 - eps
-        proj += eps * self.gram[j]
+        norms += 2.0 * eps * (1.0 - eps) * state[..., j]  # P[u, j]
+        norms += eps * eps * self.toward[j, j]  # G[j, j]
+        state *= 1.0 - eps
+        state += eps * self.toward[j]
+
+    def settle(self, out: np.ndarray) -> None:
+        """Write the block as the steps so far moved it into ``out`` (U x
+        width, the model's block included), gathering coef[:, :L] * scale
+        over ``rows`` DISTANCE_BLOCK elements at a time."""
+        coef = self.coef.reshape(-1, self.coef.shape[-1])
+        keep, table = coef[:, -1:], (coef[:, :-1] * self.rows.scale).T
+        step = max(1, DISTANCE_BLOCK // len(coef))
+        for span in (slice(i, i + step) for i in range(0, out.shape[1], step)):
+            out[:, span] = keep * self.start[:, span] + self.rows._gather(table, span).T
 
 
 def train_step(
@@ -316,11 +337,16 @@ def train_step(
     cols = slice(max(c - rho, 0), c + rho + 1)
     # Splitting the unit axis is a view for any strides, so the update lands
     # in the model's own array.
-    grid = model.code_vectors.reshape(topo.rows, topo.cols, model.dim)
-    block = grid[rows, cols, lo:hi]
-    block += eps * (x[lo:hi] - block)
-    if model._table is not None:
-        model._table.move(rows, cols, eps)
+    grid, table = model.code_vectors.reshape(topo.rows, topo.cols, model.dim), model._table
+    if table is None:
+        block = grid[rows, cols, lo:hi]
+        block += eps * (x[lo:hi] - block)
+    else:  # the table moves its own block, and the rest moves densely
+        table.move(rows, cols, eps)
+        for a, b in ((lo, table.mask.lo), (table.mask.hi, hi)):
+            if a < b:
+                block = grid[rows, cols, a:b]
+                block += eps * (x[a:b] - block)
     model.trained_steps += 1
     return winner
 
@@ -449,6 +475,16 @@ class OneHotRows:
         out[np.arange(len(self)), self.cols] = self.scale[self.cols]
         return out
 
+    def _gather(self, table: np.ndarray, span: slice, out=None) -> np.ndarray:
+        """Per row of ``span``, the sum of rows cols[k] of ``table`` (M x
+        width), added in column order, into ``out`` if given."""
+        cols = self.cols[:, span]
+        out = np.empty((cols.shape[1], table.shape[1])) if out is None else out
+        out[:] = 0.0
+        for c in cols:
+            out += table[c]
+        return out
+
     def distances(self, code: np.ndarray) -> np.ndarray:
         """_row_distances(self.dense(), code) bit for bit, without its scan:
         the cross term adds rows cols[k] of the M x U table code.T * scale
@@ -456,18 +492,13 @@ class OneHotRows:
         commutes) and ||x||^2 the squares of scale[cols[k]], both in column
         order, and the rest keeps its order, as many rows at a time as keep
         a gather within DISTANCE_BLOCK elements."""
-        n, u = len(self), code.shape[0]
         table, w2 = code.T * self.scale[:, np.newaxis], np.einsum("uw,uw->u", code, code)
-        out = np.empty((n, u))
-        step = max(1, DISTANCE_BLOCK // u)
-        for start in range(0, n, step):
-            block, x2 = out[start:start + step], np.zeros(min(step, n - start))
-            block[:] = 0.0
-            for c in self.cols[:, start:start + step]:
-                x2 += self.scale[c] * self.scale[c]
-                block += table[c]
+        squares, out = (self.scale * self.scale)[:, np.newaxis], np.empty((len(self), len(w2)))
+        step = max(1, DISTANCE_BLOCK // len(w2))
+        for span in (slice(i, i + step) for i in range(0, len(self), step)):
+            block = self._gather(table, span, out[span])
             block *= -2.0
-            block += x2[:, np.newaxis]
+            block += self._gather(squares, span)
             block += w2
         return out
 
@@ -535,8 +566,10 @@ def train(model, sampler, observer=None):
     rows' best matching unit from the same pass; the last, at t_max, holds
     their units on the trained map.  Until train() returns or raises, the
     model holds the GramTable ``sampler.gram_table(model)`` may hand over,
-    its column ``sampler.column`` after each draw.  Returns the model and
-    the log of (steps done, quantization error).  ``observer`` is called as
+    its column ``sampler.column`` after each draw, and the table's block
+    of ``code_vectors`` is current only once train() has returned or
+    raised (GramTable.settle computes it).  Returns the model and the log
+    of (steps done, quantization error).  ``observer`` is called as
     observer(t, x, search_mask, update_mask, model) after each step, for
     instrumentation; it copies ``x`` to keep it past the step.
     """
@@ -567,6 +600,8 @@ def train(model, sampler, observer=None):
             if (t + 1) in marks:
                 checkpoint(t + 1)
     finally:
+        if table is not None:
+            table.settle(table.start)
         model._table = None  # no search after the run reads the table
     return model, qe_log
 

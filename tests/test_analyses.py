@@ -317,7 +317,8 @@ def test_kdisj_golden_digests_hold_with_the_gram_table_forced_on(monkeypatch,
                                                                  tmp_path):
     """With the width gate open, every marriage kdisj run searches its
     modality steps through the Gram table and reproduces every pinned kdisj
-    artifact."""
+    artifact but its model and result, whose individual-space blocks the
+    table sums in coefficient form: those six files have pins of their own."""
     import test_golden
 
     built = []
@@ -330,7 +331,8 @@ def test_kdisj_golden_digests_hold_with_the_gram_table_forced_on(monkeypatch,
     monkeypatch.setattr(som, "GramTable", Recorded)
     monkeypatch.setattr(som, "DISTANCE_BLOCK", 1)
     got = test_golden.digests("kdisj", tmp_path)
-    assert got == {k: v for k, v in test_golden.GOLDEN.items() if ".kdisj." in k}
+    want = {k: v for k, v in test_golden.GOLDEN.items() if ".kdisj." in k}
+    assert got == {**want, **test_golden.GRAM_GOLDEN}
     assert built == [DistanceMask(12, 282)] * test_golden.SEEDS
 
 
@@ -345,7 +347,7 @@ def gated_kdisj_model(marriage, t_max=400):
 
 def test_gram_table_matches_its_units_after_every_step(monkeypatch, marriage):
     """After every step of both phases, the table's inner products and norms
-    equal a fresh sum over the individual-space block."""
+    equal a fresh sum over the individual-space block the table settles."""
     monkeypatch.setattr(som, "DISTANCE_BLOCK", 1000)
     model, sampler = gated_kdisj_model(marriage)
     checked = []
@@ -353,7 +355,8 @@ def test_gram_table_matches_its_units_after_every_step(monkeypatch, marriage):
     def observer(t, x, smask, umask, model):
         table = model._table
         assert table.mask == DistanceMask(12, 282)
-        block = model.code_vectors[:, 12:]
+        block = np.empty((16, 270))
+        table.settle(block)
         fresh = np.einsum("uw,lw->ul", block, sampler.columns)
         np.testing.assert_allclose(table.proj.reshape(16, 12), fresh, rtol=1e-12, atol=0)
         fresh = np.array([np.einsum("w,w->", w, w) for w in block])
@@ -362,6 +365,42 @@ def test_gram_table_matches_its_units_after_every_step(monkeypatch, marriage):
 
     som.train(model, sampler, observer=observer)
     assert checked == list(range(400))
+
+
+def stopped_kdisj_block(marriage, seed):
+    """The individual-space block of a marriage kdisj run that an observer
+    stops after step 201."""
+    held = []
+
+    def stop(t, x, smask, umask, model):
+        if t == 201:
+            held.append(model)
+            raise RuntimeError("stop mid-schedule")
+
+    with pytest.raises(RuntimeError):
+        kdisj(marriage, TOPO, TrainConfig(seed=seed), observer=stop)
+    return held[0].code_vectors[:, 12:]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_gram_tables_block_is_the_dense_block(monkeypatch, marriage, seed):
+    """With the Gram table forced on, a marriage kdisj run keeps the QE log,
+    both assignments and the modality-space components of the dense run bit
+    for bit, and its individual-space block agrees with the dense block
+    within 1e-13 of the block's largest magnitude, at the end of the
+    schedule and in a run stopped after step 201."""
+    dense = kdisj(marriage, TOPO, TrainConfig(seed=seed))
+    dense_stopped = stopped_kdisj_block(marriage, seed)
+    monkeypatch.setattr(som, "DISTANCE_BLOCK", 1)
+    table = kdisj(marriage, TOPO, TrainConfig(seed=seed))
+    assert table.qe_log == dense.qe_log
+    assert np.array_equal(table.modalities.units, dense.modalities.units)
+    assert np.array_equal(table.individuals.units, dense.individuals.units)
+    got, want = table.model.code_vectors, dense.model.code_vectors
+    assert np.array_equal(got[:, :12], want[:, :12])
+    for got, want in ((got[:, 12:], want[:, 12:]),
+                      (stopped_kdisj_block(marriage, seed), dense_stopped)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_no_search_reads_the_gram_table_after_training(monkeypatch, marriage):

@@ -22,6 +22,11 @@ uniform survey of 1,200 individuals and 10 questions of 6 answers on an
 8x8 map (64 x 1,200 components), 400 steps, cut at k=4.  A kmca-ind run
 on the same survey and map pins quantization-error passes over 1,200
 individuals, more rows than one distance block holds.
+``GRAM_GOLDEN`` pins the kdisj models and results of the ``GOLDEN`` runs
+with the Gram table forced on (``som.DISTANCE_BLOCK`` at 1): the table
+sums each individual-space block in coefficient form, so their last bits
+are the table's own, while every other kdisj file keeps its ``GOLDEN``
+bytes (``test_analyses.py`` checks both).
 ``STDOUT_GOLDEN`` pins what the commands print: the ``--json`` summary and
 the ``wrote`` lines (the out dir made relative) of ``ingest``, ``tables``,
 each trainer over two seeds cut at k=3 with both maps, ``macro``, ``pies``
@@ -40,10 +45,12 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from conftest import uniform_survey_csv
+from somcat import som
 from somcat.cli import main
 
 ALGORITHMS = ("kmca", "kmca-ind", "kdisj")
@@ -163,14 +170,23 @@ CSV_GOLDEN = {
 }
 
 WIDE_GOLDEN = {
-    "wide.kdisj.0.result.json": "48c648635f6fb1ef56b3fbeef608e4a86f839d59c23844b497171f1ff7bc2320",
-    "wide.kdisj.0.model.json": "250dd7fd676f7b5480024c55e76173731f3585da640ebcd11dbc0b9abd23b948",
+    "wide.kdisj.0.result.json": "d0c6a92dd61a7a0caac647088b3cfbbb4e92bc7a155e2b886a11871e5ba35266",
+    "wide.kdisj.0.model.json": "6aaa779fdf32d142da95f62c9233430f3c8327608ded82c27be832277d20a0aa",
     "wide.kdisj.0.macro.json": "b24efd1e82d47536e062961380e60fbb09ba90de9ce7d431ca4f4d39db4aae5a",
     "wide.kdisj.0.deviations.json": "92a7ebdc7bd458452d6f4ab41776c4936c98b4021363f890068232c09a01e33d",
     "wide.kmca-ind.0.result.json": "5258c1dbbd518b7b5009d16278c0778df29bf47b7f1928a8dcc4b4e03273f993",
     "wide.kmca-ind.0.model.json": "fb52ccf571c59dfcdc3cc8039d6df69df1d6a77359d7aa134404c05e0402f393",
     "wide.kmca-ind.0.macro.json": "22a22ad44e69cf1531a3c23d31cff3a6d192e4ce22265b39c1cbc4e7349be2d8",
     "wide.kmca-ind.0.deviations.json": "b3a1fd0d22093f028db5a33e3874c30846d4d579e548eebf01d639f95f8efba5",
+}
+
+GRAM_GOLDEN = {
+    "marriages.kdisj.0.result.json": "74b487dedb422d7b1d47c90800366f5070ddd6a1c2a7e84ef2c3def4b6f9b322",
+    "marriages.kdisj.0.model.json": "679ece0e8bf784e4410a3feb634932534c4cbde089207a1c7dc63deede6d2938",
+    "marriages.kdisj.1.result.json": "0a98b2e0b1bca5fa0f163079da06845559d38327e26b14cf18c998559cfd31ae",
+    "marriages.kdisj.1.model.json": "a3ca827efd0a2a1b12916dcae1b4f5ced826f03a58122534c0ee7d7649fe36d8",
+    "marriages.kdisj.2.result.json": "9c668e7d34e68c15b67921d44014d747a6e2d03944a9540fe7e5d4a7bee56bb8",
+    "marriages.kdisj.2.model.json": "4765275aadd87d808c503edff8593b34d26ead29e631ed52e96ba650397181ea",
 }
 
 STDOUT_GOLDEN = {
@@ -407,10 +423,14 @@ if __name__ == "__main__":
         for algorithm in WIDE_ALGORITHMS:
             wides.update(wide_digests(algorithm, Path(tmp) / "wide"))
         stdouts = stdout_digests(Path(tmp) / "stdout")
+        with mock.patch.object(som, "DISTANCE_BLOCK", 1):
+            forced = digests("kdisj", Path(tmp) / "gram")
+        grams = {k: v for k, v in forced.items() if k.endswith((".model.json", ".result.json"))}
     for title, digests_by_name in (
         ("GOLDEN", table), ("DENDROGRAM_GOLDEN", dendrograms), ("DATA_GOLDEN", data),
         ("RENDER_GOLDEN", renders), ("RENDER_OPTION_GOLDEN", options),
-        ("CSV_GOLDEN", csvs), ("WIDE_GOLDEN", wides), ("STDOUT_GOLDEN", stdouts),
+        ("CSV_GOLDEN", csvs), ("WIDE_GOLDEN", wides), ("GRAM_GOLDEN", grams),
+        ("STDOUT_GOLDEN", stdouts),
     ):
         print(f"{title} = {{")
         for name, digest in digests_by_name.items():

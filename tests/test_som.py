@@ -557,7 +557,8 @@ def test_gram_table_search_picks_the_winner_of_the_difference_form():
     model.code_vectors += rng.normal(scale=1e-3, size=model.code_vectors.shape)
     mask = DistanceMask(0, 1200)
     gram = np.einsum("jn,ln->jl", columns, columns)
-    table = model._table = som.GramTable(model, mask, columns, gram)  # as train() does
+    rows = som.OneHotRows(np.nonzero(columns.T)[1].reshape(1200, 10).T, columns.max(axis=1))
+    table = model._table = som.GramTable(model, mask, columns, rows, gram)  # as train() does
     grid = model.code_vectors.reshape(8, 8, 1200)
     for draw in range(1200):
         table.column = int(rng.integers(0, 60))
