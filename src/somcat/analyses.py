@@ -233,12 +233,16 @@ class AnalysisResult:
                     units.dtype.kind == "i" and 0 <= units.min() <= units.max() < n_units):
                 raise DataError("not an analysis result: its packed units are "
                                 f"not integers in [0, {n_units})")
-            return MapAssignment(
-                labels=tuple(packed["items"]), units=units, n_units=n_units)
+            items = jsonio.labels(packed["items"], "an analysis result: items")
+            return MapAssignment(labels=items, units=units, n_units=n_units)
 
         prov = data["provenance"]
         keys = ("dataset_sha256", "config", "qe_log")
         jsonio.require_keys(prov, keys, "a result provenance")
+        log = prov["qe_log"]
+        if not (isinstance(log, list) and all(isinstance(e, list) and len(e) == 2
+                and type(e[0]) is int and type(e[1]) in (int, float) for e in log)):
+            raise DataError("not an analysis result: its qe_log is not [steps, qe] pairs")
         try:
             d2 = np.asarray(data["unit_distances"], dtype=np.float64)
         except (TypeError, ValueError):
@@ -254,7 +258,7 @@ class AnalysisResult:
                 "dataset_sha256": prov["dataset_sha256"],
                 "config": prov["config"],
             },
-            qe_log=[(int(t), float(q)) for t, q in prov["qe_log"]],
+            qe_log=[(t, float(q)) for t, q in log],
             unit_distances=d2,
         )
         shape = (n_units, np.count_nonzero(unit_weights(result)))

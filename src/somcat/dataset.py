@@ -88,7 +88,7 @@ class VariableSpec:
             raise DataError(f"unknown bin order {order!r}")
         return cls(
             name=data["name"],
-            modalities=tuple(data["modalities"]),
+            modalities=jsonio.labels(data["modalities"], "a variable: modalities"),
             breaks=None if breaks is None else tuple(float(b) for b in breaks),
             descending=order == "descending",
         )
@@ -176,10 +176,16 @@ class CategoricalDataset:
     @classmethod
     def from_json(cls, data: dict) -> "CategoricalDataset":
         jsonio.require_keys(data, ("individuals", "variables", "cells"), "a dataset")
+        try:
+            cells = np.asarray(data["cells"])
+        except ValueError:  # rows of unequal length
+            cells = np.asarray(None)
+        if cells.size and cells.dtype.kind != "i":
+            raise DataError("not a dataset: its cells are not equal rows of integers")
         return cls(
-            individuals=list(data["individuals"]),
+            individuals=jsonio.labels(data["individuals"], "a dataset: individuals"),
             variables=[VariableSpec.from_json(v) for v in data["variables"]],
-            cells=np.asarray(data["cells"], dtype=np.int64),
+            cells=cells,
         )
 
     def sha256(self) -> str:

@@ -137,3 +137,10 @@ def require_keys(data, keys: tuple[str, ...], what: str) -> None:
     missing = [k for k in keys if k not in data] if isinstance(data, dict) else keys
     if missing:
         raise DataError(f"not {what}: no {', '.join(missing)}")
+
+
+def labels(value, what: str) -> tuple[str, ...]:
+    """A stored list of strings as a tuple, else a DataError naming ``what``."""
+    if not (isinstance(value, list) and set(map(type, value)) <= {str}):
+        raise DataError(f"not {what} is not a list of strings")
+    return tuple(value)

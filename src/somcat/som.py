@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,8 @@ class Topology:
     @classmethod
     def from_json(cls, data: dict) -> "Topology":
         jsonio.require_keys(data, ("kind", "rows", "cols"), "a map topology")
+        if not all(type(data[key]) is int for key in ("rows", "cols")):
+            raise DataError("not a map topology: its rows and cols are not integers")
         return cls(kind=data["kind"], rows=data["rows"], cols=data["cols"])
 
 
@@ -250,8 +252,8 @@ def bmu(
     difference form sum((x - w)**2), except on the block of a GramTable
     that train() holds: there ``x`` is the table's column c_j, searched as
     ||w||^2 - 2<w, c_j>, whose last bits differ, so a near tie can resolve
-    otherwise.  Batch passes over many rows use _row_distances or
-    OneHotRows.distances.
+    otherwise.  assign() places many rows in the same difference form, and
+    the checkpoints use _row_distances or OneHotRows.distances.
     """
     xm = _masked_input(x, mask, model.dim, 1)
     if not np.isfinite(xm).all():
@@ -368,11 +370,11 @@ def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     difference form sum((x - w)**2).
 
     This kernel serves code-vs-code distances (a result's unit distances,
-    which Ward and orphan placement read, and neighbour statistics): both
-    sides are dense, two code vectors can lie far closer together than
-    their norms, where the expanded form would lose the distance to
-    cancellation, and the pinned dendrogram bytes rest on this arithmetic.
-    Data rows go through _row_distances or OneHotRows.distances instead.
+    which Ward and orphan placement read, and neighbour statistics), where
+    two code vectors can lie far closer together than their norms, and the
+    pinned dendrogram bytes rest on its arithmetic.  assign() places data
+    rows with it, as bmu() searches one; the checkpoints read them through
+    _row_distances or OneHotRows.distances.
 
     The difference and its einsum reduction run one block at a time: as
     many rows as fit DISTANCE_BLOCK elements with all units, and when two rows
@@ -397,66 +399,28 @@ def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
 
 def _row_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     """Squared distance from every data row to every code vector, n x U, as
-    ||x||^2 - 2<x, w> + ||w||^2 over the nonzero entries of each row.
-
-    This kernel serves the batch passes over rows of any form but
-    OneHotRows: assign() (Burt rows, mean vectors, kdisj's modality
-    columns) and the checkpoints of kmca.  bmu() and train_step() keep the
-    difference form, so training trajectories do not depend on it (except
-    where a checkpoint's argmin feeds a sampler).
-
-    ||x||^2 and the cross term add the row's nonzero entries one at a time
-    in column order, with element-wise numpy multiply-adds, and ||w||^2 is
-    one einsum per code vector; nothing calls BLAS or starts a thread.  So
-    a row's distances have the same bits whatever other rows or units
-    share the call, whatever the block size, and whether the rows are a
-    strided view or a contiguous copy.  A block holds as many rows as keep
-    their number times the larger of the unit count and their largest
-    nonzero count within DISTANCE_BLOCK, which bounds its padded arrays and
-    gathers, so no temporary grows with the product of rows, units and
-    width.  A distance far below the norms can round to a small negative.
+    ||x||^2 - 2<x, w> + ||w||^2: kmca's checkpoints over the Burt rows, and
+    the bit oracle of OneHotRows.distances.  ||x||^2 and the cross term add
+    one component at a time in column order (a zero adds an exact zero),
+    ||w||^2 is one einsum per unit, and nothing calls BLAS.  So a row's
+    distances have the same bits whatever rows or units share the call,
+    whatever the block of DISTANCE_BLOCK // U rows, and whether the rows
+    are a view or a copy.  A distance far below the norms can round to a
+    small negative.
     """
-    n, u = rows.shape[0], code.shape[0]
-    w2 = np.einsum("uw,uw->u", code, code)
-    cost = np.maximum(np.count_nonzero(rows, axis=1), u)  # nonzeros, or u if more
-    out = np.empty((n, u))
-    start = 0
-    while start < n:
-        need = np.maximum.accumulate(cost[start:start + DISTANCE_BLOCK // u + 1])
-        need *= np.arange(1, len(need) + 1)
-        size = max(1, int(np.count_nonzero(need <= DISTANCE_BLOCK)))
-        span = slice(start, start + size)
-        _block_row_distances(rows[span], code.T, w2, out[span])
-        start += size
+    w2, out = np.einsum("uw,uw->u", code, code), np.empty((rows.shape[0], code.shape[0]))
+    step = max(1, DISTANCE_BLOCK // len(w2))
+    for span in (slice(i, i + step) for i in range(0, len(out), step)):
+        block = out[span]
+        block[:], x2 = 0.0, np.zeros(len(block))
+        for c in range(rows.shape[1]):
+            x = rows[span, c]
+            x2 += x * x
+            block += code[:, c] * x[:, np.newaxis]
+        block *= -2.0
+        block += x2[:, np.newaxis]
+        block += w2
     return out
-
-
-def _block_row_distances(block, by_column, w2, out) -> None:
-    """_row_distances of one block of rows into ``out``; ``by_column`` is
-    the code transposed (a view), so row c holds component c of every unit.
-    A call of its own, so the block's temporaries are freed with it."""
-    size = block.shape[0]
-    # The k-th nonzero of each row in its column order, padded with zero
-    # values at column 0 up to the block's largest count.
-    r, c = np.nonzero(block != 0)
-    counts = np.bincount(r, minlength=size)
-    depth = int(counts.max(initial=0))
-    rank = np.arange(len(r))
-    rank -= (np.cumsum(counts) - counts)[r]
-    vals = np.zeros((depth, size))
-    vals[rank, r] = block[r, c]
-    cols = np.zeros((depth, size), dtype=np.intp)
-    cols[rank, r] = c
-    x2 = np.zeros(size)
-    out[:] = 0.0
-    for k in range(depth):
-        x2 += vals[k] * vals[k]
-        term = by_column[cols[k]]
-        term *= vals[k][:, np.newaxis]
-        out += term
-    out *= -2.0
-    out += x2[:, np.newaxis]
-    out += w2
 
 
 class OneHotRows:
@@ -486,13 +450,14 @@ class OneHotRows:
         return out
 
     def distances(self, code: np.ndarray) -> np.ndarray:
-        """_row_distances(self.dense(), code) bit for bit, without its scan:
-        the cross term adds rows cols[k] of the M x U table code.T * scale
-        (each product the one _row_distances forms, as IEEE multiplication
-        commutes) and ||x||^2 the squares of scale[cols[k]], both in column
-        order, and the rest keeps its order, as many rows at a time as keep
-        a gather within DISTANCE_BLOCK elements."""
-        table, w2 = code.T * self.scale[:, np.newaxis], np.einsum("uw,uw->u", code, code)
+        """_row_distances(self.dense(), code) bit for bit, reading only the
+        K nonzero columns of each row: the cross term adds rows cols[k] of
+        the C-ordered M x U table code.T * scale (each product the one
+        _row_distances forms, as IEEE multiplication commutes) and ||x||^2
+        the squares of scale[cols[k]], both in column order, and the rest
+        keeps its order, a gather within DISTANCE_BLOCK elements at a time."""
+        table = np.multiply(code.T, self.scale[:, np.newaxis], order="C")
+        w2 = np.einsum("uw,uw->u", code, code)
         squares, out = (self.scale * self.scale)[:, np.newaxis], np.empty((len(self), len(w2)))
         step = max(1, DISTANCE_BLOCK // len(w2))
         for span in (slice(i, i + step) for i in range(0, len(self), step)):
@@ -646,11 +611,10 @@ def assign(
     """Map every row to its best matching unit (deterministic, no learning).
 
     ``units`` limits every row's search as in ``bmu``.  Distances come from
-    _row_distances, so on wide rows a near tie can resolve otherwise than
-    in ``bmu``.
+    _squared_distances, the difference form that ``bmu`` searches.
     """
     rows = _masked_input(rows, mask, model.dim, 2)
-    d2 = _row_distances(rows, _masked_code(model, mask))
+    d2 = _squared_distances(rows, _masked_code(model, mask))
     if units is None:
         best = np.argmin(d2, axis=1)
     else:

@@ -606,11 +606,29 @@ def with_entry(path, value, *keys):
     return json.dumps(data)
 
 
+def a_dataset(cells=((0, 1), (1, 0)), modalities=("x", "y"), individuals=("a", "b")):
+    """A dataset of two individuals and two variables, with ``cells``, the
+    first variable's ``modalities`` and ``individuals`` as given."""
+    return json.dumps({"individuals": individuals, "cells": cells,
+                       "variables": [{"name": "v", "modalities": modalities},
+                                     {"name": "w", "modalities": ["x", "y"]}]})
+
+
 def with_distances_cut(path):
     """The result at ``path`` with the last row of its unit distances cut."""
     data = load(path)
     data["unit_distances"] = data["unit_distances"][:-1]
     return json.dumps(data)
+
+
+# Malformed entries of a stored result and of a dataset, each with the key
+# its error names.
+RESULT_KEYS = {"qe-log-str": "qe_log", "qe-log-entry-str": "qe_log",
+               "topology-rows-str": "rows", "topology-rows-float": "rows",
+               "packed-items-int": "items"}
+DATASET_KEYS = {"dataset-cell-str": "cells", "dataset-row-short": "cells",
+                "dataset-cell-float": "cells", "dataset-modalities-str": "modalities",
+                "dataset-individuals-str": "individuals"}
 
 
 @pytest.mark.parametrize("case", ["macro-list", "render-macro-file", "train-data",
@@ -623,7 +641,8 @@ def with_distances_cut(path):
                                   "packed-units-str", "macro-label-above-k",
                                   "macro-label-negative", "macro-label-list",
                                   "macro-label-float", "macro-k-float",
-                                  "macro-connected-number"])
+                                  "macro-connected-number", *RESULT_KEYS,
+                                  *DATASET_KEYS])
 def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
     outdir, result = trained
     listing = outdir / "list.json"
@@ -649,6 +668,16 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "macro-label-float": a_cut(1.5),
         "macro-k-float": a_cut(k=2.9),
         "macro-connected-number": a_cut(connected=[True, 1, True]),
+        "qe-log-str": with_entry(result, "x", "provenance", "qe_log"),
+        "qe-log-entry-str": with_entry(result, [[0, "a"]], "provenance", "qe_log"),
+        "topology-rows-str": with_entry(result, "4", "topology", "rows"),
+        "topology-rows-float": with_entry(result, 4.0, "topology", "rows"),
+        "packed-items-int": with_entry(result, 5, "modalities", "items"),
+        "dataset-cell-str": a_dataset(cells=[[0, "a"], [1, 0]]),
+        "dataset-row-short": a_dataset(cells=[[0, 1], [0]]),
+        "dataset-cell-float": a_dataset(cells=[[0, 1], [0.5, 0]]),
+        "dataset-modalities-str": a_dataset(modalities="abcdef"),
+        "dataset-individuals-str": a_dataset(individuals="ab"),
     }.get(case, ""), encoding="utf-8")
     before = sorted(outdir.iterdir())
     argv = {
@@ -669,12 +698,16 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "result-distances-null": ["macro", "--result", str(broken), "--macro", "2"],
         "packed-units-range": ["render", "--result", str(broken)],
         "packed-units-str": ["render", "--result", str(broken)],
+        **{key: ["render", "--result", str(broken)] for key in RESULT_KEYS},
+        **{key: ["kmca", "--data", str(broken), "--out", str(outdir)]
+           for key in DATASET_KEYS},
     }.get(case, ["render", "--result", str(result), "--macro-file", str(broken)])
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:data: not a"), err
     if case.startswith("result-"):
         assert "unit_distances" in err
+    assert RESULT_KEYS.get(case, DATASET_KEYS.get(case, "")) in err
     assert sorted(outdir.iterdir()) == before
 
 

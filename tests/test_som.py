@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from somcat import som
+from somcat.analyses import KdisjSampler, kdisj
 from somcat.errors import ConfigError, DimensionError
 from somcat.jsonio import dumps
 from somcat.som import (
@@ -372,15 +373,23 @@ def test_same_seed_reproduces_training_exactly():
 
 # --------------------------------------------------------------------- assign
 
-def test_assign_matches_per_row_bmu():
+def test_assign_matches_per_row_bmu(marriage):
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(50, 3))
     model = init_on(Topology.grid(3, 3), TrainConfig(t_max=10, seed=0), rows)
-    a = assign(model, rows)
-    for i, row in enumerate(rows):
-        assert a.units[i] == bmu(model, row)
-    assert a.counts.sum() == 50
-    assert len(a.labels) == 50
+    # kdisj's placement: its modality columns on the individual-space block
+    # (a strided view of the code vectors), among the units holding someone
+    res = kdisj(marriage, Topology.grid(4, 4), TrainConfig(t_max=2000, seed=3))
+    held = res.individuals.counts > 0
+    assert 0 < held.sum() < 16
+    cases = [(model, rows, None, None),
+             (res.model, KdisjSampler(marriage).columns, DistanceMask(12, 282), held)]
+    for model, rows, mask, units in cases:
+        a = assign(model, rows, mask, units=units)
+        for i, row in enumerate(rows):
+            assert a.units[i] == bmu(model, row, mask, units)
+        assert a.counts.sum() == len(rows)
+        assert len(a.labels) == len(rows)
 
 
 def test_assign_respects_mask_and_labels():
