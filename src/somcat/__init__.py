@@ -22,6 +22,7 @@ from .analyses import (
     kmca_ind,
     modality_mean_vectors,
     run_analysis,
+    sweep,
 )
 from .crossing import (
     ExternalColumn,
@@ -142,6 +143,7 @@ __all__ = [
     "render_pies",
     "render_text",
     "run_analysis",
+    "sweep",
     "to_disjunctive",
     "total_inertia",
     "train",

@@ -269,24 +269,15 @@ class AnalysisResult:
         return result
 
 
-def _train(algorithm: str, ds: CategoricalDataset, topology: Topology,
-           config: TrainConfig | None, sampler, labels, lo, hi, observer=None
-           ) -> tuple[SomModel, list[tuple[int, float]], MapAssignment]:
-    """Initialize a map uniformly over the per-component range [lo, hi] and
-    train it on ``sampler``; an unset t_max takes the algorithm's default
-    budget for ``ds``.  Returns the model, its QE log and the units of the
-    sampler's QE rows, named by ``labels``, from the last checkpoint."""
+def _resolved(algorithm: str, ds: CategoricalDataset,
+              config: TrainConfig | None) -> TrainConfig:
+    """``config`` (default TrainConfig()) whose unset t_max takes the
+    algorithm's default budget for ``ds``."""
     config = config or TrainConfig()
-    if config.t_max is None:
-        steps = default_iterations(
-            algorithm, ds.n_individuals, ds.n_modalities, ds.n_variables
-        )
-        config = dataclasses.replace(config, t_max=steps)
-    model = init_model(topology, config, lo, hi)
-    model, qe_log = train(model, sampler, observer=observer)
-    rows = MapAssignment(labels=tuple(labels), units=sampler.bmus,
-                         n_units=topology.n_units)
-    return model, qe_log, rows
+    if config.t_max is not None:
+        return config
+    steps = default_iterations(algorithm, ds.n_individuals, ds.n_modalities, ds.n_variables)
+    return dataclasses.replace(config, t_max=steps)
 
 
 def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
@@ -306,18 +297,47 @@ def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
     return result
 
 
+def sweep(algorithm: str, ds: CategoricalDataset, topology: Topology,
+          configs: list[TrainConfig | None]) -> list[AnalysisResult]:
+    """run_analysis(algorithm, ds, topology, config) for each config, in order.
+
+    kmca and kmca-ind build their table and sampler once, initialize each
+    map from its own config's RNG and train all the maps in lockstep
+    (som._train_lockstep), so the configs may differ only in their seed.
+    kdisj trains one run after another.
+    """
+    if algorithm == "kdisj":
+        return [kdisj(ds, topology, config) for config in configs]
+    if algorithm == "kmca":
+        sampler = UniformRowSampler(corrected_burt(ds))
+        labels = ds.global_modality_names
+    elif algorithm == "kmca-ind":
+        sampler = UniformRowSampler(disjunctive_index(ds))
+        labels, means = ds.individuals, modality_mean_vectors(ds)
+    else:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if not configs:
+        return []
+    lo, hi = sampler.rows.min(axis=0), sampler.rows.max(axis=0)
+    models = [init_model(topology, _resolved(algorithm, ds, c), lo, hi) for c in configs]
+    results = []
+    for model, (qe_log, bmus) in zip(models, som._train_lockstep(models, sampler)):
+        mapped = MapAssignment(labels=tuple(labels), units=bmus, n_units=topology.n_units)
+        if algorithm == "kmca":
+            results.append(_result(algorithm, ds, model, qe_log, mapped))
+        else:
+            modalities = assign(model, means, labels=ds.global_modality_names)
+            results.append(_result(algorithm, ds, model, qe_log, modalities, mapped))
+    return results
+
+
 def kmca(
     ds: CategoricalDataset,
     topology: Topology,
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on the corrected Burt rows; map positions for modalities only."""
-    rows = corrected_burt(ds)
-    model, qe_log, modalities = _train(
-        "kmca", ds, topology, config, UniformRowSampler(rows),
-        ds.global_modality_names, rows.min(axis=0), rows.max(axis=0),
-    )
-    return _result("kmca", ds, model, qe_log, modalities)
+    return sweep("kmca", ds, topology, [config])[0]
 
 
 def kmca_ind(
@@ -326,15 +346,7 @@ def kmca_ind(
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on corrected disjunctive rows; modalities placed by mean vector."""
-    sampler = UniformRowSampler(disjunctive_index(ds))
-    rows = sampler.rows
-    model, qe_log, individuals = _train(
-        "kmca-ind", ds, topology, config, sampler,
-        ds.individuals, rows.min(axis=0), rows.max(axis=0),
-    )
-    modalities = assign(model, modality_mean_vectors(ds),
-                        labels=ds.global_modality_names)
-    return _result("kmca-ind", ds, model, qe_log, modalities, individuals)
+    return sweep("kmca-ind", ds, topology, [config])[0]
 
 
 def kdisj(
@@ -348,10 +360,10 @@ def kdisj(
     dc = sampler.dc
     lo = np.concatenate([dc.min(axis=0), dc.min(axis=1)])
     hi = np.concatenate([dc.max(axis=0), dc.max(axis=1)])
-    model, qe_log, individuals = _train(
-        "kdisj", ds, topology, config, sampler, ds.individuals, lo, hi,
-        observer=observer,
-    )
+    model = init_model(topology, _resolved("kdisj", ds, config), lo, hi)
+    model, qe_log = train(model, sampler, observer=observer)
+    individuals = MapAssignment(labels=tuple(ds.individuals), units=sampler.bmus,
+                                n_units=topology.n_units)
     modalities = assign(
         model,
         sampler.columns,
@@ -368,10 +380,7 @@ def run_analysis(
     topology: Topology,
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    # Looked up at call time, so a wrapper set on the module attribute runs.
-    return globals()[algorithm.replace("-", "_")](ds, topology, config)
+    return sweep(algorithm, ds, topology, [config])[0]
 
 
 @dataclass(eq=False)

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .analyses import ALGORITHMS, AnalysisResult, deviations, run_analysis
+from .analyses import ALGORITHMS, AnalysisResult, deviations, sweep
 from .crossing import cross, external_from_csv, external_from_dataset
 from .dataset import CategoricalDataset, ingest_csv, load_schema, to_disjunctive
 from .errors import ConfigError, SomcatError
@@ -193,12 +193,13 @@ def _run_seeds(algorithm: str, ds: CategoricalDataset, topology: Topology, args,
     n = len(configs)
     # the pool starts every worker at once: never more than runs or CPUs
     workers = min(args.workers or 4, n, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                run_analysis, [algorithm] * n, [ds] * n, [topology] * n, configs
-            ))
-    return [run_analysis(algorithm, ds, topology, c) for c in configs]
+    if workers == 1:
+        return sweep(algorithm, ds, topology, configs)
+    chunks = [configs[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(sweep, [algorithm] * workers, [ds] * workers,
+                         [topology] * workers, chunks)
+        return [result for part in parts for result in part]
 
 
 def _ward_cut(result: AnalysisResult, k,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -58,7 +57,8 @@ def _f(x: float) -> str:
 
 
 def _esc(s: str) -> str:
-    return escape(s, {'"': "&quot;"})
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return s.replace('"', "&quot;")
 
 
 def display_labels(names) -> dict[str, str]:

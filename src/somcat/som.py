@@ -24,6 +24,11 @@ can win; the neighborhood update around the winner is the same.  A
 GramTable searches a wide block that every step moves toward fixed columns
 and moves it as coefficients of those columns, writing the block back into
 the model when training ends.
+
+train() runs one model through train_step and bmu, step by step.  Maps
+that draw plain rows of one shared sampler (every seed of a kmca or
+kmca-ind sweep) train in lockstep instead, _train_lockstep: one search per
+step covers every map, with train()'s arithmetic, bit for bit.
 """
 
 from __future__ import annotations
@@ -253,7 +258,7 @@ def bmu(
     that train() holds: there ``x`` is the table's column c_j, searched as
     ||w||^2 - 2<w, c_j>, whose last bits differ, so a near tie can resolve
     otherwise.  assign() places many rows in the same difference form, and
-    the checkpoints use _row_distances or OneHotRows.distances.
+    the checkpoints use _row_distance_blocks or OneHotRows.distance_blocks.
     """
     xm = _masked_input(x, mask, model.dim, 1)
     if not np.isfinite(xm).all():
@@ -374,7 +379,7 @@ def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     two code vectors can lie far closer together than their norms, and the
     pinned dendrogram bytes rest on its arithmetic.  assign() places data
     rows with it, as bmu() searches one; the checkpoints read them through
-    _row_distances or OneHotRows.distances.
+    _row_distance_blocks or OneHotRows.distance_blocks.
 
     The difference and its einsum reduction run one block at a time: as
     many rows as fit DISTANCE_BLOCK elements with all units, and when two rows
@@ -397,22 +402,22 @@ def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Squared distance from every data row to every code vector, n x U, as
-    ||x||^2 - 2<x, w> + ||w||^2: kmca's checkpoints over the Burt rows, and
-    the bit oracle of OneHotRows.distances.  ||x||^2 and the cross term add
-    one component at a time in column order (a zero adds an exact zero),
-    ||w||^2 is one einsum per unit, and nothing calls BLAS.  So a row's
-    distances have the same bits whatever rows or units share the call,
-    whatever the block of DISTANCE_BLOCK // U rows, and whether the rows
-    are a view or a copy.  A distance far below the norms can round to a
-    small negative.
+def _row_distance_blocks(rows: np.ndarray, code: np.ndarray):
+    """Squared distance from every data row to every code vector, as
+    ||x||^2 - 2<x, w> + ||w||^2, yielded as (row span, block of rows x U)
+    for DISTANCE_BLOCK // U rows at a time: kmca's checkpoints over the
+    Burt rows, and the bit oracle of OneHotRows's kernel.  ||x||^2 and the
+    cross term add one component at a time in column order (a zero adds an
+    exact zero), ||w||^2 is one einsum per unit, and nothing calls BLAS.  So
+    a row's distances have the same bits whatever rows or units share the
+    call, whatever the block, and whether the rows are a view or a copy.  A
+    distance far below the norms can round to a small negative.
     """
-    w2, out = np.einsum("uw,uw->u", code, code), np.empty((rows.shape[0], code.shape[0]))
+    w2 = np.einsum("uw,uw->u", code, code)
     step = max(1, DISTANCE_BLOCK // len(w2))
-    for span in (slice(i, i + step) for i in range(0, len(out), step)):
-        block = out[span]
-        block[:], x2 = 0.0, np.zeros(len(block))
+    for span in (slice(i, i + step) for i in range(0, rows.shape[0], step)):
+        block = np.zeros((len(rows[span]), len(w2)))
+        x2 = np.zeros(len(block))
         for c in range(rows.shape[1]):
             x = rows[span, c]
             x2 += x * x
@@ -420,7 +425,20 @@ def _row_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
         block *= -2.0
         block += x2[:, np.newaxis]
         block += w2
+        yield span, block
+
+
+def _whole(blocks, n: int, n_units: int) -> np.ndarray:
+    """The n x U matrix of a kernel's (row span, block) pairs."""
+    out = np.empty((n, n_units))
+    for span, block in blocks:
+        out[span] = block
     return out
+
+
+def _row_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """_row_distance_blocks as one n x U matrix."""
+    return _whole(_row_distance_blocks(rows, code), rows.shape[0], code.shape[0])
 
 
 class OneHotRows:
@@ -439,33 +457,36 @@ class OneHotRows:
         out[np.arange(len(self)), self.cols] = self.scale[self.cols]
         return out
 
-    def _gather(self, table: np.ndarray, span: slice, out=None) -> np.ndarray:
+    def _gather(self, table: np.ndarray, span: slice) -> np.ndarray:
         """Per row of ``span``, the sum of rows cols[k] of ``table`` (M x
-        width), added in column order, into ``out`` if given."""
+        width), added in column order."""
         cols = self.cols[:, span]
-        out = np.empty((cols.shape[1], table.shape[1])) if out is None else out
-        out[:] = 0.0
+        out = np.zeros((cols.shape[1], table.shape[1]))
         for c in cols:
             out += table[c]
         return out
 
-    def distances(self, code: np.ndarray) -> np.ndarray:
-        """_row_distances(self.dense(), code) bit for bit, reading only the
-        K nonzero columns of each row: the cross term adds rows cols[k] of
-        the C-ordered M x U table code.T * scale (each product the one
-        _row_distances forms, as IEEE multiplication commutes) and ||x||^2
-        the squares of scale[cols[k]], both in column order, and the rest
-        keeps its order, a gather within DISTANCE_BLOCK elements at a time."""
+    def distance_blocks(self, code: np.ndarray):
+        """_row_distance_blocks(self.dense(), code) bit for bit, reading only
+        the K nonzero columns of each row: the cross term adds rows cols[k]
+        of the C-ordered M x U table code.T * scale (each product the one
+        _row_distance_blocks forms, as IEEE multiplication commutes) and
+        ||x||^2 the squares of scale[cols[k]], both in column order, and the
+        rest keeps its order, a gather within DISTANCE_BLOCK elements at a
+        time."""
         table = np.multiply(code.T, self.scale[:, np.newaxis], order="C")
         w2 = np.einsum("uw,uw->u", code, code)
-        squares, out = (self.scale * self.scale)[:, np.newaxis], np.empty((len(self), len(w2)))
+        squares = (self.scale * self.scale)[:, np.newaxis]
         step = max(1, DISTANCE_BLOCK // len(w2))
         for span in (slice(i, i + step) for i in range(0, len(self), step)):
-            block = self._gather(table, span, out[span])
+            block = self._gather(table, span)
             block *= -2.0
             block += self._gather(squares, span)
             block += w2
-        return out
+            yield span, block
+
+    def distances(self, code: np.ndarray) -> np.ndarray:
+        return _whole(self.distance_blocks(code), len(self), code.shape[0])
 
 
 def quantization_error(
@@ -476,26 +497,32 @@ def quantization_error(
 ) -> float:
     """Mean squared distance from each row to its best matching unit.
 
-    ``rows`` is an array, measured by _row_distances, or a OneHotRows,
-    measured by its own kernel with the same bits as its dense form.
+    ``rows`` is an array, measured by _row_distance_blocks, or a OneHotRows,
+    measured by its own kernel with the same bits as its dense form, one
+    block of rows at a time: only the rows' minima outlive their block.
     ``bmus``, an integer array with one slot per row, receives each row's
     best matching unit from the same distances.
     """
     code = _masked_code(model, mask)
     if isinstance(rows, OneHotRows):
         _masked_input(rows.scale, mask, model.dim, 1)  # one scale per column
-        d2 = rows.distances(code)
+        blocks = rows.distance_blocks(code)
     else:
-        d2 = _row_distances(_masked_input(rows, mask, model.dim, 2), code)
-    best = np.argmin(d2, axis=1)
-    if bmus is not None:
-        bmus[:] = best
-    return float(np.mean(np.maximum(d2[np.arange(len(best)), best], 0.0)))  # the minima
+        blocks = _row_distance_blocks(_masked_input(rows, mask, model.dim, 2), code)
+    minima = np.empty(len(rows))
+    for span, d2 in blocks:
+        best = np.argmin(d2, axis=1)
+        minima[span] = d2[np.arange(len(best)), best]
+        if bmus is not None:
+            bmus[span] = best
+    return float(np.mean(np.maximum(minima, 0.0)))
 
 
 class UniformRowSampler:
     """Draws data rows uniformly; the plain sampler for single-family maps.
-    Rows given as OneHotRows are drawn dense and checkpointed as given."""
+    Rows given as OneHotRows are drawn dense and checkpointed as given.
+    train() draws one row per step through ``draw``; _train_lockstep reads
+    ``rows`` and draws each model's rows of a checkpoint interval at once."""
 
     def __init__(self, rows: np.ndarray | OneHotRows):
         one_hot = isinstance(rows, OneHotRows)
@@ -518,8 +545,23 @@ class UniformRowSampler:
         self.bmus = bmus
 
 
+def _checkpoint(model: SomModel, sampler, steps: int, qe_log: list) -> np.ndarray:
+    """Log the quantization error of ``sampler.qe_rows`` after ``steps`` and
+    hand ``sampler.locate`` the rows' best matching units, also returned."""
+    bmus = np.empty(len(sampler.qe_rows), dtype=np.int64)
+    qe = quantization_error(model, sampler.qe_rows, sampler.qe_mask, bmus)
+    qe_log.append((steps, qe))
+    sampler.locate(bmus, model.topology.n_units)
+    return bmus
+
+
+def _marks(t_max: int) -> list[int]:
+    """Step 0 and every tenth of t_max: the steps after which a run checkpoints."""
+    return sorted({0} | {round(t_max * i / 10) for i in range(1, 11)})
+
+
 def train(model, sampler, observer=None):
-    """Run the full schedule on a fresh model.
+    """Run the full schedule on a fresh model, one train_step at a time.
 
     ``sampler.draw(t, rng)`` supplies (input, search mask, update mask) per
     step from the model's own RNG stream, and ``sampler.candidates(t)`` the
@@ -536,25 +578,20 @@ def train(model, sampler, observer=None):
     raised (GramTable.settle computes it).  Returns the model and the log
     of (steps done, quantization error).  ``observer`` is called as
     observer(t, x, search_mask, update_mask, model) after each step, for
-    instrumentation; it copies ``x`` to keep it past the step.
+    instrumentation; it copies ``x`` to keep it past the step.  kdisj
+    trains here; kmca and kmca-ind train through _train_lockstep, which
+    reproduces this loop bit for bit on a UniformRowSampler.
     """
     if model.trained_steps != 0:
         raise ConfigError("train() expects a freshly initialized model")
     t_max = model.config.t_max
     if t_max is None:
         raise ConfigError("train() needs a resolved t_max")
-    marks = {round(t_max * i / 10) for i in range(1, 11)}
+    marks = set(_marks(t_max))
     qe_log: list[tuple[int, float]] = []
-
-    def checkpoint(steps: int) -> None:
-        bmus = np.empty(len(sampler.qe_rows), dtype=np.int64)
-        qe = quantization_error(model, sampler.qe_rows, sampler.qe_mask, bmus)
-        qe_log.append((steps, qe))
-        sampler.locate(bmus, model.topology.n_units)
-
     table = model._table = sampler.gram_table(model)
     try:
-        checkpoint(0)
+        _checkpoint(model, sampler, 0, qe_log)
         for t in range(t_max):
             x, smask, umask = sampler.draw(t, model.rng)
             if table is not None:
@@ -563,12 +600,61 @@ def train(model, sampler, observer=None):
             if observer is not None:
                 observer(t, x, smask, umask, model)
             if (t + 1) in marks:
-                checkpoint(t + 1)
+                _checkpoint(model, sampler, t + 1, qe_log)
     finally:
         if table is not None:
             table.settle(table.start)
         model._table = None  # no search after the run reads the table
     return model, qe_log
+
+
+def _train_lockstep(models: list[SomModel], sampler: UniformRowSampler):
+    """train(model, sampler) for every model, bit for bit, all at once.
+
+    The models are fresh and share their topology, width and schedule
+    (epsilon0, c0, t_max); each keeps its own RNG.  Inputs are checked once,
+    here.  Each model draws its rows with one ``rng.integers`` call per
+    checkpoint interval, which yields the values and leaves the state of
+    that many scalar draws.  Each model's code vectors become its view of
+    one S x U x dim array, so one einsum of differences searches every
+    model, as bmu does one, and each model's clipped Chebyshev square moves
+    as train_step moves it.  Every model checkpoints as train() does.
+    Returns each model's QE log and its rows' units at t_max.
+    """
+    cfg, topo, dim = models[0].config, models[0].topology, models[0].dim
+
+    def shared(m: SomModel) -> tuple:
+        return m.topology, m.dim, m.config.epsilon0, m.config.c0, m.config.t_max
+
+    if any(m.trained_steps != 0 or shared(m) != shared(models[0]) for m in models):
+        raise ConfigError("lockstep training takes fresh models of one map and schedule")
+    if cfg.t_max is None:
+        raise ConfigError("train() needs a resolved t_max")
+    rows = _masked_input(sampler.rows, None, dim, 2)
+    if not np.isfinite(rows).all():
+        raise DimensionError("input rows contain non-finite values")
+    code = np.stack([model.code_vectors for model in models])
+    grids = code.reshape(len(models), topo.rows, topo.cols, dim)
+    for model, own in zip(models, code):
+        model.code_vectors = own
+    logs: list[list[tuple[int, float]]] = [[] for _ in models]
+    bmus = [_checkpoint(m, sampler, 0, log) for m, log in zip(models, logs)]
+    marks = _marks(cfg.t_max)
+    for begin, end in zip(marks, marks[1:]):
+        picks = [m.rng.integers(0, len(rows), size=end - begin) for m in models]
+        for t, drawn in zip(range(begin, end), np.stack(picks, axis=1)):
+            xs = rows[drawn]
+            diff = code - xs[:, np.newaxis, :]
+            winners = np.einsum("suw,suw->su", diff, diff).argmin(axis=1).tolist()
+            rho, eps = cfg.radius(t, topo.side), cfg.epsilon(t, topo.n_units)
+            for grid, x, winner in zip(grids, xs, winners):
+                r, c = divmod(winner, topo.cols)
+                block = grid[max(r - rho, 0):r + rho + 1, max(c - rho, 0):c + rho + 1]
+                block += eps * (x - block)
+        for i, model in enumerate(models):
+            model.trained_steps = end
+            bmus[i] = _checkpoint(model, sampler, end, logs[i])
+    return list(zip(logs, bmus))
 
 
 @dataclass(eq=False)

@@ -1,10 +1,13 @@
 """The three training pipelines and the attraction diagnostic."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import somcat
-from somcat import som
+from somcat import analyses, som
 from somcat.analyses import (
     AnalysisResult,
     KdisjSampler,
@@ -17,8 +20,8 @@ from somcat.analyses import (
     modality_mean_vectors,
     run_analysis,
 )
-from somcat.dataset import CategoricalDataset, VariableSpec, to_disjunctive
-from somcat.errors import ConfigError, DataError, ZeroModalityError
+from somcat.dataset import CategoricalDataset, VariableSpec, ingest_csv, to_disjunctive
+from somcat.errors import ConfigError, DataError, DimensionError, ZeroModalityError
 from somcat.jsonio import dumps
 from somcat.som import (
     DistanceMask,
@@ -28,9 +31,9 @@ from somcat.som import (
     assign,
     init_model,
 )
-from somcat.tables import corrected_burt, corrected_disjunctive
+from somcat.tables import corrected_burt, corrected_disjunctive, disjunctive_index
 
-from conftest import random_dataset
+from conftest import random_dataset, uniform_survey_csv
 
 TOPO = Topology.grid(4, 4)
 
@@ -298,7 +301,7 @@ def test_pipelines_are_seed_deterministic(marriage):
     assert np.array_equal(a.individuals.units, b.individuals.units)
 
 
-@pytest.mark.parametrize("algorithm", ["kmca-ind", "kdisj"])
+@pytest.mark.parametrize("algorithm", ["kdisj"])
 def test_every_step_calls_train_step_then_bmu_once(monkeypatch, marriage, algorithm):
     calls = {"train_step": 0, "bmu": 0}
     for name in calls:
@@ -311,6 +314,78 @@ def test_every_step_calls_train_step_then_bmu_once(monkeypatch, marriage, algori
         monkeypatch.setattr(som, name, counted)
     run_analysis(algorithm, marriage, TOPO, small_cfg(t_max=40))
     assert calls == {"train_step": 40, "bmu": 40}
+
+
+class Located(som.UniformRowSampler):
+    """Keeps a copy of every checkpoint's units, in the order located."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.located = []
+
+    def locate(self, bmus, n_units):
+        super().locate(bmus, n_units)
+        self.located.append(bmus.copy())
+
+
+def survey(seed=3, n=150):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "survey.csv"
+        path.write_text(uniform_survey_csv(seed, n, 4, 3))
+        return ingest_csv(path)
+
+
+@pytest.mark.parametrize("algorithm", ["kmca", "kmca-ind"])
+@pytest.mark.parametrize("data, topo, t_max", [
+    ("marriage", TOPO, None), ("survey", Topology.grid(3, 5), 1500),
+], ids=["marriage", "survey"])
+def test_lockstep_reproduces_train_on_every_seed(marriage, algorithm, data, topo, t_max):
+    """Five seeds trained together match five runs of train(), which steps
+    through train_step and bmu: code vectors, QE logs, every checkpoint's
+    units, step counts and the state each RNG is left in."""
+    ds = marriage if data == "marriage" else survey()
+    rows = corrected_burt(ds) if algorithm == "kmca" else disjunctive_index(ds)
+    dense = Located(rows).rows
+    lo, hi = dense.min(axis=0), dense.max(axis=0)
+    configs = [analyses._resolved(algorithm, ds, TrainConfig(seed=s, t_max=t_max))
+               for s in range(5)]
+    together, models = Located(rows), [init_model(topo, c, lo, hi) for c in configs]
+    trained = som._train_lockstep(models, together)
+    for s, (config, model, (qe_log, bmus)) in enumerate(zip(configs, models, trained)):
+        alone = Located(rows)
+        reference, reference_log = som.train(init_model(topo, config, lo, hi), alone)
+        assert np.array_equal(model.code_vectors, reference.code_vectors)
+        assert qe_log == reference_log and len(qe_log) == 11
+        assert model.trained_steps == reference.trained_steps == config.t_max
+        located = together.located[s::len(models)]
+        assert len(located) == len(alone.located) == 11
+        assert all(np.array_equal(a, b) for a, b in zip(located, alone.located))
+        assert np.array_equal(bmus, alone.located[-1])
+        assert model.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_lockstep_checks_its_inputs_once(marriage):
+    rows = corrected_burt(marriage)
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+
+    def fresh(**changes):
+        return init_model(TOPO, TrainConfig(**{"t_max": 50, **changes}), lo, hi)
+
+    for models in ([fresh(), fresh(t_max=60)], [fresh(), fresh(c0=2.0)],
+                   [fresh(), init_model(Topology.grid(2, 8), small_cfg(), lo, hi)],
+                   [fresh(t_max=None)]):
+        with pytest.raises(ConfigError):
+            som._train_lockstep(models, som.UniformRowSampler(rows))
+    used = fresh()
+    som._train_lockstep([used], som.UniformRowSampler(rows))
+    with pytest.raises(ConfigError):
+        som._train_lockstep([fresh(), used], som.UniformRowSampler(rows))
+    bad = rows.copy()
+    bad[3, 4] = np.nan
+    with pytest.raises(DimensionError):
+        som._train_lockstep([fresh()], som.UniformRowSampler(bad))
+    with pytest.raises(DimensionError):
+        som._train_lockstep([fresh()], som.UniformRowSampler(rows[:, :-1]))
 
 
 def test_kdisj_golden_digests_hold_with_the_gram_table_forced_on(monkeypatch,

@@ -316,6 +316,33 @@ def test_parallel_workers_match_serial(tmp_path, capsys):
         assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
 
+@pytest.mark.parametrize("algorithm", ["kmca", "kmca-ind"])
+def test_lockstep_sweeps_match_single_seed_runs_on_any_worker_count(
+        tmp_path, capsys, monkeypatch, algorithm):
+    """Five seeds in one lockstep sweep, in 2 and in 4 uneven chunks of
+    seeds (worker processes), and one seed at a time write the same bytes."""
+    monkeypatch.setattr("somcat.cli.os.cpu_count", lambda: 8)
+    flags = ["--grid", "3x3", "--iters", "300", "--macro", "3", "--render", "both"]
+    outs = {}
+    for workers in ("1", "2", "4"):
+        outs[workers] = tmp_path / workers
+        run_json(capsys, algorithm, *MARRIAGE, *flags, "--seeds", "5",
+                 "--workers", workers, "--out", str(outs[workers]))
+    for seed in range(5):
+        run_json(capsys, algorithm, *MARRIAGE, *flags, "--seed", str(seed),
+                 "--out", str(tmp_path / "alone"))
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert len(names) == 5 * (5 if algorithm == "kmca" else 6) + 1  # + stability
+    for out in (outs["2"], outs["4"]):
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (outs["1"] / name).read_bytes(), name
+    alone = sorted(p.name for p in (tmp_path / "alone").iterdir())
+    assert alone == [n for n in names if not n.endswith("stability.json")]
+    for name in alone:
+        assert (tmp_path / "alone" / name).read_bytes() == (outs["1"] / name).read_bytes()
+
+
 def test_string_topology_flag(tmp_path, capsys):
     summary = run_json(
         capsys,

@@ -5,7 +5,9 @@ import ast
 import contextlib
 import io
 import re
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +21,7 @@ PACKAGE = ROOT / "src" / "somcat"
 # may lower this ceiling, and raises it only with the reason in CHANGES.md.
 SETTABLE_VALUES_CEILING = 89
 # Physical lines of src/somcat/*.py, under the same rule.
-SRC_LINES_CEILING = 3300
+SRC_LINES_CEILING = 3398
 
 
 def test_package_imports_only_the_standard_library_and_numpy():
@@ -108,3 +110,17 @@ def test_readme_command_lines_parse():
                 build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    """The CLI's import stays clear of urllib, http, ssl and email, which an
+    XML escape helper of the standard library would pull in."""
+    script = ("import sys, somcat.cli\n"
+              "print(sorted({'urllib.request', 'http.client', 'ssl', 'email'}"
+              " & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -519,6 +519,29 @@ def test_quantization_error_reads_one_hot_rows_as_their_dense_form():
     assert sampler.qe_rows is index and np.array_equal(sampler.rows, rows)
 
 
+@pytest.mark.parametrize("form", ["dense", "index"])
+def test_a_checkpoint_never_holds_rows_times_units(form):
+    """A checkpoint of 10^4 rows on 400 units keeps each row's minimum
+    only, not the N x U distances (32 MB), and gives the whole matrix's
+    quantization error and units."""
+    rng = np.random.default_rng(31)
+    cols = rng.integers(0, 5, size=(3, 10_000)) + 5 * np.arange(3)[:, None]
+    index = som.OneHotRows(cols, rng.uniform(0.2, 1.0, size=15))
+    rows = index if form == "index" else index.dense()
+    model = init_on(Topology.grid(20, 20), TrainConfig(t_max=10, seed=0), index.dense())
+    bmus = np.empty(10_000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        qe = quantization_error(model, rows, None, bmus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000 * 400 * 8
+    d2 = som._row_distances(index.dense(), model.code_vectors)
+    assert qe == float(np.mean(np.maximum(d2.min(axis=1), 0.0)))
+    assert np.array_equal(bmus, d2.argmin(axis=1))
+
+
 def test_one_hot_distances_do_not_depend_on_blas_threads():
     script = (
         "import hashlib, numpy as np\n"
