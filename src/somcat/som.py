@@ -128,12 +128,7 @@ class TrainConfig:
     def from_json(cls, data: dict) -> "TrainConfig":
         keys = ("epsilon0", "c0", "t_max", "seed")
         jsonio.require_keys(data, keys, "a training config")
-        return cls(
-            epsilon0=data["epsilon0"],
-            c0=data["c0"],
-            t_max=data["t_max"],
-            seed=data["seed"],
-        )
+        return cls(**{key: data[key] for key in keys})
 
 
 @dataclass(frozen=True)
@@ -617,23 +612,22 @@ def _train_lockstep(models: list[SomModel], sampler: UniformRowSampler):
     checkpoint interval, which yields the values and leaves the state of
     that many scalar draws.  Each model's code vectors become its view of
     one S x U x dim array, so one einsum of differences searches every
-    model, as bmu does one, and each model's clipped Chebyshev square moves
-    as train_step moves it.  Every model checkpoints as train() does.
-    Returns each model's QE log and its rows' units at t_max.
+    model, as bmu does one.  Each model's clipped Chebyshev square moves as
+    train_step moves it, except at radius 0: there one update gathers the S
+    winners' rows, moves them with train_step's elementwise operations and
+    writes them back.  Every model checkpoints as train() does.  Returns
+    each model's QE log and its rows' units at t_max.
     """
     cfg, topo, dim = models[0].config, models[0].topology, models[0].dim
-
-    def shared(m: SomModel) -> tuple:
-        return m.topology, m.dim, m.config.epsilon0, m.config.c0, m.config.t_max
-
-    if any(m.trained_steps != 0 or shared(m) != shared(models[0]) for m in models):
+    shared = {(m.topology, m.dim, m.config.epsilon0, m.config.c0, m.config.t_max) for m in models}
+    if len(shared) > 1 or any(m.trained_steps != 0 for m in models):
         raise ConfigError("lockstep training takes fresh models of one map and schedule")
     if cfg.t_max is None:
         raise ConfigError("train() needs a resolved t_max")
     rows = _masked_input(sampler.rows, None, dim, 2)
     if not np.isfinite(rows).all():
         raise DimensionError("input rows contain non-finite values")
-    code = np.stack([model.code_vectors for model in models])
+    code, seeds = np.stack([model.code_vectors for model in models]), np.arange(len(models))
     grids = code.reshape(len(models), topo.rows, topo.cols, dim)
     for model, own in zip(models, code):
         model.code_vectors = own
@@ -645,9 +639,14 @@ def _train_lockstep(models: list[SomModel], sampler: UniformRowSampler):
         for t, drawn in zip(range(begin, end), np.stack(picks, axis=1)):
             xs = rows[drawn]
             diff = code - xs[:, np.newaxis, :]
-            winners = np.einsum("suw,suw->su", diff, diff).argmin(axis=1).tolist()
+            winners = np.einsum("suw,suw->su", diff, diff).argmin(axis=1)
             rho, eps = cfg.radius(t, topo.side), cfg.epsilon(t, topo.n_units)
-            for grid, x, winner in zip(grids, xs, winners):
+            if rho == 0:  # block += eps * (x - block) on each winner's row alone
+                won = code[seeds, winners]
+                won += eps * (xs - won)
+                code[seeds, winners] = won
+                continue
+            for grid, x, winner in zip(grids, xs, winners.tolist()):
                 r, c = divmod(winner, topo.cols)
                 block = grid[max(r - rho, 0):r + rho + 1, max(c - rho, 0):c + rho + 1]
                 block += eps * (x - block)

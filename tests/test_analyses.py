@@ -343,12 +343,26 @@ def test_lockstep_reproduces_train_on_every_seed(marriage, algorithm, data, topo
     """Five seeds trained together match five runs of train(), which steps
     through train_step and bmu: code vectors, QE logs, every checkpoint's
     units, step counts and the state each RNG is left in."""
-    ds = marriage if data == "marriage" else survey()
+    check_lockstep(marriage if data == "marriage" else survey(), algorithm, topo, t_max, 5)
+
+
+@pytest.mark.parametrize("algorithm", ["kmca", "kmca-ind"])
+@pytest.mark.parametrize("topo, n_seeds", [
+    (Topology.string(8), 5), (Topology.string(8), 1), (Topology.grid(2, 7), 5),
+    (Topology.grid(2, 7), 1), (Topology.grid(3, 5), 1),
+], ids=["string-5", "string-1", "wide-5", "wide-1", "grid-1"])
+def test_lockstep_reproduces_train_on_any_map_and_seed_count(algorithm, topo, n_seeds):
+    """The same on a string, on a grid whose squares clip on a side of 2,
+    and on a sweep of one seed, over the wide radii and radius 0 alike."""
+    check_lockstep(survey(), algorithm, topo, 1500, n_seeds)
+
+
+def check_lockstep(ds, algorithm, topo, t_max, n_seeds):
     rows = corrected_burt(ds) if algorithm == "kmca" else disjunctive_index(ds)
     dense = Located(rows).rows
     lo, hi = dense.min(axis=0), dense.max(axis=0)
     configs = [analyses._resolved(algorithm, ds, TrainConfig(seed=s, t_max=t_max))
-               for s in range(5)]
+               for s in range(n_seeds)]
     together, models = Located(rows), [init_model(topo, c, lo, hi) for c in configs]
     trained = som._train_lockstep(models, together)
     for s, (config, model, (qe_log, bmus)) in enumerate(zip(configs, models, trained)):
