@@ -670,6 +670,9 @@ def main(argv=None) -> int:
     except SomcatError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # an allocation past what the machine gives
+        print(f"error:memory: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     if args.json:
         sys.stdout.write(jsonio.dumps(summary))
     else:

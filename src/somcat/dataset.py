@@ -180,7 +180,9 @@ class CategoricalDataset:
             cells = np.asarray(data["cells"])
         except ValueError:  # rows of unequal length
             cells = np.asarray(None)
-        if cells.size and cells.dtype.kind != "i":
+        # np.asarray reads a JSON true or false among integers as 1 or 0.
+        booleans = cells.ndim == 2 and bool in {type(v) for row in data["cells"] for v in row}
+        if cells.size and (cells.dtype.kind != "i" or booleans):
             raise DataError("not a dataset: its cells are not equal rows of integers")
         return cls(
             individuals=jsonio.labels(data["individuals"], "a dataset: individuals"),

@@ -34,7 +34,7 @@ step covers every map, with train()'s arithmetic, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -117,12 +117,7 @@ class TrainConfig:
         return int(math.floor((side / 2.0) / (1.0 + t * slope / self.t_max)))
 
     def to_json(self) -> dict:
-        return {
-            "epsilon0": self.epsilon0,
-            "c0": self.c0,
-            "t_max": self.t_max,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
@@ -226,14 +221,14 @@ def _masked_input(data, mask: DistanceMask | None, dim: int, ndim: int) -> np.nd
     return data
 
 
-def _best_among(d2: np.ndarray, units, n_units: int) -> np.ndarray:
+def _best_among(d2: np.ndarray, units) -> np.ndarray:
     """Argmin over the last axis of ``d2`` (distances to each unit), taken
     only over the units marked True in the boolean mask ``units``."""
     units = np.asarray(units, dtype=bool)
-    if units.shape != (n_units,):
+    if units.shape != d2.shape[-1:]:
         raise DimensionError("units must hold one flag per map unit")
     best = np.where(units, d2, np.inf).argmin(axis=-1)
-    if not units[best].all():  # nothing marked: every distance was inf
+    if not (units[best] if d2.ndim == 1 else units[best].all()):  # nothing marked
         raise DimensionError("units must mark at least one of the map's units")
     return best
 
@@ -252,21 +247,31 @@ def bmu(
     difference form sum((x - w)**2), except on the block of a GramTable
     that train() holds: there ``x`` is the table's column c_j, searched as
     ||w||^2 - 2<w, c_j>, whose last bits differ, so a near tie can resolve
-    otherwise.  assign() places many rows in the same difference form, and
-    the checkpoints use _row_distance_blocks or OneHotRows.distance_blocks.
+    otherwise.  An ``x`` that is not finite fails, before a bad ``units``
+    does.  It makes every difference-form distance NaN or inf, so ``x`` is
+    tested only when the winning distance is not finite (a finite ``x``
+    whose distances overflow is then searched as usual) and on a GramTable.
     """
-    xm = _masked_input(x, mask, model.dim, 1)
-    if not np.isfinite(xm).all():
-        raise DimensionError("input vector contains non-finite values")
-    table = model._table
-    if table is not None and mask == table.mask:
+    xm, table = _masked_input(x, mask, model.dim, 1), model._table
+    tabled = table is not None and mask == table.mask
+    if tabled:
         d2 = (table.norms - 2.0 * table.proj[..., table.column]).ravel()
     else:
         diff = _masked_code(model, mask) - xm
         d2 = np.einsum("ij,ij->i", diff, diff)
-    if units is None:
-        return int(d2.argmin())
-    return int(_best_among(d2, units, model.topology.n_units))
+    try:
+        best = d2.argmin() if units is None else _best_among(d2, units)
+    except DimensionError:  # a bad ``units``, reported after a non-finite input
+        _require_finite(xm)
+        raise
+    if tabled or not math.isfinite(d2[best]):
+        _require_finite(xm)
+    return int(best)
+
+
+def _require_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise DimensionError("input contains non-finite values")
 
 
 class GramTable:
@@ -331,25 +336,27 @@ def train_step(
     x = _masked_input(x, None, model.dim, 1)
     xs = x if search_mask is None else x[search_mask.lo:search_mask.hi]
     winner = bmu(model, xs, search_mask, units)
+    model.trained_steps += 1
     rho = cfg.radius(t, topo.side)
     eps = cfg.epsilon(t, topo.n_units)
-    r, c = divmod(winner, topo.cols)
     lo, hi = (0, model.dim) if update_mask is None else (update_mask.lo, update_mask.hi)
-    rows = slice(max(r - rho, 0), r + rho + 1)
-    cols = slice(max(c - rho, 0), c + rho + 1)
+    table = model._table
+    if rho == 0 and table is None:  # the winner's row alone, as _train_lockstep moves it
+        block = model.code_vectors[winner, lo:hi]
+        block += eps * (x[lo:hi] - block)
+        return winner
+    r, c = divmod(winner, topo.cols)
+    rows, cols = slice(max(r - rho, 0), r + rho + 1), slice(max(c - rho, 0), c + rho + 1)
     # Splitting the unit axis is a view for any strides, so the update lands
     # in the model's own array.
-    grid, table = model.code_vectors.reshape(topo.rows, topo.cols, model.dim), model._table
-    if table is None:
-        block = grid[rows, cols, lo:hi]
-        block += eps * (x[lo:hi] - block)
-    else:  # the table moves its own block, and the rest moves densely
+    grid, spans = model.code_vectors.reshape(topo.rows, topo.cols, model.dim), ((lo, hi),)
+    if table is not None:  # the table moves its own block, and the rest moves densely
         table.move(rows, cols, eps)
-        for a, b in ((lo, table.mask.lo), (table.mask.hi, hi)):
-            if a < b:
-                block = grid[rows, cols, a:b]
-                block += eps * (x[a:b] - block)
-    model.trained_steps += 1
+        spans = (lo, table.mask.lo), (table.mask.hi, hi)
+    for a, b in spans:
+        if a < b:
+            block = grid[rows, cols, a:b]
+            block += eps * (x[a:b] - block)
     return winner
 
 
@@ -573,9 +580,7 @@ def train(model, sampler, observer=None):
     raised (GramTable.settle computes it).  Returns the model and the log
     of (steps done, quantization error).  ``observer`` is called as
     observer(t, x, search_mask, update_mask, model) after each step, for
-    instrumentation; it copies ``x`` to keep it past the step.  kdisj
-    trains here; kmca and kmca-ind train through _train_lockstep, which
-    reproduces this loop bit for bit on a UniformRowSampler.
+    instrumentation; it copies ``x`` to keep it past the step.
     """
     if model.trained_steps != 0:
         raise ConfigError("train() expects a freshly initialized model")
@@ -625,8 +630,7 @@ def _train_lockstep(models: list[SomModel], sampler: UniformRowSampler):
     if cfg.t_max is None:
         raise ConfigError("train() needs a resolved t_max")
     rows = _masked_input(sampler.rows, None, dim, 2)
-    if not np.isfinite(rows).all():
-        raise DimensionError("input rows contain non-finite values")
+    _require_finite(rows)
     code, seeds = np.stack([model.code_vectors for model in models]), np.arange(len(models))
     grids = code.reshape(len(models), topo.rows, topo.cols, dim)
     for model, own in zip(models, code):
@@ -700,15 +704,9 @@ def assign(
     """
     rows = _masked_input(rows, mask, model.dim, 2)
     d2 = _squared_distances(rows, _masked_code(model, mask))
-    if units is None:
-        best = np.argmin(d2, axis=1)
-    else:
-        best = _best_among(d2, units, model.topology.n_units)
-    if not labels:
-        labels = tuple(str(i) for i in range(rows.shape[0]))
-    return MapAssignment(
-        labels=tuple(labels), units=best, n_units=model.topology.n_units
-    )
+    best = np.argmin(d2, axis=1) if units is None else _best_among(d2, units)
+    labels = tuple(labels) or tuple(str(i) for i in range(len(rows)))
+    return MapAssignment(labels=labels, units=best, n_units=model.topology.n_units)
 
 
 @dataclass(frozen=True)
@@ -731,6 +729,4 @@ def neighbor_distance_stats(model: SomModel) -> NeighborStats:
     adj, non = dist[adjacent], dist[~adjacent]
     if not adj.size or not non.size:
         raise ConfigError("topology too small to split adjacent/non-adjacent pairs")
-    return NeighborStats(
-        mean_adjacent=float(np.mean(adj)), mean_non_adjacent=float(np.mean(non))
-    )
+    return NeighborStats(float(np.mean(adj)), float(np.mean(non)))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
+from somcat import analyses
 from somcat.analyses import AnalysisResult
 from somcat.cli import main, stability_report
 from somcat.jsonio import load
@@ -126,6 +127,23 @@ def test_a_cut_above_the_filled_units_writes_nothing(tmp_path, capsys, argv, fil
     assert code == 1
     k = argv[argv.index("--macro") + 1]
     assert err.startswith(f"error:config: --macro {k} exceeds the {filled} units"), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 1.07 GiB for an array with shape (10000, 14400)",
+     "error:memory: Unable to allocate 1.07 GiB for an array with shape (10000, 14400)"),
+    ("", "error:memory: out of memory"),
+], ids=["numpy-message", "bare"])
+def test_a_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, message, line):
+    """An allocation that fails in training (here the code vectors') ends the
+    command with one error line and exit 1, no traceback, no file written."""
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(analyses, "init_model", fail)
+    code, out, err = run(capsys, "kdisj", *MARRIAGE, "--out", str(tmp_path))
+    assert (code, out, err.splitlines()) == (1, "", [line])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -654,7 +672,8 @@ RESULT_KEYS = {"qe-log-str": "qe_log", "qe-log-entry-str": "qe_log",
                "topology-rows-str": "rows", "topology-rows-float": "rows",
                "packed-items-int": "items"}
 DATASET_KEYS = {"dataset-cell-str": "cells", "dataset-row-short": "cells",
-                "dataset-cell-float": "cells", "dataset-modalities-str": "modalities",
+                "dataset-cell-float": "cells", "dataset-cell-bool": "cells",
+                "dataset-modalities-str": "modalities",
                 "dataset-individuals-str": "individuals"}
 
 
@@ -703,6 +722,7 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "dataset-cell-str": a_dataset(cells=[[0, "a"], [1, 0]]),
         "dataset-row-short": a_dataset(cells=[[0, 1], [0]]),
         "dataset-cell-float": a_dataset(cells=[[0, 1], [0.5, 0]]),
+        "dataset-cell-bool": a_dataset(cells=[[0, 1], [True, 0]]),
         "dataset-modalities-str": a_dataset(modalities="abcdef"),
         "dataset-individuals-str": a_dataset(individuals="ab"),
     }.get(case, ""), encoding="utf-8")

@@ -108,6 +108,16 @@ def test_dataset_json_round_trip(marriage):
     assert clone.sha256() == marriage.sha256()
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_json_boolean_among_the_cells_is_a_data_error(marriage, flag):
+    """A JSON true or false is no modality index, though numpy reads one
+    among integers as 1 or 0."""
+    data = json.loads(json.dumps(marriage.to_json()))
+    data["cells"][0][0] = flag
+    with pytest.raises(DataError, match="not a dataset: its cells"):
+        CategoricalDataset.from_json(data)
+
+
 # ------------------------------------------------------ disjunctive encoding
 
 def test_disjunctive_one_hot_block_structure(marriage, marriage_disj):

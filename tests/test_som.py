@@ -637,6 +637,77 @@ def test_bmu_and_assign_search_only_marked_units():
             assign(model, rows, units=bad)
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                                     ids=["nan", "inf", "-inf"])
+
+
+@NON_FINITE
+def test_bmu_rejects_a_non_finite_input_before_its_units(bad):
+    """A non-finite component fails the search, masked or not, whatever
+    ``units`` marks: an input that is not finite is reported before a
+    ``units`` that marks nothing.  A step with such an input moves nothing."""
+    model = init_model(Topology.grid(2, 3), TrainConfig(t_max=20, seed=0),
+                       np.zeros(4), np.ones(4))
+    before = model.code_vectors.copy()
+    some, none = np.array([False, True, False, True, False, False]), np.zeros(6, bool)
+    mask = DistanceMask(1, 4)
+    for k in range(4):
+        x = np.full(4, 0.5)
+        x[k] = bad
+        cases = [(x, None)] + ([(x[mask.lo:mask.hi], mask)] if k >= mask.lo else [])
+        for xm, m in cases:
+            for units in (None, some, none):
+                with pytest.raises(DimensionError, match="non-finite"):
+                    bmu(model, xm, m, units)
+                with pytest.raises(DimensionError, match="non-finite"):
+                    train_step(model, x, 15, m, None, units)
+    assert np.array_equal(model.code_vectors, before) and model.trained_steps == 0
+    with pytest.raises(DimensionError, match="mark at least one"):
+        bmu(model, np.full(3, 0.5), mask, none)
+
+
+@NON_FINITE
+def test_bmu_rejects_a_non_finite_input_through_a_gram_table(bad):
+    """A GramTable's search never reads ``x``, yet a non-finite ``x`` fails
+    it as it fails the difference form, before a ``units`` that marks
+    nothing."""
+    rng = np.random.default_rng(27)
+    columns = k_hot_rows(rng, 40, (4,) * 3).T  # 12 modality columns
+    model = init_on(Topology.grid(2, 3), TrainConfig(t_max=10, seed=0), columns[:2])
+    mask = DistanceMask(0, 40)
+    gram = np.einsum("jn,ln->jl", columns, columns)
+    rows = som.OneHotRows(np.nonzero(columns.T)[1].reshape(40, 3).T, columns.max(axis=1))
+    table = model._table = som.GramTable(model, mask, columns, rows, gram)
+    table.column = 5
+    some, none = np.array([False, True, False, True, False, False]), np.zeros(6, bool)
+    x = columns[table.column].copy()
+    assert bmu(model, x, mask, some) in (1, 3)
+    for k in (0, 17, 39):
+        x = columns[table.column].copy()
+        x[k] = bad
+        for units in (None, some, none):
+            with pytest.raises(DimensionError, match="non-finite"):
+                bmu(model, x, mask, units)
+
+
+def test_bmu_searches_a_finite_input_whose_distances_overflow():
+    """Squared distances past the float range are inf, not a bad input: the
+    search runs, and the first least distance wins as it always has."""
+    model = init_model(Topology.grid(2, 3), TrainConfig(t_max=20, seed=0),
+                       np.zeros(3), np.ones(3))
+    x = np.array([0.5, 1e200, 0.5])
+    mask = DistanceMask(1, 3)
+    marked = np.array([True, False, False, True, True, False])
+    # every distance is inf: the first unit the search may take
+    assert bmu(model, x) == 0
+    assert bmu(model, x[1:], mask) == 0
+    assert bmu(model, x, units=marked) == 0
+    model.code_vectors[4, 1] = 1e200  # unit 4 alone lies at a finite distance
+    assert bmu(model, x) == 4
+    assert bmu(model, x[1:], mask, marked) == 4
+    assert train_step(model, x, 15, units=marked) == 4
+
+
 def test_train_step_limits_only_the_search():
     model = init_on(Topology.grid(1, 3), TrainConfig(t_max=10, seed=0),
                     np.zeros((2, 1)))
