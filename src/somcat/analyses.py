@@ -292,8 +292,9 @@ def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
         qe_log=qe_log,
         unit_distances=np.empty(0),
     )
-    code = model.code_vectors
-    result.unit_distances = som._squared_distances(code, code[unit_weights(result) > 0])
+    code, occupied = model.code_vectors, unit_weights(result) > 0
+    leaves = code if occupied.all() else code[occupied]  # no U x dim copy on a full map
+    result.unit_distances = som._squared_distances(code, leaves)
     return result
 
 
@@ -439,11 +440,4 @@ def deviations(result: AnalysisResult, ds: CategoricalDataset) -> DeviationTable
     ) / ds.n_individuals
     own_unit = result.modalities.units.copy()
     own_dev = (observed - expected)[np.arange(m), own_unit]
-    return DeviationTable(
-        modalities=names,
-        observed=observed,
-        expected=expected,
-        unit_counts=unit_counts,
-        own_unit=own_unit,
-        own_deviation=own_dev,
-    )
+    return DeviationTable(names, observed, expected, unit_counts, own_unit, own_dev)

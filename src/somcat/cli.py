@@ -225,7 +225,7 @@ def _write_run(outdir: Path, name: str, result: AnalysisResult,
     seed = result.provenance["config"]["seed"]
     base = f"{name}.{result.algorithm}.{seed}"
     files: list[str] = []
-    _write_json(outdir, f"{base}.model.json", result.model.to_json(), files)
+    _write_json(outdir, f"{base}.model.json", result.model.artifact(), files)
     _write_json(outdir, f"{base}.result.json", result.to_json(), files)
     if macro is not None:
         _write_json(outdir, f"{base}.macro.json", macro.to_json(), files)
@@ -417,11 +417,11 @@ def cmd_tables(args):
             "modality_counts": counts,
             "names": names,
             "individuals": list(ds.individuals),
-            "ones": [np.flatnonzero(row).tolist() for row in d],
+            "ones": ds.cells + np.asarray(ds.block_offsets),
         },
-        "burt": {"names": names, "counts": counts, "entries": b.tolist()},
-        "burt_corrected": corrected_burt(ds).tolist(),
-        "disjunctive_corrected": corrected_disjunctive(ds).tolist(),
+        "burt": {"names": names, "counts": counts, "entries": b},
+        "burt_corrected": corrected_burt(ds),
+        "disjunctive_corrected": corrected_disjunctive(ds),
     }
     _write_json(outdir, f"{name}.tables.json", payload, files)
     k, n = ds.n_variables, ds.n_individuals

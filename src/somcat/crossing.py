@@ -124,9 +124,4 @@ def cross(
     counts = np.zeros((assignment.n_units, len(external.modalities)), dtype=np.int64)
     for ident, unit in zip(assignment.labels, assignment.units):
         counts[int(unit), external.values[ident]] += 1
-    return PieGrid(
-        topology=topology,
-        variable=external.name,
-        labels=external.modalities,
-        counts=counts,
-    )
+    return PieGrid(topology, external.name, external.modalities, counts)

@@ -147,11 +147,8 @@ class CategoricalDataset:
     @property
     def block_offsets(self) -> tuple[int, ...]:
         """Start column of each variable's block in the disjunctive table."""
-        offsets, pos = [], 0
-        for var in self.variables:
-            offsets.append(pos)
-            pos += len(var.modalities)
-        return tuple(offsets)
+        sizes = [len(v.modalities) for v in self.variables]
+        return tuple(np.cumsum([0] + sizes[:-1]).tolist())
 
     @property
     def global_modality_names(self) -> tuple[str, ...]:

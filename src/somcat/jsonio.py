@@ -8,6 +8,9 @@ whose join is exactly what ``json.dumps`` writes with ``indent=2`` and
 scalars to json's C encoder in one call, with the indentation folded into
 the item separator, so the large numeric rows of a model are formatted in C
 and streamed to the file one row at a time rather than joined in memory.
+A numpy array is written as the nested list ``.tolist()`` gives, with the
+same bytes, but only one innermost row at a time becomes Python numbers, so
+a writer passes its matrices as arrays and no whole-matrix list is built.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from types import NoneType
+
+import numpy as np
 
 from .errors import DataError, IOErrorCategory
 
@@ -55,16 +60,19 @@ def _key(key) -> str:
 def chunks(obj, depth: int = 0) -> Iterator[str]:
     """Pieces of the artifact text of ``obj`` (json's two-space indented
     format, non-ASCII kept), in order; ``depth`` is the indentation level of
-    ``obj`` itself."""
-    is_dict = isinstance(obj, dict)
-    if not is_dict and not isinstance(obj, (list, tuple)):
+    ``obj`` itself.  An array of two or more dimensions is a list of its
+    rows, and a row (or a 0-d array) is what its ``.tolist()`` gives."""
+    if isinstance(obj, np.ndarray) and obj.ndim < 2:
+        obj = obj.tolist()
+    is_dict, is_array = isinstance(obj, dict), isinstance(obj, np.ndarray)
+    if not (is_dict or is_array or isinstance(obj, (list, tuple))):
         yield _leaf_encoder(0)(obj)
         return
-    if not obj:
+    if not len(obj):
         yield "{}" if is_dict else "[]"
         return
     pad = _INDENT * (depth + 1)
-    if _all_scalars(obj.values() if is_dict else obj):
+    if not is_array and _all_scalars(obj.values() if is_dict else obj):
         text = _leaf_encoder(depth + 1)(obj)
         yield text[0] + "\n" + pad + text[1:-1] + "\n" + _INDENT * depth + text[-1]
         return

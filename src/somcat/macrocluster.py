@@ -157,13 +157,7 @@ def ward_cluster(d2: np.ndarray, weights: np.ndarray,
                              "of positive weight")
     leaf_w = weights[list(leaves)]
     merges = ward_linkage(d2[list(leaves)], leaf_w)
-    return Dendrogram(
-        topology=topology,
-        leaves=leaves,
-        weights=leaf_w,
-        merges=merges,
-        unit_distances=d2,
-    )
+    return Dendrogram(topology, leaves, leaf_w, merges, d2)
 
 
 @dataclass(eq=False)
@@ -263,13 +257,9 @@ def cut(dendrogram: Dendrogram, k: int) -> MacroClassing:
         nearest = dendrogram.unit_distances[orphan].argmin(axis=1)
         labels[orphan] = labels[np.asarray(dendrogram.leaves)[nearest]]
 
-    tags = sorted(
-        set(labels.tolist()),
-        key=lambda tag: int(np.flatnonzero(labels == tag).min()),
-    )
-    remap = {tag: i for i, tag in enumerate(tags)}
-    labels = np.asarray([remap[tag] for tag in labels], dtype=np.int64)
-    classes = [sorted(np.flatnonzero(labels == i).tolist()) for i in range(k)]
+    _, first, tag = np.unique(labels, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[tag]  # classes in order of first unit
+    classes = [np.flatnonzero(labels == i).tolist() for i in range(k)]
     connected = [_is_connected(c, dendrogram.topology) for c in classes]
     return MacroClassing(k=k, labels=labels, classes=classes, connected=connected)
 

@@ -162,14 +162,19 @@ class SomModel:
         if self.rng is None:
             self.rng = np.random.default_rng(self.config.seed)
 
-    def to_json(self) -> dict:
+    def artifact(self) -> dict:
+        """The model file's content: ``to_json()`` with the code vectors
+        left an array, which jsonio writes one row at a time."""
         return {
             "topology": self.topology.to_json(),
             "dim": self.dim,
             "config": self.config.to_json(),
             "trained_steps": self.trained_steps,
-            "code_vectors": self.code_vectors.tolist(),
+            "code_vectors": self.code_vectors,
         }
+
+    def to_json(self) -> dict:
+        return {**self.artifact(), "code_vectors": self.code_vectors.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "SomModel":
@@ -228,8 +233,11 @@ def _best_among(d2: np.ndarray, units) -> np.ndarray:
     if units.shape != d2.shape[-1:]:
         raise DimensionError("units must hold one flag per map unit")
     best = np.where(units, d2, np.inf).argmin(axis=-1)
-    if not (units[best] if d2.ndim == 1 else units[best].all()):  # nothing marked
-        raise DimensionError("units must mark at least one of the map's units")
+    marked = units[best]
+    if not (marked if d2.ndim == 1 else marked.all()):  # none marked, or all at inf
+        if not units.any():
+            raise DimensionError("units must mark at least one of the map's units")
+        best = np.where(marked, best, units.argmax())  # a tie: the lowest marked unit
     return best
 
 

@@ -1,6 +1,7 @@
 """The three training pipelines and the attraction diagnostic."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from somcat.jsonio import dumps
 from somcat.som import (
     DistanceMask,
     MapAssignment,
+    SomModel,
     Topology,
     TrainConfig,
     assign,
@@ -557,6 +559,26 @@ def test_analysis_result_json_round_trip(marriage):
     assert np.array_equal(clone.individuals.units, res.individuals.units)
     assert np.array_equal(clone.unit_distances, res.unit_distances)
     assert dumps(clone.to_json()) == dumps(blob)
+
+
+def test_the_unit_distances_of_a_full_map_copy_no_code_vectors():
+    """When every unit holds weight, _result measures the unit distances on
+    the code vectors themselves: its peak stays far below one U x dim copy
+    (64 x 10,060 numbers, 5.2 MB, a kdisj map of 10^4 individuals)."""
+    rng = np.random.default_rng(5)
+    ds = random_dataset(rng, n=128)
+    model = SomModel(Topology.grid(8, 8), 10_060, small_cfg(), rng.random((64, 10_060)))
+    individuals = MapAssignment(tuple(ds.individuals), np.arange(128) % 64, 64)
+    modalities = MapAssignment(ds.global_modality_names, np.arange(ds.n_modalities), 64)
+    tracemalloc.start()
+    try:
+        res = analyses._result("kdisj", ds, model, [(0, 1.0)], modalities, individuals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    code = model.code_vectors
+    assert res.unit_distances.tobytes() == som._squared_distances(code, code.copy()).tobytes()
 
 
 # ------------------------------------------------------------------ deviations

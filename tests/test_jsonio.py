@@ -2,6 +2,7 @@
 to the file with bounded memory, and atomic writes that leave nothing behind
 on failure."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 from somcat import jsonio
-from somcat.cli import main
+from somcat.analyses import AnalysisResult
+from somcat.cli import _write_run, main
 from somcat.errors import IOErrorCategory
-from somcat.som import SomModel, Topology, TrainConfig
+from somcat.som import MapAssignment, SomModel, Topology, TrainConfig
 
 
 def reference(obj) -> str:
@@ -84,13 +86,62 @@ def test_unencodable_values_raise_like_json(bad):
     assert str(got.value) == str(want.value)
 
 
+ARRAYS = {
+    "1-d": np.linspace(-1.0, 1.0, 7),
+    "2-d": np.arange(12.0).reshape(3, 4) / 7.0,
+    "3-d": np.arange(24.0).reshape(2, 3, 4) * 0.1,
+    "(0,)": np.empty(0),
+    "(2, 0)": np.empty((2, 0)),
+    "(0, 3)": np.empty((0, 3)),
+    "int": np.arange(-6, 6).reshape(3, 4),
+    "int32": np.arange(5, dtype=np.int32),
+    "bool": np.array([[True, False], [False, True]]),
+    "float32": np.array([0.1, 1e-30], dtype=np.float32),
+    "nan-inf-negzero": np.array([[math.nan, math.inf], [-math.inf, -0.0], [0.0, 1e300]]),
+    "0-d": np.array(2.5),
+}
+
+
+@pytest.mark.parametrize("arr", ARRAYS.values(), ids=ARRAYS.keys())
+def test_an_array_is_written_as_its_tolist(tmp_path, arr):
+    want = reference(arr.tolist())
+    assert jsonio.dumps(arr) == want
+    jsonio.write_json(tmp_path / "a.json", arr)
+    assert (tmp_path / "a.json").read_text(encoding="utf-8") == want
+    nested = {"a": arr, "b": [1, arr, {"c": (arr, "x")}], "d": [[arr], {}]}
+    plain = {"a": arr.tolist(), "b": [1, arr.tolist(), {"c": [arr.tolist(), "x"]}],
+             "d": [[arr.tolist()], {}]}
+    assert jsonio.dumps(nested) == reference(plain)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), np.bool_(True), np.float32(0.5), {1, 2}],
+                         ids=["int64", "bool_", "float32", "set"])
+def test_unencodable_values_beside_arrays_raise_like_json(bad):
+    with pytest.raises(TypeError) as want:
+        reference({"rows": [[0.5, 1.5], [2.5, 3.5]], "bad": [bad]})
+    with pytest.raises(TypeError) as got:
+        jsonio.dumps({"rows": np.arange(0.5, 4.0).reshape(2, 2), "bad": [bad]})
+    assert str(got.value) == str(want.value)
+
+
+def native(obj):
+    """``obj`` with every numpy array replaced by its ``.tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: native(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [native(value) for value in obj]
+    return obj
+
+
 def test_every_cli_json_artifact_matches_json_indent_2(tmp_path, monkeypatch):
     written = []
     write_json = jsonio.write_json
 
     def recording(path, obj):
         out = write_json(path, obj)
-        written.append((out.name, out.read_text(encoding="utf-8"), reference(obj)))
+        written.append((out.name, out.read_text(encoding="utf-8"), reference(native(obj))))
         return out
 
     monkeypatch.setattr(jsonio, "write_json", recording)
@@ -140,6 +191,32 @@ def test_model_write_streams_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert peak < 8e6
     assert (tmp_path / "model.json").read_text(encoding="utf-8") == reference(blob)
+
+
+def test_a_run_writes_its_model_in_bounded_memory(tmp_path):
+    """A model as wide as a kdisj map of 10^4 individuals, written as a run
+    writes it: its dict is built and written inside the traced window, and
+    no list of its 643,840 numbers is made."""
+    rng = np.random.default_rng(3)
+    topo, n, m = Topology.grid(8, 8), 10_000, 60
+    model = SomModel(topo, m + n, TrainConfig(t_max=10, seed=0), rng.random((64, m + n)))
+    result = AnalysisResult(
+        algorithm="kmca", topology=topo, model=model,
+        modalities=MapAssignment(tuple(f"q.{j}" for j in range(m)), np.arange(m), 64),
+        individuals=None, provenance={"dataset_sha256": "0" * 64,
+                                      "config": model.config.to_json()},
+        qe_log=[(0, 1.0), (10, 0.5)], unit_distances=rng.random((64, m)))
+    args = argparse.Namespace(render="none")
+    tracemalloc.start()
+    try:
+        summary = _write_run(tmp_path, "survey", result, None, None, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert summary["files"] == ["survey.kmca.0.model.json", "survey.kmca.0.result.json"]
+    text = (tmp_path / "survey.kmca.0.model.json").read_text(encoding="utf-8")
+    assert text == reference(model.to_json())
 
 
 @pytest.mark.parametrize("bad", [set(), np.int64(3)])

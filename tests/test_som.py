@@ -708,6 +708,32 @@ def test_bmu_searches_a_finite_input_whose_distances_overflow():
     assert train_step(model, x, 15, units=marked) == 4
 
 
+def test_an_input_whose_marked_distances_overflow_goes_to_the_first_marked_unit():
+    """When every marked unit lies at an infinite distance, the tie goes to
+    the lowest marked unit, in bmu, train_step and assign alike.  A
+    ``units`` that marks nothing still fails, after a non-finite input."""
+    model = init_model(Topology.grid(2, 3), TrainConfig(t_max=20, seed=0),
+                       np.zeros(3), np.ones(3))
+    x = np.array([0.5, 1e200, 0.5])
+    rows = np.array([x, [0.5, 0.5, 0.5], x])
+    mask = DistanceMask(1, 3)
+    marked, none = np.array([False, True, True, False, False, False]), np.zeros(6, bool)
+    assert bmu(model, x, units=marked) == 1
+    assert bmu(model, x[1:], mask, marked) == 1
+    near = bmu(model, rows[1], units=marked)
+    assert near in (1, 2)
+    assert assign(model, rows, units=marked).units.tolist() == [1, near, 1]
+    assert assign(model, rows[:, 1:], mask, units=marked).units.tolist()[::2] == [1, 1]
+    for units in (none, none.tolist()):
+        with pytest.raises(DimensionError, match="mark at least one"):
+            bmu(model, x, units=units)
+        with pytest.raises(DimensionError, match="mark at least one"):
+            assign(model, rows, units=units)
+    with pytest.raises(DimensionError, match="non-finite"):
+        bmu(model, np.array([0.5, math.inf, 0.5]), units=none)
+    assert train_step(model, x, 15, units=marked) == 1
+
+
 def test_train_step_limits_only_the_search():
     model = init_on(Topology.grid(1, 3), TrainConfig(t_max=10, seed=0),
                     np.zeros((2, 1)))
