@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -559,6 +560,7 @@ def cmd_report(args):
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache  # a parse reads the parser and changes nothing in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="somcat",

@@ -226,19 +226,16 @@ def _masked_input(data, mask: DistanceMask | None, dim: int, ndim: int) -> np.nd
     return data
 
 
-def _best_among(d2: np.ndarray, units) -> np.ndarray:
-    """Argmin over the last axis of ``d2`` (distances to each unit), taken
-    only over the units marked True in the boolean mask ``units``."""
+def _marked(units, n_units: int) -> np.ndarray:
+    """The indices of the units marked True in ``units``, one boolean per
+    map unit, in increasing order."""
     units = np.asarray(units, dtype=bool)
-    if units.shape != d2.shape[-1:]:
+    if units.shape != (n_units,):
         raise DimensionError("units must hold one flag per map unit")
-    best = np.where(units, d2, np.inf).argmin(axis=-1)
-    marked = units[best]
-    if not (marked if d2.ndim == 1 else marked.all()):  # none marked, or all at inf
-        if not units.any():
-            raise DimensionError("units must mark at least one of the map's units")
-        best = np.where(marked, best, units.argmax())  # a tie: the lowest marked unit
-    return best
+    marked = units.nonzero()[0]  # np.flatnonzero of a vector, without its ravel
+    if not len(marked):
+        raise DimensionError("units must mark at least one of the map's units")
+    return marked
 
 
 def bmu(
@@ -250,31 +247,39 @@ def bmu(
     """Best matching unit: least squared distance on the masked components.
 
     ``x`` holds the masked components only.  ``units`` (one boolean per
-    unit) limits the search to the units marked True.  Ties resolve to the
-    lowest unit index.  This is every training step's search, in the
-    difference form sum((x - w)**2), except on the block of a GramTable
-    that train() holds: there ``x`` is the table's column c_j, searched as
-    ||w||^2 - 2<w, c_j>, whose last bits differ, so a near tie can resolve
-    otherwise.  An ``x`` that is not finite fails, before a bad ``units``
-    does.  It makes every difference-form distance NaN or inf, so ``x`` is
-    tested only when the winning distance is not finite (a finite ``x``
-    whose distances overflow is then searched as usual) and on a GramTable.
+    unit) limits the search to the units marked True, and only their
+    distances are computed; a lone marked unit wins unsearched.  Ties
+    resolve to the lowest unit index.  This is every training step's
+    search, in the difference form sum((x - w)**2), except on the block of
+    a GramTable that train() holds: there ``x`` is the table's column c_j,
+    searched as ||w||^2 - 2<w, c_j>, whose last bits differ, so a near tie
+    can resolve otherwise.  An ``x`` that is not finite fails, before a bad
+    ``units`` does.  It makes every difference-form distance NaN or inf, so
+    ``x`` is tested only when the winning distance is not finite (a finite
+    ``x`` whose distances overflow is then searched as usual), on a
+    GramTable and for a lone marked unit.
     """
     xm, table = _masked_input(x, mask, model.dim, 1), model._table
-    tabled = table is not None and mask == table.mask
-    if tabled:
-        d2 = (table.norms - 2.0 * table.proj[..., table.column]).ravel()
-    else:
-        diff = _masked_code(model, mask) - xm
-        d2 = np.einsum("ij,ij->i", diff, diff)
     try:
-        best = d2.argmin() if units is None else _best_among(d2, units)
+        marked = None if units is None else _marked(units, model.topology.n_units)
     except DimensionError:  # a bad ``units``, reported after a non-finite input
         _require_finite(xm)
         raise
+    if marked is not None and len(marked) == 1:
+        _require_finite(xm)
+        return int(marked[0])
+    tabled = table is not None and mask == table.mask
+    if tabled:
+        d2 = (table.norms - 2.0 * table.proj[..., table.column]).ravel()
+        d2 = d2 if marked is None else d2[marked]
+    else:
+        code = _masked_code(model, mask)
+        diff = (code if marked is None else code[marked]) - xm
+        d2 = np.einsum("ij,ij->i", diff, diff)
+    best = d2.argmin()
     if tabled or not math.isfinite(d2[best]):
         _require_finite(xm)
-    return int(best)
+    return int(best if marked is None else marked[best])
 
 
 def _require_finite(x: np.ndarray) -> None:
@@ -707,14 +712,17 @@ def assign(
 ) -> MapAssignment:
     """Map every row to its best matching unit (deterministic, no learning).
 
-    ``units`` limits every row's search as in ``bmu``.  Distances come from
+    ``units`` limits every row's search as in ``bmu``, measuring only the
+    marked units' code vectors (uncopied when every unit is marked) with
     _squared_distances, the difference form that ``bmu`` searches.
     """
-    rows = _masked_input(rows, mask, model.dim, 2)
-    d2 = _squared_distances(rows, _masked_code(model, mask))
-    best = np.argmin(d2, axis=1) if units is None else _best_among(d2, units)
+    rows, code = _masked_input(rows, mask, model.dim, 2), _masked_code(model, mask)
+    marked = np.arange(len(code)) if units is None else _marked(units, len(code))
+    full = len(marked) == len(code)  # every unit: the code vectors, not a copy
+    d2 = _squared_distances(rows, code if full else code[marked])
     labels = tuple(labels) or tuple(str(i) for i in range(len(rows)))
-    return MapAssignment(labels=labels, units=best, n_units=model.topology.n_units)
+    return MapAssignment(labels=labels, units=marked[d2.argmin(axis=1)],
+                         n_units=model.topology.n_units)
 
 
 @dataclass(frozen=True)

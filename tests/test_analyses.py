@@ -581,6 +581,24 @@ def test_the_unit_distances_of_a_full_map_copy_no_code_vectors():
     assert res.unit_distances.tobytes() == som._squared_distances(code, code.copy()).tobytes()
 
 
+def test_assign_over_every_unit_copies_no_code_vectors():
+    """assign with every unit marked, as kdisj places its modalities on a
+    map whose every unit holds an individual, measures the code vectors
+    themselves: its peak stays far below one copy of the U x N block (64 x
+    10,000 numbers, 5.1 MB)."""
+    rng = np.random.default_rng(6)
+    model = SomModel(Topology.grid(8, 8), 10_060, small_cfg(), rng.random((64, 10_060)))
+    columns, mask = rng.random((60, 10_000)), DistanceMask(60, 10_060)
+    tracemalloc.start()
+    try:
+        placed = assign(model, columns, mask=mask, units=np.ones(64, dtype=bool))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert np.array_equal(placed.units, assign(model, columns, mask=mask).units)
+
+
 # ------------------------------------------------------------------ deviations
 
 def fake_result(ds, ind_units, mod_units, n_units=4):

@@ -10,7 +10,7 @@ import pytest
 from conftest import random_dataset
 from somcat import analyses
 from somcat.analyses import AnalysisResult
-from somcat.cli import main, stability_report
+from somcat.cli import build_parser, main, stability_report
 from somcat.jsonio import load
 from somcat.macrocluster import cut, ward_cluster
 from somcat.som import MapAssignment, Topology, _squared_distances
@@ -388,6 +388,19 @@ def test_config_file_overrides_flags(tmp_path, capsys):
     assert run_info["t_max"] == 150
     model = load(tmp_path / f"{run_info['base']}.model.json")
     assert (model["topology"]["rows"], model["topology"]["cols"]) == (2, 3)
+
+
+def test_commands_in_one_process_share_no_state(tmp_path, capsys):
+    """The parser is built once per process, and a command leaves nothing in
+    it: after a --config run that sets the seed, a plain run trains seed 0."""
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}), encoding="utf-8")
+    configured = run_json(capsys, "kmca", *MARRIAGE, "--iters", "50", "--config", str(cfg),
+                          "--out", str(tmp_path / "configured"))
+    plain = run_json(capsys, "kmca", *MARRIAGE, "--iters", "50", "--out", str(tmp_path / "plain"))
+    assert [r["seed"] for r in configured["runs"] + plain["runs"]] == [3, 0]
+    assert (tmp_path / "plain" / "marriages.kmca.0.model.json").exists()
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

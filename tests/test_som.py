@@ -734,6 +734,50 @@ def test_an_input_whose_marked_distances_overflow_goes_to_the_first_marked_unit(
     assert train_step(model, x, 15, units=marked) == 1
 
 
+def marked_oracle(d2: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The least of each row of ``d2`` (rows x U, to every unit) among the
+    marked units, as argmin takes it (a NaN wins); a row whose every
+    marked distance is inf goes to the lowest marked unit."""
+    best = np.where(units, d2, np.inf).argmin(axis=1)
+    return np.where(units[best], best, units.argmax())
+
+
+MARKS = {"one": [5], "two": [2, 6], "several": [1, 3, 6, 8, 11], "all": range(12)}
+
+
+@pytest.mark.parametrize("marks", MARKS.values(), ids=MARKS.keys())
+@pytest.mark.parametrize("code_vectors", ["tied", "overflowing", "nan"])
+def test_a_marked_search_matches_the_full_search_masked(marks, code_vectors):
+    """bmu (dense, and through a GramTable) and assign, which measure only
+    the marked units, pick what the full difference form picks among them:
+    on duplicated code vectors (ties), code vectors and rows whose marked
+    distances overflow, and NaN code vectors."""
+    rng = np.random.default_rng(31)
+    columns = k_hot_rows(rng, 30, (4,) * 3).T  # 12 modality columns, 30 wide
+    model = init_on(Topology.grid(3, 4), TrainConfig(t_max=10, seed=0), columns)
+    code = model.code_vectors
+    rows = columns
+    if code_vectors == "tied":  # units u, u + 4 and u + 8 share a code vector
+        code[:] = code[np.arange(12) % 4]
+    elif code_vectors == "overflowing":  # every marked distance of "two" is inf
+        code[[1, 2, 6], 0] = 1e200
+        rows = np.vstack([columns, np.full((2, 30), 1e200)])  # every distance is inf
+    else:
+        code[[0, 6]] = np.nan
+    units = np.zeros(12, dtype=bool)
+    units[list(marks)] = True
+    d2 = np.array([np.einsum("uw,uw->u", code - x, code - x) for x in rows])
+    want = marked_oracle(d2, units)
+    assert [bmu(model, x, units=units) for x in rows] == want.tolist()
+    assert assign(model, rows, units=units).units.tolist() == want.tolist()
+    mask, gram = DistanceMask(0, 30), np.einsum("jn,ln->jl", columns, columns)
+    one_hot = som.OneHotRows(np.nonzero(columns.T)[1].reshape(30, 3).T, columns.max(axis=1))
+    table = model._table = som.GramTable(model, mask, columns, one_hot, gram)
+    for j, x in enumerate(columns):
+        table.column = j
+        assert bmu(model, x, mask, units) == want[j]
+
+
 def test_train_step_limits_only_the_search():
     model = init_on(Topology.grid(1, 3), TrainConfig(t_max=10, seed=0),
                     np.zeros((2, 1)))
