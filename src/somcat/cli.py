@@ -35,7 +35,6 @@ import functools
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +196,7 @@ def _run_seeds(algorithm: str, ds: CategoricalDataset, topology: Topology, args,
     if workers == 1:
         return sweep(algorithm, ds, topology, configs)
     chunks = [configs[i * n // workers:(i + 1) * n // workers] for i in range(workers)]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only to start a pool
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(sweep, [algorithm] * workers, [ds] * workers,
                          [topology] * workers, chunks)

@@ -11,6 +11,7 @@ labels are the dataset's ``individuals`` and ``global_modality_names``.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,8 +40,8 @@ class VariableSpec:
     descending: bool = False
 
     def __post_init__(self):
-        if not self.name:
-            raise DataError("variable name must be non-empty")
+        if not (isinstance(self.name, str) and self.name):
+            raise DataError("not a variable: name is not a non-empty string")
         if len(self.modalities) < 2:
             raise DataError(
                 f"variable {self.name!r} needs at least 2 modalities, "
@@ -82,14 +83,18 @@ class VariableSpec:
     @classmethod
     def from_json(cls, data: dict) -> "VariableSpec":
         jsonio.require_keys(data, ("name", "modalities"), "a variable")
-        breaks = data.get("breaks")
+        name, breaks = data["name"], data.get("breaks")
+        finite = isinstance(breaks, list) and all(  # a float's range: no inf or NaN
+            type(b) in (int, float) and abs(b) <= sys.float_info.max for b in breaks)
+        if breaks is not None and not finite:
+            raise DataError(f"not a variable: the breaks of {name!r} are not finite numbers")
         order = data.get("order", "ascending")
         if order not in ("ascending", "descending"):
             raise DataError(f"unknown bin order {order!r}")
         return cls(
-            name=data["name"],
+            name=name,
             modalities=jsonio.labels(data["modalities"], "a variable: modalities"),
-            breaks=None if breaks is None else tuple(float(b) for b in breaks),
+            breaks=None if breaks is None else tuple(map(float, breaks)),
             descending=order == "descending",
         )
 
@@ -183,7 +188,7 @@ class CategoricalDataset:
             raise DataError("not a dataset: its cells are not equal rows of integers")
         return cls(
             individuals=jsonio.labels(data["individuals"], "a dataset: individuals"),
-            variables=[VariableSpec.from_json(v) for v in data["variables"]],
+            variables=_variables(data["variables"], "a dataset"),
             cells=cells,
         )
 
@@ -205,9 +210,15 @@ def to_disjunctive(ds: CategoricalDataset) -> np.ndarray:
 def load_schema(path: str | Path) -> list[VariableSpec]:
     """Read a schema/binning config file (see README for the key layout)."""
     data = jsonio.load(path)
-    if not isinstance(data, dict) or "variables" not in data:
-        raise DataError(f"schema file {path} must contain a 'variables' list")
-    return [VariableSpec.from_json(v) for v in data["variables"]]
+    jsonio.require_keys(data, ("variables",), f"a schema file {path}")
+    return _variables(data["variables"], f"a schema file {path}")
+
+
+def _variables(value, what: str) -> list[VariableSpec]:
+    """The specs of a stored 'variables' entry, which must be a list of objects."""
+    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+        raise DataError(f"not {what}: variables is not a list of objects")
+    return [VariableSpec.from_json(v) for v in value]
 
 
 def _read_csv(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:

@@ -25,6 +25,9 @@ GramTable searches a wide block that every step moves toward fixed columns
 and moves it as coefficients of those columns, writing the block back into
 the model when training ends.
 
+One kernel per kind of row measures data rows: dense ones _squared_distances,
+as bmu searches, and one-hot ones OneHotRows.distance_blocks.
+
 train() runs one model through train_step and bmu, step by step.  Maps
 that draw plain rows of one shared sampler (every seed of a kmca or
 kmca-ind sweep) train in lockstep instead, _train_lockstep: one search per
@@ -392,9 +395,9 @@ def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
     This kernel serves code-vs-code distances (a result's unit distances,
     which Ward and orphan placement read, and neighbour statistics), where
     two code vectors can lie far closer together than their norms, and the
-    pinned dendrogram bytes rest on its arithmetic.  assign() places data
-    rows with it, as bmu() searches one; the checkpoints read them through
-    _row_distance_blocks or OneHotRows.distance_blocks.
+    pinned dendrogram bytes rest on its arithmetic.  assign() places dense
+    data rows with it and quantization_error() measures them, as bmu()
+    searches one, so every dense placement is bmu's pick.
 
     The difference and its einsum reduction run one block at a time: as
     many rows as fit DISTANCE_BLOCK elements with all units, and when two rows
@@ -415,45 +418,6 @@ def _squared_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
             diff = rows[r, np.newaxis, :] - code[np.newaxis, c, :]
             out[r, c] = np.einsum("nuw,nuw->nu", diff, diff)
     return out
-
-
-def _row_distance_blocks(rows: np.ndarray, code: np.ndarray):
-    """Squared distance from every data row to every code vector, as
-    ||x||^2 - 2<x, w> + ||w||^2, yielded as (row span, block of rows x U)
-    for DISTANCE_BLOCK // U rows at a time: kmca's checkpoints over the
-    Burt rows, and the bit oracle of OneHotRows's kernel.  ||x||^2 and the
-    cross term add one component at a time in column order (a zero adds an
-    exact zero), ||w||^2 is one einsum per unit, and nothing calls BLAS.  So
-    a row's distances have the same bits whatever rows or units share the
-    call, whatever the block, and whether the rows are a view or a copy.  A
-    distance far below the norms can round to a small negative.
-    """
-    w2 = np.einsum("uw,uw->u", code, code)
-    step = max(1, DISTANCE_BLOCK // len(w2))
-    for span in (slice(i, i + step) for i in range(0, rows.shape[0], step)):
-        block = np.zeros((len(rows[span]), len(w2)))
-        x2 = np.zeros(len(block))
-        for c in range(rows.shape[1]):
-            x = rows[span, c]
-            x2 += x * x
-            block += code[:, c] * x[:, np.newaxis]
-        block *= -2.0
-        block += x2[:, np.newaxis]
-        block += w2
-        yield span, block
-
-
-def _whole(blocks, n: int, n_units: int) -> np.ndarray:
-    """The n x U matrix of a kernel's (row span, block) pairs."""
-    out = np.empty((n, n_units))
-    for span, block in blocks:
-        out[span] = block
-    return out
-
-
-def _row_distances(rows: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """_row_distance_blocks as one n x U matrix."""
-    return _whole(_row_distance_blocks(rows, code), rows.shape[0], code.shape[0])
 
 
 class OneHotRows:
@@ -482,13 +446,14 @@ class OneHotRows:
         return out
 
     def distance_blocks(self, code: np.ndarray):
-        """_row_distance_blocks(self.dense(), code) bit for bit, reading only
-        the K nonzero columns of each row: the cross term adds rows cols[k]
-        of the C-ordered M x U table code.T * scale (each product the one
-        _row_distance_blocks forms, as IEEE multiplication commutes) and
-        ||x||^2 the squares of scale[cols[k]], both in column order, and the
-        rest keeps its order, a gather within DISTANCE_BLOCK elements at a
-        time."""
+        """Squared distances ||x||^2 - 2<x, w> + ||w||^2 to the code vectors,
+        as (row span, rows x U block) for DISTANCE_BLOCK // U rows at a time.
+        The cross term adds rows cols[k] of the C-ordered M x U table code.T *
+        scale and ||x||^2 the squares of scale[cols[k]], in column order, and
+        nothing calls BLAS: a row's bits are a dense loop's over its
+        components in column order (a zero adds an exact zero), whatever
+        shares the call or the block.  A distance far below the norms can
+        round to a small negative."""
         table = np.multiply(code.T, self.scale[:, np.newaxis], order="C")
         w2 = np.einsum("uw,uw->u", code, code)
         squares = (self.scale * self.scale)[:, np.newaxis]
@@ -500,9 +465,6 @@ class OneHotRows:
             block += w2
             yield span, block
 
-    def distances(self, code: np.ndarray) -> np.ndarray:
-        return _whole(self.distance_blocks(code), len(self), code.shape[0])
-
 
 def quantization_error(
     model: SomModel,
@@ -512,9 +474,9 @@ def quantization_error(
 ) -> float:
     """Mean squared distance from each row to its best matching unit.
 
-    ``rows`` is an array, measured by _row_distance_blocks, or a OneHotRows,
-    measured by its own kernel with the same bits as its dense form, one
-    block of rows at a time: only the rows' minima outlive their block.
+    ``rows`` is an array, measured by _squared_distances in blocks of
+    DISTANCE_BLOCK // U rows, never a lone one, or a OneHotRows, measured by
+    its own kernel: only the rows' minima outlive their block.
     ``bmus``, an integer array with one slot per row, receives each row's
     best matching unit from the same distances.
     """
@@ -523,7 +485,9 @@ def quantization_error(
         _masked_input(rows.scale, mask, model.dim, 1)  # one scale per column
         blocks = rows.distance_blocks(code)
     else:
-        blocks = _row_distance_blocks(_masked_input(rows, mask, model.dim, 2), code)
+        rows = _masked_input(rows, mask, model.dim, 2)
+        spans = _blocks(len(rows), max(2, DISTANCE_BLOCK // len(code)))
+        blocks = ((span, _squared_distances(rows[span], code)) for span in spans)
     minima = np.empty(len(rows))
     for span, d2 in blocks:
         best = np.argmin(d2, axis=1)

@@ -380,6 +380,25 @@ def check_lockstep(ds, algorithm, topo, t_max, n_seeds):
         assert model.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("block", ["default", 1])
+@pytest.mark.parametrize("data", ["marriage", "survey"])
+def test_kmca_places_its_modalities_as_bmu_does(marriage, monkeypatch, data, block):
+    """kmca's modalities take their units and its log its last QE from the
+    final checkpoint, which measures the Burt rows in the difference form
+    that bmu searches: the units are assign's, and the QE has the bits of
+    _squared_distances over all the rows at once, whatever the blocks."""
+    if block != "default":
+        monkeypatch.setattr(som, "DISTANCE_BLOCK", block)
+    ds, topo, t_max = ((marriage, TOPO, None) if data == "marriage"
+                       else (survey(), Topology.grid(3, 5), 1500))
+    rows = corrected_burt(ds)
+    configs = [TrainConfig(seed=seed, t_max=t_max) for seed in range(10)]
+    for result in analyses.sweep("kmca", ds, topo, configs):
+        assert np.array_equal(result.modalities.units, assign(result.model, rows).units)
+        d2 = som._squared_distances(rows, result.model.code_vectors)
+        assert result.qe_log[-1][1] == float(np.mean(np.maximum(d2.min(axis=1), 0.0)))
+
+
 def test_lockstep_checks_its_inputs_once(marriage):
     rows = corrected_burt(marriage)
     lo, hi = rows.min(axis=0), rows.max(axis=0)

@@ -75,6 +75,36 @@ def test_ingest_csv_with_schema(tmp_path, capsys):
     assert blob["cells"] == [[0, 0], [1, 1], [0, 0]]
 
 
+AGE = {"name": "age", "modalities": ["young", "old"]}
+
+
+@pytest.mark.parametrize("variables, key", [
+    (5, "variables"),
+    ([{**AGE, "name": ["age"]}], "name"),
+    ([{**AGE, "breaks": [[40]]}], "breaks"),
+    ([{**AGE, "breaks": "4"}], "breaks"),
+    ([{**AGE, "breaks": [float("nan")]}], "breaks"),
+    ([{**AGE, "breaks": [float("inf")]}], "breaks"),
+    ([{**AGE, "breaks": [True]}], "breaks"),
+], ids=["variables-int", "name-list", "breaks-nested", "breaks-str", "breaks-nan",
+        "breaks-inf", "breaks-bool"])
+def test_a_malformed_schema_is_a_data_error(tmp_path, capsys, variables, key):
+    """A schema's variables are a list of objects, each name a non-empty
+    string and its breaks a list of finite numbers; anything else fails
+    as one error:data line that names the key, and nothing is written."""
+    csv_path = tmp_path / "poll.csv"
+    csv_path.write_text("id,age\np1,25\np2,64\np3,41\np4,52\n", encoding="utf-8")
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps({"variables": variables}), encoding="utf-8")
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, "ingest", "--data", str(csv_path),
+                         "--schema", str(schema_path), "--out", str(outdir))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:data: not a") and err.count("\n") == 1, err
+    assert key in err
+    assert not outdir.exists()
+
+
 def test_ingest_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "ingest", "--data", str(tmp_path / "missing.csv"))
     assert code == 1
@@ -176,7 +206,7 @@ class SerialPool:
 ], ids=["seeds-bound", "cpus-bound", "default", "default-cap", "one-worker", "one-seed"])
 def test_workers_never_exceed_seeds_or_cpus(tmp_path, capsys, monkeypatch,
                                             workers, seeds, cpus, started):
-    monkeypatch.setattr("somcat.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("somcat.cli.os.cpu_count", lambda: cpus)
     monkeypatch.setattr(SerialPool, "started", [])
     summary = run_json(capsys, "kmca", *MARRIAGE, "--grid", "2x2", "--iters", "50",
@@ -664,12 +694,16 @@ def with_entry(path, value, *keys):
     return json.dumps(data)
 
 
-def a_dataset(cells=((0, 1), (1, 0)), modalities=("x", "y"), individuals=("a", "b")):
+def a_dataset(cells=((0, 1), (1, 0)), modalities=("x", "y"), individuals=("a", "b"),
+              name="v", variables=None):
     """A dataset of two individuals and two variables, with ``cells``, the
-    first variable's ``modalities`` and ``individuals`` as given."""
+    first variable's ``name`` and ``modalities`` and ``individuals`` as
+    given, or ``variables`` in place of both variables."""
+    if variables is None:
+        variables = [{"name": name, "modalities": modalities},
+                     {"name": "w", "modalities": ["x", "y"]}]
     return json.dumps({"individuals": individuals, "cells": cells,
-                       "variables": [{"name": "v", "modalities": modalities},
-                                     {"name": "w", "modalities": ["x", "y"]}]})
+                       "variables": variables})
 
 
 def with_distances_cut(path):
@@ -687,7 +721,9 @@ RESULT_KEYS = {"qe-log-str": "qe_log", "qe-log-entry-str": "qe_log",
 DATASET_KEYS = {"dataset-cell-str": "cells", "dataset-row-short": "cells",
                 "dataset-cell-float": "cells", "dataset-cell-bool": "cells",
                 "dataset-modalities-str": "modalities",
-                "dataset-individuals-str": "individuals"}
+                "dataset-individuals-str": "individuals",
+                "dataset-variables-int": "variables", "dataset-name-list": "name",
+                "dataset-breaks-nan": "breaks"}
 
 
 @pytest.mark.parametrize("case", ["macro-list", "render-macro-file", "train-data",
@@ -738,6 +774,11 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "dataset-cell-bool": a_dataset(cells=[[0, 1], [True, 0]]),
         "dataset-modalities-str": a_dataset(modalities="abcdef"),
         "dataset-individuals-str": a_dataset(individuals="ab"),
+        "dataset-variables-int": a_dataset(variables=5),
+        "dataset-name-list": a_dataset(name=["v"]),
+        "dataset-breaks-nan": a_dataset(variables=[
+            {"name": "v", "modalities": ["x", "y"], "breaks": [float("nan")]},
+            {"name": "w", "modalities": ["x", "y"]}]),
     }.get(case, ""), encoding="utf-8")
     before = sorted(outdir.iterdir())
     argv = {

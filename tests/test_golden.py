@@ -85,13 +85,13 @@ STDOUT_TRAIN = ["--seeds", "2", "--workers", "1", "--iters", "300", "--macro", "
                 "--render", "both"]
 
 GOLDEN = {
-    "marriages.kmca.0.result.json": "b8e643818e6d174b5cbdc0575dd0e6e6ee19a3677ad138f7f1e245610f1342cd",
+    "marriages.kmca.0.result.json": "b310a69ca5bfc13b2c64746bebc52a588b8db89502c1b03ef50ab389c5cc1b20",
     "marriages.kmca.0.model.json": "9877405b497d2c5c6ab0c60840bb55f723ce9cb4408a9112f6a6a105f6e08677",
     "marriages.kmca.0.macro.json": "f684fd56edaeff22630231a5d6c7a1582bb7b7b12f3726fb4d5fbd631c5aa912",
-    "marriages.kmca.1.result.json": "c311a82381c5a8459e25bce41cdd0a34fade86a0a39bc91a2fabcd4d4388f126",
+    "marriages.kmca.1.result.json": "0857fdf275f5c898a7f7c3c3e03438b36d04bdd2e894231fe0bc5a0f6c8d7081",
     "marriages.kmca.1.model.json": "f3915d6ccfbd58175d5f652bab3b6da2e52e05b69e68dc5e2d4bdacc44f4b6c3",
     "marriages.kmca.1.macro.json": "59797c11e9e2ae22165ffef7358d7068f9b31baa67617f5359c0ad0bc677d928",
-    "marriages.kmca.2.result.json": "c51aeca38f816f3c5e9b8e1d3618c0b57e0d5701be9a59c06f6771ad79b1ce7c",
+    "marriages.kmca.2.result.json": "31f399a969c0262c5a44061a4b0095efb3fce2845b848b19265c5c8addf88f6f",
     "marriages.kmca.2.model.json": "b1563e45b15b36edb1b5b03a04b36322833821995af5d12a2cea1ca809afa0b8",
     "marriages.kmca.2.macro.json": "c61fa91bd585c99fafb6574fcaf1ceb68fb0c8b9545b390c5f42d29115c5a123",
     "marriages.kmca.stability.json": "edbf37c195554ebc762db02a1b266df033e8acd0a06ec6f7ca6e4f0eb37a2005",
@@ -121,8 +121,8 @@ GOLDEN = {
     "marriages.kdisj.2.macro.json": "413a1bba6b14d3db52488b149dd62711ea20e7630331fbed68401706b69929fc",
     "marriages.kdisj.2.deviations.json": "acbc2273b16b624a3802e8a460985aff758c8eed4c600d77d7d5461f6295ec1b",
     "marriages.kdisj.stability.json": "13ad88223157a3e12147c7abccdc663294d60f77bcb415258b16f44aef0c17b5",
-    "marriages.report.json": "66a9f08fefdcf9d66249434a426c26344f4d1901f73f30c227b32a4ceb772e78",
-    "marriages.report.csv": "34ccd835e3274caea0f64329c9f711bc121b50f709244949b371d10d31d34230",
+    "marriages.report.json": "65d86921d780b19fbcdbbc1c399ff18747d54fe3458de5d0ab0e701ceca29677",
+    "marriages.report.csv": "2029497ff4b2cb97a7c5afbecde8347f3650aa8c8e51eb0707f78ae63ff865ab",
 }
 
 DENDROGRAM_GOLDEN = {
@@ -195,7 +195,7 @@ STDOUT_GOLDEN = {
     "tables": "60af66a66443e749c09c82316d7e6f4dd58059dd5be21d0df30ec1e41e98822f",
     "tables --json": "f9d7b8ef6ccddcecf67a616869e0f4b00a9e978e93bf1a4f9bf898db144d0c55",
     "kmca": "421658bfad8c3a56d403b9dd5976d90c551d369130f0f8785a2856068e511675",
-    "kmca --json": "50034beb9fb45c483fe8e187ba0f77e918d837c85436e3b437151c62770aab3b",
+    "kmca --json": "98345a66e34fa62c9a311d6c02a34fb58441ae334f397f04d9fd7f61aa886fcf",
     "kmca-ind": "170fa0b40b572cfbb3ff7c0cbcc4e56086af0151f29d63f933585150c694aaaa",
     "kmca-ind --json": "6977fb8edf479c2d06dcca1f162e370040c5c6b30a17a54716ac5c888bdf6a40",
     "kdisj": "5acbdcd7003c4e3d5c5f218b5ddaac97fbabceb9924a70c23ed497b18ab96a19",
@@ -207,7 +207,7 @@ STDOUT_GOLDEN = {
     "render": "69496acc76d901766cb72f99236628a2182073faa67aeac8f01e8fda6c9ed152",
     "render --json": "a35148e4649784b612295bb22ea78dbd461478414831c2c10841d94a4a3896b2",
     "report": "51dd23dd9259bd39d73d5529f05e6988aeb1e780466ee09600a73187ca5bd345",
-    "report --json": "428e4fa4a05a41079a30767ad597e952acb9c6e720ab3d174fe8454912c55025",
+    "report --json": "c2222e9c971af1aa632d7bd6778c8a1e350f74390e762f85e92860d50072f672",
 }
 
 

@@ -435,6 +435,46 @@ def k_hot_rows(rng, n, sizes):
     return ones / np.sqrt(len(sizes) * counts)
 
 
+def expanded_distance_blocks(rows, code):
+    """Oracle of OneHotRows.distance_blocks: the squared distance from every
+    dense row to every code vector as ||x||^2 - 2<x, w> + ||w||^2, yielded
+    as (row span, block of rows x U) for som.DISTANCE_BLOCK // U rows at a
+    time.  ||x||^2 and the cross term add one component of every row at a
+    time in column order (a zero adds an exact zero), ||w||^2 is one einsum
+    per unit, and nothing calls BLAS, so a row's distances have the same
+    bits whatever rows or units share the call, whatever the block, and
+    whether the rows are a view or a copy."""
+    w2 = np.einsum("uw,uw->u", code, code)
+    step = max(1, som.DISTANCE_BLOCK // len(w2))
+    for span in (slice(i, i + step) for i in range(0, rows.shape[0], step)):
+        block = np.zeros((len(rows[span]), len(w2)))
+        x2 = np.zeros(len(block))
+        for c in range(rows.shape[1]):
+            x = rows[span, c]
+            x2 += x * x
+            block += code[:, c] * x[:, np.newaxis]
+        block *= -2.0
+        block += x2[:, np.newaxis]
+        block += w2
+        yield span, block
+
+
+def matrix_of(blocks, n, n_units):
+    """The n x U matrix of a kernel's (row span, block) pairs."""
+    out = np.empty((n, n_units))
+    for span, block in blocks:
+        out[span] = block
+    return out
+
+
+def expanded_distances(rows, code):
+    return matrix_of(expanded_distance_blocks(rows, code), rows.shape[0], code.shape[0])
+
+
+def one_hot_distances(index, code):
+    return matrix_of(index.distance_blocks(code), len(index), code.shape[0])
+
+
 def row_distance_cases():
     rng = np.random.default_rng(23)
     k_hot = k_hot_rows(rng, 300, (6,) * 10)
@@ -449,7 +489,7 @@ def row_distance_cases():
 @pytest.mark.parametrize("case", ["dense", "k-hot", "wide", "zero"])
 def test_row_distances_agree_with_the_difference_form(case):
     rows, code = row_distance_cases()[case]
-    got = som._row_distances(rows, code)
+    got = expanded_distances(rows, code)
     want = som._squared_distances(rows, code)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -465,13 +505,13 @@ def test_row_distances_ignore_blocks_and_call_partners(
     rows[rows < 0.7] = 0.0  # rows with different nonzero counts
     rows[::4] = 0.0  # and all-zero rows between them
     code = rng.random((units, width + 3))[:, 3:]  # a strided mask view
-    whole = som._row_distances(rows, code)
+    whole = expanded_distances(rows, code)
     monkeypatch.setattr(som, "DISTANCE_BLOCK", block)
-    assert np.array_equal(som._row_distances(rows, code), whole)
+    assert np.array_equal(expanded_distances(rows, code), whole)
     for pick in (slice(None, None, -1), slice(1, None, 3), slice(n // 2, n // 2 + 1)):
-        assert np.array_equal(som._row_distances(rows[pick], code), whole[pick])
+        assert np.array_equal(expanded_distances(rows[pick], code), whole[pick])
     for pick in (slice(None, None, 2), slice(units - 1, None), slice(3, 7)):
-        assert np.array_equal(som._row_distances(rows, code[pick]), whole[:, pick])
+        assert np.array_equal(expanded_distances(rows, code[pick]), whole[:, pick])
 
 
 def test_row_distances_of_a_strided_view_equal_those_of_its_copy():
@@ -479,9 +519,9 @@ def test_row_distances_of_a_strided_view_equal_those_of_its_copy():
     dc = k_hot_rows(rng, 400, (5, 4, 3))
     code = rng.random((16, 400 + 12))
     view, copy = dc.T, np.ascontiguousarray(dc.T)  # kdisj's modality rows
-    got = som._row_distances(view, code[:, 12:])
-    assert np.array_equal(got, som._row_distances(copy, code[:, 12:]))
-    assert np.array_equal(got, som._row_distances(copy, code[:, 12:].copy()))
+    got = expanded_distances(view, code[:, 12:])
+    assert np.array_equal(got, expanded_distances(copy, code[:, 12:]))
+    assert np.array_equal(got, expanded_distances(copy, code[:, 12:].copy()))
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -492,14 +532,14 @@ def test_one_hot_distances_equal_the_dense_kernel(block, monkeypatch):
     m = rows.shape[1]
     # kdisj's search mask: the first M components of wider code vectors
     code = (rng.random((64, m + 40)) * rows.max())[:, :m]
-    want = som._row_distances(rows, code)
+    want = expanded_distances(rows, code)
     monkeypatch.setattr(som, "DISTANCE_BLOCK", block)
-    assert np.array_equal(index.distances(code), want)
-    assert np.array_equal(index.distances(code.copy()), want)
+    assert np.array_equal(one_hot_distances(index, code), want)
+    assert np.array_equal(one_hot_distances(index, code.copy()), want)
     for pick in (slice(None, None, -1), slice(1, None, 3), slice(600, 601)):
         part = som.OneHotRows(index.cols[:, pick], index.scale)
-        assert np.array_equal(part.distances(code), want[pick])
-        assert np.array_equal(part.distances(code[5:9]), want[pick, 5:9])
+        assert np.array_equal(one_hot_distances(part, code), want[pick])
+        assert np.array_equal(one_hot_distances(part, code[5:9]), want[pick, 5:9])
 
 
 def test_quantization_error_reads_one_hot_rows_as_their_dense_form():
@@ -509,10 +549,11 @@ def test_quantization_error_reads_one_hot_rows_as_their_dense_form():
     model = init_on(Topology.grid(4, 4), TrainConfig(t_max=10, seed=0),
                     np.hstack([rows, rng.random((300, 30))]))
     mask = DistanceMask(0, 12)
-    got, want = np.empty(300, dtype=np.int64), np.empty(300, dtype=np.int64)
-    assert quantization_error(model, index, mask, got) == quantization_error(
-        model, rows, mask, want)
-    assert np.array_equal(got, want)
+    got = np.empty(300, dtype=np.int64)
+    d2 = expanded_distances(rows, model.code_vectors[:, :12])
+    assert quantization_error(model, index, mask, got) == float(
+        np.mean(np.maximum(d2.min(axis=1), 0.0)))
+    assert np.array_equal(got, d2.argmin(axis=1))
     with pytest.raises(DimensionError):
         quantization_error(model, index, DistanceMask(0, 13))
     sampler = UniformRowSampler(index)
@@ -537,7 +578,8 @@ def test_a_checkpoint_never_holds_rows_times_units(form):
     finally:
         tracemalloc.stop()
     assert peak < 10_000 * 400 * 8
-    d2 = som._row_distances(index.dense(), model.code_vectors)
+    kernel = expanded_distances if form == "index" else som._squared_distances
+    d2 = kernel(index.dense(), model.code_vectors)
     assert qe == float(np.mean(np.maximum(d2.min(axis=1), 0.0)))
     assert np.array_equal(bmus, d2.argmin(axis=1))
 
@@ -554,7 +596,9 @@ def test_one_hot_distances_do_not_depend_on_blas_threads():
         "                       np.zeros(60), scale)\n"
         "bmus = np.empty(20000, dtype=np.int64)\n"
         "qe = som.quantization_error(model, rows, None, bmus)\n"
-        "d2 = rows.distances(model.code_vectors)\n"
+        "d2 = np.empty((20000, 64))\n"
+        "for span, block in rows.distance_blocks(model.code_vectors):\n"
+        "    d2[span] = block\n"
         "print(repr(qe), hashlib.sha256(d2.tobytes() + bmus.tobytes()).hexdigest())\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
