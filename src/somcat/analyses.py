@@ -213,10 +213,9 @@ class AnalysisResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "AnalysisResult":
-        """The stored result, without its model (None).  Its unit distances
-        must be U x L nonnegative finite numbers for the U units of its
-        topology and the L units its assignments occupy (those of positive
-        ``unit_weights``), else it fails as a DataError."""
+        """The stored result, without its model (None); a DataError unless its
+        unit distances are U x L nonnegative finite numbers, for the U units of
+        its topology and the L units of positive ``unit_weights``."""
         keys = ("algorithm", "topology", "provenance", "modalities", "individuals",
                 "unit_distances")
         jsonio.require_keys(data, keys, "an analysis result")
@@ -225,28 +224,20 @@ class AnalysisResult:
 
         def unpack(packed):
             jsonio.require_keys(packed, ("items", "units"), "a packed assignment")
-            try:
-                units = np.asarray(packed["units"])
-            except ValueError:
-                units = np.empty((0, 0))
-            if units.ndim != 1 or units.size and not (
-                    units.dtype.kind == "i" and 0 <= units.min() <= units.max() < n_units):
-                raise DataError("not an analysis result: its packed units are "
-                                f"not integers in [0, {n_units})")
+            units = jsonio.numbers(packed["units"], "i", 1, "an analysis result: its units")
+            if units.size and not 0 <= units.min() <= units.max() < n_units:
+                raise DataError(f"not an analysis result: a unit is outside [0, {n_units})")
             items = jsonio.labels(packed["items"], "an analysis result: items")
             return MapAssignment(labels=items, units=units, n_units=n_units)
 
         prov = data["provenance"]
         keys = ("dataset_sha256", "config", "qe_log")
         jsonio.require_keys(prov, keys, "a result provenance")
-        log = prov["qe_log"]
-        if not (isinstance(log, list) and all(isinstance(e, list) and len(e) == 2
-                and type(e[0]) is int and type(e[1]) in (int, float) for e in log)):
+        log = jsonio.numbers(prov["qe_log"], "f", 2, "an analysis result: its qe_log pairs")
+        if log.shape[1] != 2 or np.any(log[:, 0] % 1):
             raise DataError("not an analysis result: its qe_log is not [steps, qe] pairs")
-        try:
-            d2 = np.asarray(data["unit_distances"], dtype=np.float64)
-        except (TypeError, ValueError):
-            d2 = np.empty(0)
+        d2 = jsonio.numbers(data["unit_distances"], "f", 2,
+                            "an analysis result: unit_distances")
         mapped = data["individuals"]
         result = cls(
             algorithm=data["algorithm"],
@@ -258,11 +249,11 @@ class AnalysisResult:
                 "dataset_sha256": prov["dataset_sha256"],
                 "config": prov["config"],
             },
-            qe_log=[(t, float(q)) for t, q in log],
+            qe_log=[(int(t), q) for t, q in log.tolist()],
             unit_distances=d2,
         )
         shape = (n_units, np.count_nonzero(unit_weights(result)))
-        if d2.shape != shape or not np.all(np.isfinite(d2) & (d2 >= 0)):
+        if d2.shape != shape or np.any(d2 < 0):
             raise DataError("not an analysis result: unit_distances is not "
                             "{} x {} nonnegative finite numbers for its map"
                             .format(*shape))

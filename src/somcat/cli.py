@@ -128,19 +128,19 @@ def _outdir(args, fallback: str | None = None) -> Path:
 
 
 def _load_dataset(args) -> tuple[str, CategoricalDataset]:
-    src = args.data
-    if src == "builtin:marriages":
+    if args.data == "builtin:marriages":
         name, ds = "marriages", marriage_dataset()
     else:
-        path = Path(src)
+        path = Path(args.data)
         if path.suffix == ".json":
             name = path.stem.removesuffix(".dataset")
             ds = CategoricalDataset.from_json(jsonio.load(path))
         else:
             schema = load_schema(args.schema) if args.schema else "infer"
             name, ds = path.stem, ingest_csv(path, schema)
-    if getattr(args, "name", None):
-        name = args.name
+    name = getattr(args, "name", None) or name
+    if {"/", os.sep, os.altsep} & set(name):
+        raise ConfigError(f"--name {name!r} holds a path separator")
     return name, ds
 
 

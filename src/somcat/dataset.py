@@ -11,7 +11,6 @@ labels are the dataset's ``individuals`` and ``global_modality_names``.
 from __future__ import annotations
 
 import csv
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,17 +83,14 @@ class VariableSpec:
     def from_json(cls, data: dict) -> "VariableSpec":
         jsonio.require_keys(data, ("name", "modalities"), "a variable")
         name, breaks = data["name"], data.get("breaks")
-        finite = isinstance(breaks, list) and all(  # a float's range: no inf or NaN
-            type(b) in (int, float) and abs(b) <= sys.float_info.max for b in breaks)
-        if breaks is not None and not finite:
-            raise DataError(f"not a variable: the breaks of {name!r} are not finite numbers")
         order = data.get("order", "ascending")
         if order not in ("ascending", "descending"):
             raise DataError(f"unknown bin order {order!r}")
         return cls(
             name=name,
             modalities=jsonio.labels(data["modalities"], "a variable: modalities"),
-            breaks=None if breaks is None else tuple(map(float, breaks)),
+            breaks=None if breaks is None else tuple(jsonio.numbers(
+                breaks, "f", 1, f"a variable: the breaks of {name!r}").tolist()),
             descending=order == "descending",
         )
 
@@ -178,18 +174,10 @@ class CategoricalDataset:
     @classmethod
     def from_json(cls, data: dict) -> "CategoricalDataset":
         jsonio.require_keys(data, ("individuals", "variables", "cells"), "a dataset")
-        try:
-            cells = np.asarray(data["cells"])
-        except ValueError:  # rows of unequal length
-            cells = np.asarray(None)
-        # np.asarray reads a JSON true or false among integers as 1 or 0.
-        booleans = cells.ndim == 2 and bool in {type(v) for row in data["cells"] for v in row}
-        if cells.size and (cells.dtype.kind != "i" or booleans):
-            raise DataError("not a dataset: its cells are not equal rows of integers")
         return cls(
             individuals=jsonio.labels(data["individuals"], "a dataset: individuals"),
             variables=_variables(data["variables"], "a dataset"),
-            cells=cells,
+            cells=jsonio.numbers(data["cells"], "i", 2, "a dataset: its cells"),
         )
 
     def sha256(self) -> str:
@@ -223,11 +211,11 @@ def _variables(value, what: str) -> list[VariableSpec]:
 
 def _read_csv(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:
     """Stripped header, stripped ids and body rows of a CSV whose first
-    column holds the ids; blank lines are skipped, ragged rows rejected."""
+    column holds the ids; blank lines are skipped, ragged rows and empty ids rejected."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one individual")
@@ -237,6 +225,8 @@ def _read_csv(path: str | Path) -> tuple[list[str], list[str], list[list[str]]]:
     for lineno, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+        if not row[0].strip():
+            raise DataError(f"{path}:{lineno}: empty individual id")
     return [h.strip() for h in header], [row[0].strip() for row in body], body
 
 

@@ -1,4 +1,4 @@
-"""JSON helpers: deterministic dumps, atomic writes, content hashing.
+"""JSON helpers: deterministic dumps, atomic writes, hashing and the stored-value readers.
 
 All artifacts are serialized with insertion-ordered keys and the default
 float repr (shortest round-trip decimal), so identical inputs produce
@@ -152,3 +152,23 @@ def labels(value, what: str) -> tuple[str, ...]:
     if not (isinstance(value, list) and set(map(type, value)) <= {str}):
         raise DataError(f"not {what} is not a list of strings")
     return tuple(value)
+
+
+def numbers(value, kind: str, ndim: int, what: str) -> np.ndarray:
+    """A stored JSON integer (``kind`` "i") or finite number ("f"), or an
+    ``ndim``-deep (at most 2) rectangular list of them, as an int64 or
+    float64 array.  A bool, a string, a null, a ragged row or the wrong depth
+    raises a DataError naming ``what``, where numpy would read true as 1."""
+    try:
+        array = np.array(value, dtype=np.int64 if kind == "i" else np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged, or out of range
+        array = None
+    leaves = [value]
+    for _ in range(ndim):  # all lists, once the array has shown the depth
+        leaves = itertools.chain.from_iterable(leaves)
+    if (array is None or array.ndim != ndim or not np.isfinite(array).all()
+            or not set(map(type, leaves)) <= ({int} if kind == "i" else {int, float})):
+        form = ("is not a single {}", "are not a list of {}s", "are not equal rows of {}s")
+        raise DataError(f"not {what} " + form[ndim].format(
+            "integer" if kind == "i" else "finite number"))
+    return array

@@ -184,25 +184,21 @@ class MacroClassing:
 
     @classmethod
     def from_json(cls, data: dict) -> "MacroClassing":
-        """The stored cut; k, its labels and classes must be integers and
-        ``connected`` true or false, its labels must lie in [0, k), and
-        ``classes`` and ``connected`` hold k entries each, else it fails as a
-        DataError."""
+        """The stored cut, else a DataError: k, its labels and class members are
+        integers (the labels in [0, k)), and ``classes`` and ``connected`` (true
+        or false) hold k entries each."""
         jsonio.require_keys(data, ("k", "labels", "classes", "connected"),
                             "a macro-classing")
-        k = data["k"]
-        try:
-            labels = np.asarray(data["labels"])
-            classes = [list(c) for c in data["classes"]]
-            connected = list(data["connected"])
-        except (TypeError, ValueError):
-            labels, classes, connected = np.empty(0), [], []
-        if type(k) is not int or labels.dtype.kind != "i" or any(
-                type(u) is not int for c in classes for u in c) or any(
-                type(b) is not bool for b in connected):
-            raise DataError("not a macro-classing: k, labels and classes must "
-                            "hold integers, connected true or false")
-        if labels.ndim != 1 or np.any((labels < 0) | (labels >= k)):
+        k = jsonio.numbers(data["k"], "i", 0, "a macro-classing: k").item()
+        labels = jsonio.numbers(data["labels"], "i", 1, "a macro-classing: its labels")
+        classes, connected = data["classes"], data["connected"]
+        if not (isinstance(classes, list) and isinstance(connected, list)
+                and set(map(type, connected)) <= {bool}):
+            raise DataError("not a macro-classing: classes is not a list, or "
+                            "connected not a list of true or false")
+        classes = [jsonio.numbers(c, "i", 1, "a macro-classing: its class members").tolist()
+                   for c in classes]
+        if np.any((labels < 0) | (labels >= k)):
             raise DataError(f"not a macro-classing: a label lies outside [0, {k})")
         for key, entries in (("classes", classes), ("connected", connected)):
             if len(entries) != k:

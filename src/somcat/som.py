@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,9 @@ class Topology:
     @classmethod
     def from_json(cls, data: dict) -> "Topology":
         jsonio.require_keys(data, ("kind", "rows", "cols"), "a map topology")
-        if not all(type(data[key]) is int for key in ("rows", "cols")):
-            raise DataError("not a map topology: its rows and cols are not integers")
-        return cls(kind=data["kind"], rows=data["rows"], cols=data["cols"])
+        rows, cols = (jsonio.numbers(data[key], "i", 0, f"a map topology: {key}").item()
+                      for key in ("rows", "cols"))
+        return cls(kind=data["kind"], rows=rows, cols=cols)
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,12 @@ class SomModel:
         jsonio.require_keys(data, keys, "a map model")
         return cls(
             topology=Topology.from_json(data["topology"]),
-            dim=data["dim"],
+            dim=jsonio.numbers(data["dim"], "i", 0, "a map model: its dim").item(),
             config=TrainConfig.from_json(data["config"]),
-            code_vectors=np.asarray(data["code_vectors"], dtype=np.float64),
-            trained_steps=data["trained_steps"],
+            code_vectors=jsonio.numbers(data["code_vectors"], "f", 2,
+                                        "a map model: its code_vectors"),
+            trained_steps=jsonio.numbers(data["trained_steps"], "i", 0,
+                                         "a map model: its trained_steps").item(),
         )
 
 

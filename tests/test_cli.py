@@ -111,6 +111,50 @@ def test_ingest_error_exit_code(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["ingest", "pies"])
+def test_a_csv_that_is_not_utf8_is_a_data_error(trained, capsys, command):
+    """A byte that is not UTF-8 fails as one error line naming the file, where
+    a dataset is ingested and where pies read an external column."""
+    outdir, result = trained
+    path = outdir / "latin1.csv"
+    path.write_bytes(b"id,a\n1,\xe9\n2,x\n")
+    before = sorted(outdir.iterdir())
+    code, out, err = run(capsys, *{
+        "ingest": ["ingest", "--data", str(path), "--out", str(outdir)],
+        "pies": ["pies", "--result", str(result), "--external", str(path),
+                 "--column", "a"],
+    }[command])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error:data: cannot read {path}: ") and err.count("\n") == 1, err
+    assert sorted(outdir.iterdir()) == before
+
+
+def test_an_empty_individual_id_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "survey.csv"
+    path.write_text("id,a\n,x\n2,y\n", encoding="utf-8")
+    code, out, err = run(capsys, "ingest", "--data", str(path),
+                         "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", f"error:data: {path}:2: empty individual id\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "kmca"])
+@pytest.mark.parametrize("name", ["../x", "sub/x"])
+def test_a_name_holding_a_path_separator_is_a_config_error(tmp_path, capsys, command,
+                                                           name):
+    """``--name`` names files inside ``--out``: a separator in it would write
+    beside or above that directory, so it fails before any file is written."""
+    outdir = tmp_path / "o"
+    outdir.mkdir()
+    (outdir / "kept.txt").write_text("kept\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, command, *MARRIAGE, "--name", name,
+                         "--out", str(outdir))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:config: --name") and err.count("\n") == 1, err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_bad_grid_argument_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kmca", *MARRIAGE, "--grid", "0x4", "--out", str(tmp_path)])
@@ -736,8 +780,9 @@ DATASET_KEYS = {"dataset-cell-str": "cells", "dataset-row-short": "cells",
                                   "packed-units-str", "macro-label-above-k",
                                   "macro-label-negative", "macro-label-list",
                                   "macro-label-float", "macro-k-float",
-                                  "macro-connected-number", *RESULT_KEYS,
-                                  *DATASET_KEYS])
+                                  "macro-connected-number", "packed-units-true",
+                                  "result-distances-str", "result-distances-true",
+                                  "macro-label-true", *RESULT_KEYS, *DATASET_KEYS])
 def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
     outdir, result = trained
     listing = outdir / "list.json"
@@ -755,6 +800,9 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "result-distances-negative": with_entry(result, -1.0, "unit_distances", 0, 1),
         "result-distances-nan": with_entry(result, float("nan"), "unit_distances", 0, 1),
         "result-distances-null": with_entry(result, None, "unit_distances", 0, 1),
+        "result-distances-str": with_entry(result, "0.5", "unit_distances", 0, 1),
+        "result-distances-true": with_entry(result, True, "unit_distances", 0, 1),
+        "packed-units-true": with_entry(result, True, "modalities", "units", 0),
         "packed-units-range": with_entry(result, 99, "individuals", "units", 0),
         "packed-units-str": with_entry(result, "0", "individuals", "units", 0),
         "macro-label-above-k": a_cut(7),
@@ -763,6 +811,7 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "macro-label-float": a_cut(1.5),
         "macro-k-float": a_cut(k=2.9),
         "macro-connected-number": a_cut(connected=[True, 1, True]),
+        "macro-label-true": a_cut(True),
         "qe-log-str": with_entry(result, "x", "provenance", "qe_log"),
         "qe-log-entry-str": with_entry(result, [[0, "a"]], "provenance", "qe_log"),
         "topology-rows-str": with_entry(result, "4", "topology", "rows"),
@@ -797,6 +846,9 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "result-distances-negative": ["macro", "--result", str(broken), "--macro", "2"],
         "result-distances-nan": ["macro", "--result", str(broken), "--macro", "2"],
         "result-distances-null": ["macro", "--result", str(broken), "--macro", "2"],
+        "result-distances-str": ["macro", "--result", str(broken), "--macro", "2"],
+        "result-distances-true": ["macro", "--result", str(broken), "--macro", "2"],
+        "packed-units-true": ["render", "--result", str(broken)],
         "packed-units-range": ["render", "--result", str(broken)],
         "packed-units-str": ["render", "--result", str(broken)],
         **{key: ["render", "--result", str(broken)] for key in RESULT_KEYS},

@@ -1,6 +1,6 @@
 """The artifact encoder: the same bytes as json's indented encoder, streamed
 to the file with bounded memory, and atomic writes that leave nothing behind
-on failure."""
+on failure; and the reader of every stored number."""
 
 import argparse
 import contextlib
@@ -17,7 +17,7 @@ import pytest
 from somcat import jsonio
 from somcat.analyses import AnalysisResult
 from somcat.cli import _write_run, main
-from somcat.errors import IOErrorCategory
+from somcat.errors import DataError, IOErrorCategory
 from somcat.som import MapAssignment, SomModel, Topology, TrainConfig
 
 
@@ -269,3 +269,34 @@ def test_artifacts_get_the_mode_open_gives_under_the_umask(tmp_path, umask, mode
         "plain.txt": mode, "a.txt": mode, "b.json": mode,
         "marriages.dataset.json": mode,
     }
+
+
+@pytest.mark.parametrize("value, kind, ndim, want", [
+    (3, "i", 0, np.int64(3)),
+    (0.5, "f", 0, np.float64(0.5)),
+    ([2, 0], "i", 1, np.array([2, 0])),
+    ([1, 0.5], "f", 1, np.array([1.0, 0.5])),
+    ([], "i", 1, np.empty(0, dtype=np.int64)),
+    ([[1, 2], [3, 4]], "i", 2, np.array([[1, 2], [3, 4]])),
+    ([[]], "f", 2, np.empty((1, 0))),
+])
+def test_numbers_reads_stored_numbers_as_arrays(value, kind, ndim, want):
+    got = jsonio.numbers(value, kind, ndim, "a file: x")
+    assert got.dtype == (np.int64 if kind == "i" else np.float64)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("value, kind, ndim", [
+    (True, "i", 0), ("3", "i", 0), (None, "f", 0), (1.0, "i", 0), ([3], "i", 0),
+    ([0, True], "i", 1), ([0.5, False], "f", 1), (["0.5"], "f", 1), ([1, None], "f", 1),
+    ([1.5], "i", 1), ([float("nan")], "f", 1), ([float("inf")], "f", 1),
+    ([2 ** 63], "i", 1), ([10 ** 400], "f", 1), ({"a": 1}, "i", 1), ("12", "i", 1),
+    (3, "i", 1), ([[1]], "i", 1), ([], "i", 2), ([1, 2], "f", 2), ([[1, 2], [3]], "i", 2),
+    ([[1], 2], "i", 2), ([[1, True]], "i", 2), ([["1"]], "f", 2), ([[[1]]], "f", 2),
+])
+def test_numbers_refuses_anything_but_integers_or_finite_numbers(value, kind, ndim):
+    """A bool, a string, a null, a fraction where an integer belongs, a value
+    out of range, a ragged row or the wrong depth is no stored number; numpy
+    alone would read several of them."""
+    with pytest.raises(DataError, match="^not a file: x (is|are) not "):
+        jsonio.numbers(value, kind, ndim, "a file: x")

@@ -12,7 +12,7 @@ import pytest
 
 from somcat import som
 from somcat.analyses import KdisjSampler, kdisj
-from somcat.errors import ConfigError, DimensionError
+from somcat.errors import ConfigError, DataError, DimensionError
 from somcat.jsonio import dumps
 from somcat.som import (
     DistanceMask,
@@ -875,3 +875,15 @@ def test_model_json_round_trip_bytes_and_assignments():
     before = assign(model, rows).units
     after = assign(clone, rows).units
     assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("entry", [[0.0, 1.0], [0.0, 1.0, 2.0, "0.5"]],
+                         ids=["ragged-row", "numeric-string"])
+def test_a_model_whose_code_vectors_are_not_rows_of_numbers_is_a_data_error(entry):
+    """A short row or a numeric string among the code vectors is no map, though
+    numpy reads the string as a number."""
+    model = init_model(Topology.grid(2, 2), TrainConfig(t_max=10), [0.0] * 4, [1.0] * 4)
+    data = model.to_json()
+    data["code_vectors"][1] = entry
+    with pytest.raises(DataError, match="not a map model: its code_vectors"):
+        SomModel.from_json(data)
