@@ -103,12 +103,13 @@ class KdisjSampler:
     toward column j (``column``); ``draw`` refills one buffer.
 
     A unit holds an individual when it is the individual's best matching
-    unit on the first M components.  Training reports these units at each
-    checkpoint (``locate``); until the first report a modality step searches
-    every unit.  Modality steps never move the first block, so without this
-    limit a column could settle on a unit that none of its adopters reach.
-    Above ``som.DISTANCE_BLOCK`` units x N, modality steps search through a
-    GramTable whose Gram matrix is the corrected Burt table.
+    unit on the first M components.  train() reports these units (``locate``)
+    before its first step and at each checkpoint; only a modality step drawn
+    outside train(), before any report, searches every unit.  Modality steps
+    never move the first block, so without this limit a column could settle
+    on a unit that none of its adopters reach.  Above ``som.DISTANCE_BLOCK``
+    units x N, modality steps search through a GramTable whose Gram matrix
+    is the corrected Burt table.  ``ranges`` bounds each component (lo, hi).
     """
 
     def __init__(self, ds: CategoricalDataset):
@@ -131,6 +132,8 @@ class KdisjSampler:
         values = index.scale[index.cols]
         self._rarest = index.cols[values.argmax(axis=0), np.arange(self.n)]
         self._tied = np.count_nonzero(values == values.max(axis=0), axis=0) > 1
+        self.ranges = (np.concatenate([self.dc.min(axis=0), self.dc.min(axis=1)]),
+                       np.concatenate([self.dc.max(axis=0), self.dc.max(axis=1)]))
         self._held: np.ndarray | None = None  # M x U: j has an adopter at u
         self.bmus: np.ndarray | None = None  # each individual's unit, as last located
         self.column = 0  # modality of the last draw
@@ -247,7 +250,7 @@ class AnalysisResult:
             individuals=None if mapped is None else unpack(mapped),
             provenance={
                 "dataset_sha256": prov["dataset_sha256"],
-                "config": prov["config"],
+                "config": TrainConfig.from_json(prov["config"]).to_json(),
             },
             qe_log=[(int(t), q) for t, q in log.tolist()],
             unit_distances=d2,
@@ -271,7 +274,7 @@ def _resolved(algorithm: str, ds: CategoricalDataset,
     return dataclasses.replace(config, t_max=steps)
 
 
-def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
+def _result(algorithm: str, sha: str, model: SomModel, qe_log,
             modalities: MapAssignment, individuals=None) -> AnalysisResult:
     result = AnalysisResult(
         algorithm=algorithm,
@@ -279,7 +282,7 @@ def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
         model=model,
         modalities=modalities,
         individuals=individuals,
-        provenance={"dataset_sha256": ds.sha256(), "config": model.config.to_json()},
+        provenance={"dataset_sha256": sha, "config": model.config.to_json()},
         qe_log=qe_log,
         unit_distances=np.empty(0),
     )
@@ -289,38 +292,50 @@ def _result(algorithm: str, ds: CategoricalDataset, model: SomModel, qe_log,
     return result
 
 
-def sweep(algorithm: str, ds: CategoricalDataset, topology: Topology,
-          configs: list[TrainConfig | None]) -> list[AnalysisResult]:
-    """run_analysis(algorithm, ds, topology, config) for each config, in order.
-
-    kmca and kmca-ind build their table and sampler once, initialize each
-    map from its own config's RNG and train all the maps in lockstep
-    (som._train_lockstep), so the configs may differ only in their seed.
-    kdisj trains one run after another.
-    """
-    if algorithm == "kdisj":
-        return [kdisj(ds, topology, config) for config in configs]
+def _sweep(algorithm: str, ds: CategoricalDataset, topology: Topology,
+           configs: list[TrainConfig | None], observer=None) -> list[AnalysisResult]:
+    """``sweep``, whose ``observer`` watches each kdisj step as train() does."""
+    names, labels = ds.global_modality_names, tuple(ds.individuals)
     if algorithm == "kmca":
-        sampler = UniformRowSampler(corrected_burt(ds))
-        labels = ds.global_modality_names
+        sampler, labels = UniformRowSampler(corrected_burt(ds)), names
     elif algorithm == "kmca-ind":
-        sampler = UniformRowSampler(disjunctive_index(ds))
-        labels, means = ds.individuals, modality_mean_vectors(ds)
+        sampler, means = UniformRowSampler(disjunctive_index(ds)), modality_mean_vectors(ds)
+    elif algorithm == "kdisj":
+        sampler = KdisjSampler(ds)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     if not configs:
         return []
-    lo, hi = sampler.rows.min(axis=0), sampler.rows.max(axis=0)
-    models = [init_model(topology, _resolved(algorithm, ds, c), lo, hi) for c in configs]
-    results = []
-    for model, (qe_log, bmus) in zip(models, som._train_lockstep(models, sampler)):
-        mapped = MapAssignment(labels=tuple(labels), units=bmus, n_units=topology.n_units)
+    models = [init_model(topology, _resolved(algorithm, ds, c), *sampler.ranges)
+              for c in configs]
+    if algorithm == "kdisj":  # each run's step-0 checkpoint locates its own individuals
+        runs = [(train(model, sampler, observer)[1], sampler.bmus) for model in models]
+    else:
+        runs = som._train_lockstep(models, sampler)
+    sha, results = ds.sha256(), []
+    for model, (qe_log, bmus) in zip(models, runs):
+        mapped = MapAssignment(labels=labels, units=bmus, n_units=topology.n_units)
         if algorithm == "kmca":
-            results.append(_result(algorithm, ds, model, qe_log, mapped))
-        else:
-            modalities = assign(model, means, labels=ds.global_modality_names)
-            results.append(_result(algorithm, ds, model, qe_log, modalities, mapped))
+            modalities, mapped = mapped, None
+        elif algorithm == "kmca-ind":
+            modalities = assign(model, means, labels=names)
+        else:  # kdisj: each column's nearest unit among those holding individuals
+            modalities = assign(model, sampler.columns, mask=sampler._mod_mask, labels=names,
+                                units=mapped.counts > 0)
+        results.append(_result(algorithm, sha, model, qe_log, modalities, mapped))
     return results
+
+
+def sweep(algorithm: str, ds: CategoricalDataset, topology: Topology,
+          configs: list[TrainConfig | None]) -> list[AnalysisResult]:
+    """run_analysis(algorithm, ds, topology, config) for each config, in order.
+
+    Every algorithm builds its table and sampler once, draws each map from
+    its own config's RNG over ``sampler.ranges`` and hashes the dataset once.
+    kmca and kmca-ind train the maps in lockstep (som._train_lockstep), so
+    the configs may differ only in their seed; kdisj trains them in turn.
+    """
+    return _sweep(algorithm, ds, topology, configs)
 
 
 def kmca(
@@ -329,7 +344,7 @@ def kmca(
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on the corrected Burt rows; map positions for modalities only."""
-    return sweep("kmca", ds, topology, [config])[0]
+    return _sweep("kmca", ds, topology, [config])[0]
 
 
 def kmca_ind(
@@ -338,7 +353,7 @@ def kmca_ind(
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
     """Train on corrected disjunctive rows; modalities placed by mean vector."""
-    return sweep("kmca-ind", ds, topology, [config])[0]
+    return _sweep("kmca-ind", ds, topology, [config])[0]
 
 
 def kdisj(
@@ -348,22 +363,7 @@ def kdisj(
     observer=None,
 ) -> AnalysisResult:
     """Simultaneous analysis of individuals and modalities on one map."""
-    sampler = KdisjSampler(ds)
-    dc = sampler.dc
-    lo = np.concatenate([dc.min(axis=0), dc.min(axis=1)])
-    hi = np.concatenate([dc.max(axis=0), dc.max(axis=1)])
-    model = init_model(topology, _resolved("kdisj", ds, config), lo, hi)
-    model, qe_log = train(model, sampler, observer=observer)
-    individuals = MapAssignment(labels=tuple(ds.individuals), units=sampler.bmus,
-                                n_units=topology.n_units)
-    modalities = assign(
-        model,
-        sampler.columns,
-        mask=sampler._mod_mask,
-        labels=ds.global_modality_names,
-        units=individuals.counts > 0,
-    )
-    return _result("kdisj", ds, model, qe_log, modalities, individuals)
+    return _sweep("kdisj", ds, topology, [config], observer)[0]
 
 
 def run_analysis(
@@ -372,7 +372,7 @@ def run_analysis(
     topology: Topology,
     config: TrainConfig | None = None,
 ) -> AnalysisResult:
-    return sweep(algorithm, ds, topology, [config])[0]
+    return _sweep(algorithm, ds, topology, [config])[0]
 
 
 @dataclass(eq=False)

@@ -276,9 +276,9 @@ def _train(args, algorithms: list[str], macro_k):
     None: no cut); only then write each run's artifacts, so a failing cut
     leaves no file behind.
 
-    Returns the dataset's name and data, the output dir, the files written
-    and, by algorithm, the run summaries and (for two or more seeds) the
-    stability report.
+    Returns the dataset's name and hash (its runs'), the output dir, the
+    files written and, by algorithm, the run summaries and (for two or more
+    seeds) the stability report.
     """
     seeds = _seeds(args)
     name, ds = _load_dataset(args)
@@ -301,7 +301,7 @@ def _train(args, algorithms: list[str], macro_k):
                      for r, m in zip(results, macros)]
         files += [f for s in summaries for f in s["files"]]
         runs[algorithm] = summaries, stability
-    return name, ds, outdir, files, runs
+    return name, results[0].provenance["dataset_sha256"], outdir, files, runs
 
 
 def stability_report(
@@ -520,7 +520,7 @@ def cmd_report(args):
             raise ConfigError(f"unknown algorithm {algo!r}")
         if algorithms.count(algo) > 1:
             raise ConfigError(f"--algorithms names {algo!r} more than once")
-    name, ds, outdir, files, runs = _train(
+    name, sha, outdir, files, runs = _train(
         args, algorithms, "auto" if args.macro is None else args.macro)
 
     run_fields = (
@@ -539,7 +539,7 @@ def cmd_report(args):
     ]
     report = {
         "dataset": name,
-        "dataset_sha256": ds.sha256(),
+        "dataset_sha256": sha,
         "topology": _topology(args).to_json(),
         "seeds": _seeds(args),
         "algorithms": {

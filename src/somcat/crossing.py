@@ -43,7 +43,7 @@ def external_from_dataset(ds: CategoricalDataset, variable: str) -> ExternalColu
     return ExternalColumn(
         name=var.name,
         modalities=var.modalities,
-        values={ident: int(ds.cells[i, k]) for i, ident in enumerate(ds.individuals)},
+        values=dict(zip(ds.individuals, ds.cells[:, k].tolist())),
     )
 
 
@@ -113,7 +113,7 @@ def cross(
     if topology.n_units != assignment.n_units:
         raise DimensionError("topology does not match the assignment's unit count")
     have = set(assignment.labels)
-    want = set(external.values)
+    want = external.values.keys()  # compared as a set, uncopied
     if have != want:
         missing = sorted(have - want)[:5]
         extra = sorted(want - have)[:5]
@@ -121,7 +121,7 @@ def cross(
             "external column does not cover the mapped individuals "
             f"(missing {missing}, extra {extra})"
         )
-    counts = np.zeros((assignment.n_units, len(external.modalities)), dtype=np.int64)
-    for ident, unit in zip(assignment.labels, assignment.units):
-        counts[int(unit), external.values[ident]] += 1
+    u, m = assignment.n_units, len(external.modalities)
+    codes = np.array([external.values[ident] for ident in assignment.labels], dtype=np.int64)
+    counts = np.bincount(assignment.units * m + codes, minlength=u * m).reshape(u, m)
     return PieGrid(topology, external.name, external.modalities, counts)

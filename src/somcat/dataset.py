@@ -253,12 +253,16 @@ def _encode_column(
             codes.append(lookup.setdefault(cell, len(lookup)))
         elif spec.is_binned:
             try:
-                codes.append(spec.bin_value(float(cell)))
+                value = float(cell)
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: non-numeric value {cell!r} in binned "
                     f"column {name!r}"
                 ) from None
+            if not np.isfinite(value):  # float() reads nan and inf
+                raise DataError(f"{path}:{lineno}: non-finite value {cell!r} in binned "
+                                f"column {name!r}")
+            codes.append(spec.bin_value(value))
         elif cell in lookup:
             codes.append(lookup[cell])
         else:

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,17 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
-        keys = ("epsilon0", "c0", "t_max", "seed")
-        jsonio.require_keys(data, keys, "a training config")
-        return cls(**{key: data[key] for key in keys})
+        """The stored config: epsilon0 and c0 finite numbers, t_max null or
+        an integer, seed an integer; a DataError naming the key otherwise,
+        and for a value TrainConfig refuses."""
+        kinds = {"epsilon0": "f", "c0": "f", "t_max": "i", "seed": "i"}
+        jsonio.require_keys(data, tuple(kinds), "a training config")
+        try:
+            return cls(**{key: None if key == "t_max" and data[key] is None else
+                          jsonio.numbers(data[key], kind, 0, f"a training config: {key}").item()
+                          for key, kind in kinds.items()})
+        except ConfigError as err:
+            raise DataError(f"not a training config: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -510,7 +518,7 @@ class UniformRowSampler:
         self.rows = rows.dense() if one_hot else np.asarray(rows, dtype=np.float64)
         self.qe_rows = rows if one_hot else self.rows
         self.qe_mask = None  # rows are searched and updated on every component
-        self.bmus: np.ndarray | None = None  # each row's unit, as last located
+        self.ranges = self.rows.min(axis=0), self.rows.max(axis=0)  # (lo, hi) per component
 
     def draw(self, t: int, rng: np.random.Generator):
         i = int(rng.integers(0, self.rows.shape[0]))
@@ -523,7 +531,7 @@ class UniformRowSampler:
         return None
 
     def locate(self, bmus: np.ndarray, n_units: int) -> None:
-        self.bmus = bmus
+        """Nothing to keep: any unit may win any step."""
 
 
 def _checkpoint(model: SomModel, sampler, steps: int, qe_log: list) -> np.ndarray:

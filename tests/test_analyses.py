@@ -318,6 +318,37 @@ def test_every_step_calls_train_step_then_bmu_once(monkeypatch, marriage, algori
     assert calls == {"train_step": 40, "bmu": 40}
 
 
+def test_a_kdisj_sweep_builds_one_sampler_and_hashes_the_dataset_once(monkeypatch,
+                                                                      marriage):
+    """Its seeds share the sampler's tables and the dataset's hash, and each
+    run is the run kdisj() makes of its seed alone."""
+    counts = {"sampler": 0, "sha256": 0}
+
+    class Counted(KdisjSampler):
+        def __init__(self, ds):
+            counts["sampler"] += 1
+            super().__init__(ds)
+
+    sha256 = CategoricalDataset.sha256
+
+    def hashed(ds):
+        counts["sha256"] += 1
+        return sha256(ds)
+
+    monkeypatch.setattr(analyses, "KdisjSampler", Counted)
+    monkeypatch.setattr(CategoricalDataset, "sha256", hashed)
+    configs = [small_cfg(seed=seed) for seed in range(3)]
+    results = analyses.sweep("kdisj", marriage, TOPO, configs)
+    assert counts == {"sampler": 1, "sha256": 1}
+    for config, result in zip(configs, results):
+        alone = kdisj(marriage, TOPO, config)
+        assert np.array_equal(result.model.code_vectors, alone.model.code_vectors)
+        assert result.qe_log == alone.qe_log
+        assert np.array_equal(result.individuals.units, alone.individuals.units)
+        assert np.array_equal(result.modalities.units, alone.modalities.units)
+        assert result.provenance == alone.provenance
+
+
 class Located(som.UniformRowSampler):
     """Keeps a copy of every checkpoint's units, in the order located."""
 

@@ -408,11 +408,12 @@ def test_parallel_workers_match_serial(tmp_path, capsys):
         assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
 
-@pytest.mark.parametrize("algorithm", ["kmca", "kmca-ind"])
-def test_lockstep_sweeps_match_single_seed_runs_on_any_worker_count(
+@pytest.mark.parametrize("algorithm", ["kmca", "kmca-ind", "kdisj"])
+def test_sweeps_match_single_seed_runs_on_any_worker_count(
         tmp_path, capsys, monkeypatch, algorithm):
-    """Five seeds in one lockstep sweep, in 2 and in 4 uneven chunks of
-    seeds (worker processes), and one seed at a time write the same bytes."""
+    """Five seeds in one sweep (lockstep, or kdisj's maps one after another
+    on one sampler), in 2 and in 4 uneven chunks of seeds (worker
+    processes), and one seed at a time write the same bytes."""
     monkeypatch.setattr("somcat.cli.os.cpu_count", lambda: 8)
     flags = ["--grid", "3x3", "--iters", "300", "--macro", "3", "--render", "both"]
     outs = {}
@@ -761,7 +762,9 @@ def with_distances_cut(path):
 # its error names.
 RESULT_KEYS = {"qe-log-str": "qe_log", "qe-log-entry-str": "qe_log",
                "topology-rows-str": "rows", "topology-rows-float": "rows",
-               "packed-items-int": "items"}
+               "packed-items-int": "items", "result-config-epsilon0-str": "epsilon0",
+               "result-config-seed-true": "seed", "result-config-t-max-float": "t_max",
+               "result-config-c0-negative": "c0"}
 DATASET_KEYS = {"dataset-cell-str": "cells", "dataset-row-short": "cells",
                 "dataset-cell-float": "cells", "dataset-cell-bool": "cells",
                 "dataset-modalities-str": "modalities",
@@ -817,6 +820,12 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "topology-rows-str": with_entry(result, "4", "topology", "rows"),
         "topology-rows-float": with_entry(result, 4.0, "topology", "rows"),
         "packed-items-int": with_entry(result, 5, "modalities", "items"),
+        "result-config-epsilon0-str": with_entry(result, "0.5", "provenance", "config",
+                                                 "epsilon0"),
+        "result-config-seed-true": with_entry(result, True, "provenance", "config", "seed"),
+        "result-config-t-max-float": with_entry(result, 2.5, "provenance", "config",
+                                                "t_max"),
+        "result-config-c0-negative": with_entry(result, -1.0, "provenance", "config", "c0"),
         "dataset-cell-str": a_dataset(cells=[[0, "a"], [1, 0]]),
         "dataset-row-short": a_dataset(cells=[[0, 1], [0]]),
         "dataset-cell-float": a_dataset(cells=[[0, 1], [0.5, 0]]),
@@ -858,7 +867,7 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:data: not a"), err
-    if case.startswith("result-"):
+    if "distances" in case:
         assert "unit_distances" in err
     assert RESULT_KEYS.get(case, DATASET_KEYS.get(case, "")) in err
     assert sorted(outdir.iterdir()) == before

@@ -207,6 +207,15 @@ def test_ingest_rejects_non_numeric_for_binned(tmp_path):
         ingest_csv(p, schema=schema)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_ingest_rejects_a_non_finite_binned_cell(tmp_path, cell):
+    """float() reads these, and no break-point places them."""
+    p = write_csv(tmp_path / "toy.csv", f"id,age\ni1,23\ni2,{cell}\ni3,52\n")
+    schema = [VariableSpec(name="age", modalities=("lo", "mid", "hi"), breaks=(30.0, 50.0))]
+    with pytest.raises(DataError, match=rf"toy.csv:3: non-finite value '{cell}' .*'age'"):
+        ingest_csv(p, schema=schema)
+
+
 def test_ingest_rejects_ragged_row(tmp_path):
     p = write_csv(tmp_path / "toy.csv", "id,a,b\ni1,x,y\ni2,x\n")
     with pytest.raises(DataError, match="expected 3 fields"):

@@ -149,6 +149,26 @@ def test_config_json_round_trip():
     assert TrainConfig.from_json(cfg.to_json()) == cfg
 
 
+def test_a_stored_config_may_hold_integral_rates_and_a_null_t_max():
+    unresolved = TrainConfig.from_json({"epsilon0": 1, "c0": 2, "t_max": None, "seed": 4})
+    assert unresolved == TrainConfig(epsilon0=1.0, c0=2.0, t_max=None, seed=4)
+    assert type(unresolved.epsilon0) is float and type(unresolved.seed) is int
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon0", "0.5"), ("epsilon0", True), ("epsilon0", None), ("epsilon0", [0.5]),
+    ("epsilon0", 1.5), ("c0", "1"), ("c0", -1.0), ("c0", 0), ("t_max", 2.5),
+    ("t_max", "100"), ("t_max", True), ("t_max", 0), ("seed", True), ("seed", 1.0),
+    ("seed", "3"), ("seed", None), ("seed", -1),
+])
+def test_a_stored_config_holds_only_values_trainconfig_takes(key, value):
+    """A stored config's values are read as every stored number is, and a
+    value TrainConfig refuses is bad data too; either error names the key."""
+    data = {**TrainConfig(t_max=100, seed=3).to_json(), key: value}
+    with pytest.raises(DataError, match=f"not a training config: {key}"):
+        TrainConfig.from_json(data)
+
+
 # ----------------------------------------------------------------------- init
 
 def init_on(topology, config, data):
