@@ -388,7 +388,7 @@ def cmd_ingest(args):
     name, ds = _load_dataset(args)
     outdir = _outdir(args)
     files: list[str] = []
-    _write_json(outdir, f"{name}.dataset.json", ds.to_json(), files)
+    _write_json(outdir, f"{name}.dataset.json", ds.artifact(), files)
     summary = {
         "dataset": name,
         "individuals": ds.n_individuals,

@@ -41,6 +41,7 @@ class VariableSpec:
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name):
             raise DataError("not a variable: name is not a non-empty string")
+        jsonio.require_utf8(self.name, "a variable: name")
         if len(self.modalities) < 2:
             raise DataError(
                 f"variable {self.name!r} needs at least 2 modalities, "
@@ -118,20 +119,20 @@ class CategoricalDataset:
                 f"cells shape {self.cells.shape} does not match "
                 f"{n} individuals x {k} variables"
             )
-        seen: set[str] = set()
-        for ident in self.individuals:
-            if ident in seen:
-                raise DataError(f"duplicate individual id {ident!r}")
-            seen.add(ident)
+        if len(set(self.individuals)) != n:  # name the first repeat
+            seen: set[str] = set()
+            for ident in self.individuals:
+                if ident in seen:
+                    raise DataError(f"duplicate individual id {ident!r}")
+                seen.add(ident)
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise DataError("duplicate variable names")
-        for j, var in enumerate(self.variables):
-            col = self.cells[:, j]
-            if col.min() < 0 or col.max() >= len(var.modalities):
-                raise DataError(
-                    f"cell value out of range for variable {var.name!r}"
-                )
+        sizes = [len(v.modalities) for v in self.variables]
+        out = (self.cells.min(axis=0) < 0) | (self.cells.max(axis=0) >= sizes)
+        if out.any():
+            raise DataError(f"cell value out of range for variable "
+                            f"{names[int(out.argmax())]!r}")
 
     @property
     def n_individuals(self) -> int:
@@ -164,12 +165,17 @@ class CategoricalDataset:
                 return i
         raise DataError(f"unknown variable {name!r}")
 
-    def to_json(self) -> dict:
+    def artifact(self) -> dict:
+        """The dataset file's content: ``to_json()`` with the cells left an
+        array, which jsonio writes and hashes a block of rows at a time."""
         return {
             "individuals": list(self.individuals),
             "variables": [v.to_json() for v in self.variables],
-            "cells": self.cells.tolist(),
+            "cells": self.cells,
         }
+
+    def to_json(self) -> dict:
+        return {**self.artifact(), "cells": self.cells.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "CategoricalDataset":
@@ -181,7 +187,8 @@ class CategoricalDataset:
         )
 
     def sha256(self) -> str:
-        return jsonio.sha256_of(self.to_json())
+        """sha256 of the compact canonical JSON of ``to_json()``, streamed."""
+        return jsonio.sha256_of(self.artifact())
 
 
 def to_disjunctive(ds: CategoricalDataset) -> np.ndarray:

@@ -9,8 +9,9 @@ scalars to json's C encoder in one call, with the indentation folded into
 the item separator, so the large numeric rows of a model are formatted in C
 and streamed to the file one row at a time rather than joined in memory.
 A numpy array is written as the nested list ``.tolist()`` gives, with the
-same bytes, but only one innermost row at a time becomes Python numbers, so
-a writer passes its matrices as arrays and no whole-matrix list is built.
+same bytes, so a writer passes its matrices as arrays and no whole-matrix
+list is built: a 2-D integer array is formatted in numpy a block of rows at
+a time (also for ``sha256_of``), any other one innermost row at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import DataError, IOErrorCategory
 
 _INDENT = "  "
 _SCALARS = (str, int, float, NoneType)
+_BLOCK_CELLS = 1 << 13  # cells (or list items) formatted or hashed at a time
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,11 +59,58 @@ def _key(key) -> str:
     return _leaf_encoder(0)(key)
 
 
+def _is_int_matrix(obj) -> bool:
+    return isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind in "iu"
+
+
+def _decimal(block: np.ndarray) -> np.ndarray:
+    """The decimal text of each integer of ``block`` as a (rows, cols,
+    width) uint8 array of ASCII bytes: a sign slot, then the digits
+    right-aligned, with NULs where either is absent."""
+    neg, mag = block < 0, block.astype(np.uint64)  # a negative cast wraps
+    mag = np.where(neg, ~mag + np.uint64(1), mag)    # |x|, int64's minimum too
+    planes, present = [], np.ones(block.shape, bool)  # the units digit, 0 too
+    while present.any():
+        tens = mag // 10
+        planes.append(np.where(present, mag - tens * 10 + ord("0"), 0))
+        mag, present = tens, tens > 0
+    planes.append(np.where(neg, ord("-"), 0))
+    return np.stack(planes[::-1], axis=-1, dtype=np.uint8, casting="unsafe")
+
+
+def _int_matrix(array: np.ndarray, depth: int | None) -> Iterator[str]:
+    """Pieces of json's text of ``array.tolist()``, a 2-D integer array: the
+    artifact format at indentation level ``depth``, else (None) the compact
+    one.  A block of rows is a piece, built with no Python object per cell:
+    a row template's NUL slots take the digits, and leftover NULs drop."""
+    n, k = array.shape
+    if not n:
+        yield "[]"
+        return
+    nl = ["" if depth is None else "\n" + _INDENT * (depth + i) for i in range(3)]
+    yield "[" + nl[1]
+    step = max(1, _BLOCK_CELLS // max(k, 1))
+    for start in range(0, n, step):
+        digits = _decimal(array[start:start + step])
+        rows, width = digits.shape[0], digits.shape[2]
+        row = "[" + nl[2] + ("," + nl[2]).join(["\0" * width] * k) + nl[1] + "]"
+        template = np.frombuffer(((row if k else "[]") + "," + nl[1]).encode(), np.uint8)
+        text = np.tile(template, (rows, 1))
+        text[:, template == 0] = digits.reshape(rows, -1)
+        if start + step >= n:  # no separator after the last row
+            text[-1, -len(nl[1]) - 1:] = 0
+        yield text[text != 0].tobytes().decode("ascii")
+    yield nl[0] + "]"
+
+
 def chunks(obj, depth: int = 0) -> Iterator[str]:
     """Pieces of the artifact text of ``obj`` (json's two-space indented
     format, non-ASCII kept), in order; ``depth`` is the indentation level of
     ``obj`` itself.  An array of two or more dimensions is a list of its
     rows, and a row (or a 0-d array) is what its ``.tolist()`` gives."""
+    if _is_int_matrix(obj):
+        yield from _int_matrix(obj, depth)
+        return
     if isinstance(obj, np.ndarray) and obj.ndim < 2:
         obj = obj.tolist()
     is_dict, is_array = isinstance(obj, dict), isinstance(obj, np.ndarray)
@@ -92,13 +141,34 @@ def dumps(obj) -> str:
     return "".join(chunks(obj)) + "\n"
 
 
-def canonical(obj) -> str:
-    """Compact form used for hashing."""
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+def _compact(obj) -> Iterator[str]:
+    """Pieces of the compact canonical text of ``obj`` (non-ASCII kept): a
+    dict's values one at a time, a long list a block of items at a time, a
+    2-D integer array as its ``.tolist()``."""
+    if _is_int_matrix(obj):
+        yield from _int_matrix(obj, None)
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield ("," if i else "") + _key(key) + ":"
+            yield from _compact(value)
+        yield "}"
+    elif isinstance(obj, list) and len(obj) > _BLOCK_CELLS:
+        for start in range(0, len(obj), _BLOCK_CELLS):
+            block = "".join(_compact(obj[start:start + _BLOCK_CELLS]))
+            yield ("," if start else "[") + block[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
 def sha256_of(obj) -> str:
-    return hashlib.sha256(canonical(obj).encode("utf-8")).hexdigest()
+    """sha256 of the UTF-8 compact canonical text of ``obj``, streamed, so
+    that text is never held whole."""
+    digest = hashlib.sha256()
+    for piece in _compact(obj):
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> Path:
@@ -147,10 +217,20 @@ def require_keys(data, keys: tuple[str, ...], what: str) -> None:
         raise DataError(f"not {what}: no {', '.join(missing)}")
 
 
+def require_utf8(text: str, what: str) -> None:
+    """Raise a DataError naming ``what`` unless UTF-8 can encode ``text``, as
+    it cannot a lone surrogate, which json reads from ``"\\ud800"``."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"not {what} holds a lone surrogate, not UTF-8") from None
+
+
 def labels(value, what: str) -> tuple[str, ...]:
     """A stored list of strings as a tuple, else a DataError naming ``what``."""
     if not (isinstance(value, list) and set(map(type, value)) <= {str}):
         raise DataError(f"not {what} is not a list of strings")
+    require_utf8("".join(value), what)
     return tuple(value)
 
 

@@ -13,6 +13,10 @@ modality units and its individual units (none for kmca).  The cases:
   ingested from its CSV in a temporary directory) on an 8x8 map at 4000
   steps, seeds 1-10, for each algorithm.
 
+Two more digests pin how that survey is written and hashed: its
+``sha256()``, and the sha256 of the ``dataset.json`` bytes ``somcat ingest``
+writes for it.
+
 The digests rest on the numpy version the script prints, as the golden
 digests do.  Run from the repository root:
 
@@ -26,7 +30,9 @@ says why in CHANGES.md.  pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -40,7 +46,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import WORKLOADS, survey_answers, write_survey_csv  # noqa: E402
 
-from somcat import analyses, som  # noqa: E402
+from somcat import analyses, cli, som  # noqa: E402
 from somcat.dataset import ingest_csv  # noqa: E402
 from somcat.marriages import marriage_dataset  # noqa: E402
 
@@ -68,10 +74,16 @@ def case_digests(case: str, algorithm: str, ds, topology, steps, seeds) -> dict:
     return {f"{case}/{algorithm}/{seed}": run_digest(r) for seed, r in zip(seeds, results)}
 
 
-def survey_dataset(tmp: Path):
+def survey_dataset(tmp: Path) -> tuple:
+    """The survey as ingested, and the digests of its hash and written file."""
     path = tmp / "survey.csv"
     write_survey_csv(SURVEY, survey_answers(SURVEY, SURVEY_SEEDS[0]), path)
-    return ingest_csv(path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["ingest", "--data", str(path), "--out", str(tmp)])
+    ds = ingest_csv(path)
+    written = (tmp / "survey.dataset.json").read_bytes()
+    return ds, {"survey/dataset/sha256": ds.sha256(),
+                "survey/dataset/file": hashlib.sha256(written).hexdigest()}
 
 
 def sweep_digests() -> dict:
@@ -89,7 +101,8 @@ def sweep_digests() -> dict:
         som.DISTANCE_BLOCK = block
     rows, cols = (int(side) for side in SURVEY.grid.split("x"))
     with tempfile.TemporaryDirectory() as tmp:
-        survey = survey_dataset(Path(tmp))
+        survey, digests = survey_dataset(Path(tmp))
+    table.update(digests)
     for algorithm in analyses.ALGORITHMS:
         table.update(case_digests("survey", algorithm, survey, som.Topology.grid(rows, cols),
                                   SURVEY.iters, SURVEY_SEEDS))

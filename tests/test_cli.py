@@ -764,13 +764,17 @@ RESULT_KEYS = {"qe-log-str": "qe_log", "qe-log-entry-str": "qe_log",
                "topology-rows-str": "rows", "topology-rows-float": "rows",
                "packed-items-int": "items", "result-config-epsilon0-str": "epsilon0",
                "result-config-seed-true": "seed", "result-config-t-max-float": "t_max",
-               "result-config-c0-negative": "c0"}
+               "result-config-c0-negative": "c0", "packed-item-surrogate": "items"}
 DATASET_KEYS = {"dataset-cell-str": "cells", "dataset-row-short": "cells",
                 "dataset-cell-float": "cells", "dataset-cell-bool": "cells",
                 "dataset-modalities-str": "modalities",
                 "dataset-individuals-str": "individuals",
                 "dataset-variables-int": "variables", "dataset-name-list": "name",
-                "dataset-breaks-nan": "breaks"}
+                "dataset-breaks-nan": "breaks",
+                "dataset-individual-surrogate": "individuals",
+                "dataset-name-surrogate": "name", "dataset-modality-surrogate": "modalities"}
+# The JSON escape of a lone surrogate: json reads it into a str UTF-8 cannot write.
+SURROGATE = "\ud800"
 
 
 @pytest.mark.parametrize("case", ["macro-list", "render-macro-file", "train-data",
@@ -820,6 +824,7 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "topology-rows-str": with_entry(result, "4", "topology", "rows"),
         "topology-rows-float": with_entry(result, 4.0, "topology", "rows"),
         "packed-items-int": with_entry(result, 5, "modalities", "items"),
+        "packed-item-surrogate": with_entry(result, SURROGATE, "modalities", "items", 0),
         "result-config-epsilon0-str": with_entry(result, "0.5", "provenance", "config",
                                                  "epsilon0"),
         "result-config-seed-true": with_entry(result, True, "provenance", "config", "seed"),
@@ -837,6 +842,9 @@ def test_a_file_of_the_wrong_kind_is_a_data_error(trained, capsys, case):
         "dataset-breaks-nan": a_dataset(variables=[
             {"name": "v", "modalities": ["x", "y"], "breaks": [float("nan")]},
             {"name": "w", "modalities": ["x", "y"]}]),
+        "dataset-individual-surrogate": a_dataset(individuals=["a", SURROGATE]),
+        "dataset-name-surrogate": a_dataset(name=SURROGATE),
+        "dataset-modality-surrogate": a_dataset(modalities=["x", SURROGATE]),
     }.get(case, ""), encoding="utf-8")
     before = sorted(outdir.iterdir())
     argv = {

@@ -1,9 +1,12 @@
 """Dataset construction, CSV ingestion and the disjunctive encoding."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+
+from conftest import uniform_survey_csv
 
 from somcat.dataset import (
     CategoricalDataset,
@@ -14,6 +17,11 @@ from somcat.dataset import (
 )
 from somcat.errors import DataError
 from somcat.marriages import HUSBAND, WIFE, marriage_counts
+
+# The sha256 of the compact canonical text of the marriage data and of the
+# benchmark's seed-1 survey, as json.dumps of the whole text gave them.
+MARRIAGE_SHA256 = "00c27533a91df44d4c1efe2ce51e284669e691d33db30684d3c9c7a719ffb9a1"
+SURVEY_SHA256 = "e9bae13bf859e88dd7857c3a2cf2a8da7d1aa12a5f8d7125596fbc8ef45a1a38"
 
 
 # ---------------------------------------------------------------- VariableSpec
@@ -84,6 +92,9 @@ def test_dataset_rejects_duplicate_ids():
         CategoricalDataset(
             individuals=["x", "x"], variables=[v], cells=np.array([[0], [1]])
         )
+    with pytest.raises(DataError, match="^duplicate individual id 'y'$"):  # first repeat
+        CategoricalDataset(individuals=["x", "y", "y", "x"], variables=[v],
+                           cells=np.zeros((4, 1)))
 
 
 def test_dataset_rejects_out_of_range_cell():
@@ -92,6 +103,12 @@ def test_dataset_rejects_out_of_range_cell():
         CategoricalDataset(
             individuals=["x", "y"], variables=[v], cells=np.array([[0], [2]])
         )
+    names = [VariableSpec(name=n, modalities=("a", "b", "c")) for n in "uvwz"]
+    for cells, bad in [([[0, 0, 3, -1], [0, 2, 0, 0]], "w"), ([[0, -1, 0, 0]], "v"),
+                       ([[0, 0, 0, 0], [0, 0, 0, 3]], "z")]:
+        with pytest.raises(DataError, match=f"^cell value out of range for variable '{bad}'$"):
+            CategoricalDataset(individuals=[f"i{i}" for i in range(len(cells))],
+                               variables=names, cells=np.array(cells))
 
 
 def test_dataset_global_names_are_prefixed(marriage):
@@ -106,6 +123,28 @@ def test_dataset_json_round_trip(marriage):
     assert clone.individuals == marriage.individuals
     assert np.array_equal(clone.cells, marriage.cells)
     assert clone.sha256() == marriage.sha256()
+
+
+def canonical_sha256(ds):
+    """The dataset hash as one compact json text of ``to_json()``."""
+    text = json.dumps(ds.to_json(), separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_the_dataset_hash_is_the_canonical_digest(marriage, tmp_path):
+    """The streamed hash keeps the digest of the whole compact text: the
+    marriage data's and the benchmark survey's as pinned, and non-ASCII ids,
+    names and labels, over several blocks of cells and of ids."""
+    assert marriage.sha256() == MARRIAGE_SHA256 == canonical_sha256(marriage)
+    (tmp_path / "survey.csv").write_text(uniform_survey_csv(1, 10_000, 10, 6))
+    survey = ingest_csv(tmp_path / "survey.csv")
+    assert survey.sha256() == SURVEY_SHA256 == canonical_sha256(survey)
+    rng = np.random.default_rng(4)
+    variables = [VariableSpec(name=name, modalities=("oui", "non", "peut-être", "☃"))
+                 for name in ("âge", "中文", "🙂", "q\"\n")]
+    wide = CategoricalDataset([f"é{i}中" for i in range(20_000)], variables,
+                              rng.integers(0, 4, (20_000, 4)))
+    assert wide.sha256() == canonical_sha256(wide)
 
 
 @pytest.mark.parametrize("flag", [True, False])

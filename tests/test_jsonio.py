@@ -4,6 +4,7 @@ on failure; and the reader of every stored number."""
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -17,6 +18,7 @@ import pytest
 from somcat import jsonio
 from somcat.analyses import AnalysisResult
 from somcat.cli import _write_run, main
+from somcat.dataset import CategoricalDataset, VariableSpec
 from somcat.errors import DataError, IOErrorCategory
 from somcat.som import MapAssignment, SomModel, Topology, TrainConfig
 
@@ -112,6 +114,80 @@ def test_an_array_is_written_as_its_tolist(tmp_path, arr):
     plain = {"a": arr.tolist(), "b": [1, arr.tolist(), {"c": [arr.tolist(), "x"]}],
              "d": [[arr.tolist()], {}]}
     assert jsonio.dumps(nested) == reference(plain)
+
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+              np.uint64)
+
+
+def nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("block", [5, jsonio._BLOCK_CELLS], ids=["block-5", "block"])
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda t: np.dtype(t).name)
+def test_an_integer_matrix_is_written_and_hashed_as_its_tolist(monkeypatch, dtype, block):
+    """The integer kernel gives json's text of ``.tolist()``, compact and
+    indented at depths 0-2: over empty, single-cell and multi-block shapes,
+    each dtype's extremes, negative values and every digit count."""
+    monkeypatch.setattr(jsonio, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(11)
+    info = np.iinfo(dtype)
+    for shape in [(0, 3), (3, 0), (1, 1), (2, 1), (9, 4), (40, 7)]:
+        arr = rng.integers(info.min, info.max, shape, dtype=dtype, endpoint=True)
+        arr >>= rng.integers(0, info.bits, shape).astype(dtype)  # every magnitude
+        arr.flat[:3] = [info.min, info.max, 0][:arr.size]
+        compact = json.dumps(arr.tolist(), separators=(",", ":"))
+        assert "".join(jsonio._int_matrix(arr, None)) == compact
+        want = hashlib.sha256(('{"a":' + compact + "}").encode()).hexdigest()
+        assert jsonio.sha256_of({"a": arr}) == want
+        for depth in range(3):
+            assert jsonio.dumps(nested(arr, depth)) == reference(nested(arr.tolist(), depth))
+
+
+SMALL = np.arange(-20, 20).reshape(8, 5)
+TEXTS = {"ids": ["a", "é", "中"] * 7, "n": [[1, 2]] * 9, "x": [0.5, None, True]}
+
+
+@pytest.mark.parametrize("obj, plain", [
+    ({}, {}), (TEXTS, TEXTS),
+    ({"a": {"b": SMALL}, "c": list(range(11)), 2: []},
+     {"a": {"b": SMALL.tolist()}, "c": list(range(11)), 2: []}),
+], ids=range(3))
+def test_the_hash_streams_the_compact_canonical_text(monkeypatch, obj, plain):
+    """Dicts, lists longer than a block, nested arrays and non-ASCII text
+    hash as json's compact text of the same values with lists for arrays."""
+    monkeypatch.setattr(jsonio, "_BLOCK_CELLS", 4)
+    text = json.dumps(plain, separators=(",", ":"), ensure_ascii=False)
+    assert jsonio.sha256_of(obj) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_a_large_dataset_is_hashed_and_written_without_its_whole_text(tmp_path):
+    """10^5 individuals: the hash and the file take under two thirds of the
+    memory of their text, where a whole-text string, its bytes and a list of
+    the cells took 6.7 and 1.7 times it."""
+    rng = np.random.default_rng(2)
+    n, k = 100_000, 10
+    ds = CategoricalDataset([f"p{i:06d}" for i in range(n)],
+                            [VariableSpec(f"v{j}", ("a", "b", "c")) for j in range(k)],
+                            rng.integers(0, 3, (n, k)))
+    compact = json.dumps(ds.to_json(), separators=(",", ":"), ensure_ascii=False)
+    path = tmp_path / "d.dataset.json"
+    tracemalloc.start()
+    try:
+        digest = ds.sha256()
+        _, hash_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        jsonio.write_json(path, ds.artifact())
+        _, write_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(compact.encode("utf-8")).hexdigest()
+    assert jsonio.load(path) == ds.to_json()
+    assert hash_peak < len(compact) * 2 / 3
+    assert write_peak < path.stat().st_size * 2 / 3
 
 
 @pytest.mark.parametrize("bad", [np.int64(3), np.bool_(True), np.float32(0.5), {1, 2}],

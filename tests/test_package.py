@@ -22,7 +22,7 @@ PACKAGE = ROOT / "src" / "somcat"
 # may lower this ceiling, and raises it only with the reason in CHANGES.md.
 SETTABLE_VALUES_CEILING = 89
 # Physical lines of src/somcat/*.py, under the same rule.
-SRC_LINES_CEILING = 3386
+SRC_LINES_CEILING = 3473
 
 
 def test_package_imports_only_the_standard_library_and_numpy():
